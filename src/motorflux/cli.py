@@ -11,7 +11,8 @@ hard error).  Layout:
     [coupling]          row.1 .. row.n
     [time]              dt, t_end, stride, lin_tol
     [output]            dir
-    [steady]            mode, normalization, tol          (optional)
+    [steady]            mode, normalization, tol          (optional; tol is
+                        the residual bound ||A v|| <= tol*||A||)
     [verify]            threshold, oracle_t               (optional)
 
 ``*.params`` values are comma-separated name=value entries; list-valued
@@ -403,24 +404,23 @@ def _profile_params(p: PotentialSpec) -> str:
 # output writers
 
 
+#: rows formatted per write, so the writer's buffers stay near 1 MB at any grid size
+_CSV_CHUNK_ROWS = 4096
+
+
 def _write_state_csv(path, state: State) -> None:
     grid = state.grid
     names = [f"u{i + 1}" for i in range(state.n_species)]
+    coords = ["x", "y"][:grid.dim]
+    pts = grid.centers().reshape(grid.size, grid.dim)
+    # %r of a Python float is its repr: the shortest round-trip decimal
+    row_fmt = ",".join(["%r"] * (grid.dim + state.n_species)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        if grid.dim == 1:
-            fh.write("x," + ",".join(names) + "\n")
-            xs = grid.centers()
-            for c, x in enumerate(xs):
-                vals = ",".join(repr(float(state.fields[i, c]))
-                                for i in range(state.n_species))
-                fh.write(f"{float(x)!r},{vals}\n")
-        else:
-            fh.write("x,y," + ",".join(names) + "\n")
-            pts = grid.centers()
-            for c in range(grid.size):
-                vals = ",".join(repr(float(state.fields[i, c]))
-                                for i in range(state.n_species))
-                fh.write(f"{float(pts[c, 0])!r},{float(pts[c, 1])!r},{vals}\n")
+        fh.write(",".join(coords + names) + "\n")
+        for k in range(0, grid.size, _CSV_CHUNK_ROWS):
+            rows = slice(k, k + _CSV_CHUNK_ROWS)
+            chunk = np.column_stack([pts[rows], state.fields[:, rows].T])
+            fh.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _json_line(obj: dict) -> str:
@@ -480,7 +480,6 @@ def cmd_steady(cfg: RunConfig) -> int:
             "residual": ss.residual,
             "normalization": ss.normalization,
             "constraint_value": ss.constraint_value,
-            "iterations": ss.iterations,
         }))
     return EXIT_OK
 
@@ -603,8 +602,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the linear-solver tolerance (and the "
-                            "stationary-solver tolerance for 'steady')")
+                       help="override the linear-solver tolerance (and, for "
+                            "'steady', the stationary residual bound "
+                            "||A v|| <= tol*||A||)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for synthesized random fixtures")
     return parser

@@ -46,11 +46,13 @@ class SolverError(MotorfluxError):
 
 
 class NonConvergenceError(SolverError):
-    """Iteration cap exceeded before the convergence criterion was met."""
+    """A solver result missed its convergence criterion or residual bound."""
 
 
 class IrreducibilityError(MotorfluxError):
-    """Inverse iteration produced a sign change; configuration is not irreducible."""
+    """Stationary problem is not irreducible: coupling graph not strongly
+    connected, reduced system singular, or null vector not strictly positive.
+    """
 
 
 class DegenerateDataError(MotorfluxError):

@@ -3,11 +3,13 @@
 Three routes are covered:
 
   * `solve_null_vector` finds the positive null vector of an assembled linear
-    block operator by shifted inverse power iteration.  (eps*I - A) is a
-    nonsingular M-matrix, so its inverse is entrywise nonnegative; for an
-    irreducible configuration that inverse is positive and its spectral
-    radius 1/eps belongs to A's zero eigenvalue, so the iteration converges
-    to the Perron direction.
+    block operator by one direct solve.  For an irreducible configuration -A
+    is a singular irreducible M-matrix, so every proper principal submatrix
+    is a nonsingular M-matrix with an entrywise positive inverse.  Pinning
+    x[0] = 1 and dropping row and column 0 leaves
+    A[1:,1:] x[1:] = -A[1:,0], whose solution is strictly positive; one
+    correction with the same factorization spreads the round-off residual
+    over all rows instead of the dropped one.
   * `reversible_pair` solves for the constant equilibrium (a, b) of the
     two-species reversible reaction: r_A(a) = r_B(b) with the weighted mass
     a/alpha + b/beta pinned to the conserved value.
@@ -24,9 +26,16 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .discretize import SystemOperator
+from .discretize import SystemOperator, _gauge_factors
 from .errors import DegenerateDataError, IrreducibilityError, NonConvergenceError
-from .model import ReactionSpec, State, eval_potential, eval_reaction, reaction_inverse
+from .model import (
+    ReactionSpec,
+    State,
+    _strongly_connected,
+    eval_potential,
+    eval_reaction,
+    reaction_inverse,
+)
 from .verify import weighted_mass
 
 __all__ = [
@@ -45,11 +54,6 @@ __all__ = [
 #: differ only by the scale of the result, so the choice is always explicit.
 NORMALIZATIONS = ("total", "alpha_weighted")
 
-_MAX_ITER = 10_000
-#: shift factor for the inverse iteration, relative to the operator norm
-_SHIFT_FACTOR = 1e-3
-
-
 @dataclass(frozen=True)
 class StationaryState:
     """A stationary state with its residual and normalization record."""
@@ -58,7 +62,6 @@ class StationaryState:
     residual: float
     normalization: str
     constraint_value: float
-    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -79,67 +82,59 @@ def _weights(A: SystemOperator) -> np.ndarray:
     return np.repeat(vol / A.spec.alphas, A.cells)
 
 
-def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
-                      normalization: str = "total",
-                      max_iter: int = _MAX_ITER,
-                      start: np.ndarray | None = None) -> StationaryState:
-    """Positive null vector of A by shifted inverse power iteration.
+def _left_null_vector(A: SystemOperator) -> np.ndarray:
+    """The conservation vector in A's gauge; D A D^-1 is annihilated by w D^-1."""
+    w = _weights(A)
+    if A.gauge == "neumann":
+        w = w / _gauge_factors(A.spec).ravel()
+    return w
 
-    Iterates x <- normalize((eps*I - A)^-1 x) with eps = 1e-3 * ||A||_inf from
-    the all-ones start (or ``start``) until successive normalized iterates
-    differ by at most ``tol`` in the weighted L1 norm.  The result is scaled
-    to the requested integral constraint and reported with ||A v||_inf.
+
+def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
+                      normalization: str = "total") -> StationaryState:
+    """Positive null vector of A by one sparse LU solve of the reduced system.
+
+    Fixes x[0] = 1 and solves A[1:,1:] y = -A[1:,0].  The residual r = A x is
+    then projected off the left null vector w (so that A d = r is solvable)
+    and removed with one more solve on the same factorization.  The result is
+    scaled to the requested integral constraint and must satisfy
+    ||A v||_inf <= tol * ||A||_inf, or NonConvergenceError is raised.  A
+    coupling graph that is not strongly connected, a singular reduced matrix
+    or a result that is not strictly positive raise IrreducibilityError.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    matrix = A.matrix
+    spec = A.spec
+    if not _strongly_connected(spec.coupling.lam):
+        raise IrreducibilityError(
+            "coupling graph is not strongly connected; the configuration is "
+            "not irreducible and its stationary states are not one ray"
+        )
+    matrix = sparse.csc_array(A.matrix)
     nd = matrix.shape[0]
     norm_a = float(np.abs(matrix).sum(axis=1).max())
-    eps = _SHIFT_FACTOR * norm_a
-    shifted = sparse.csc_array(eps * sparse.eye_array(nd, format="csc") - matrix)
-    lu = splu(shifted)
+    try:
+        lu = splu(matrix[1:, 1:])
+    except RuntimeError as err:
+        raise IrreducibilityError(
+            f"reduced stationary system is singular ({err}); the configuration "
+            "is not irreducible"
+        ) from err
 
-    spec = A.spec
-    vol = spec.grid.cell_volume
-    wl1_weights = np.repeat(vol / spec.alphas, A.cells)
-
-    def wl1(vec: np.ndarray) -> float:
-        return float(wl1_weights @ np.abs(vec))
-
-    x = np.ones(nd) if start is None else np.array(start, dtype=float)
-    if x.shape != (nd,):
-        raise ValueError(f"start vector must have shape ({nd},)")
-    if x.min() <= 0.0:
-        raise ValueError("start vector must be strictly positive")
-    x = x / wl1(x)
-
-    iterations = 0
-    delta = np.inf
-    for iterations in range(1, max_iter + 1):
-        y = lu.solve(x)
-        if y.min() < -1e-13 * np.abs(y).max():
-            raise IrreducibilityError(
-                "inverse iteration left the positive cone; the configuration "
-                "is not irreducible"
-            )
-        y = y / wl1(y)
-        delta = wl1(y - x)
-        x = y
-        if delta <= tol:
-            break
-    else:
-        raise NonConvergenceError(
-            f"inverse iteration did not converge within {max_iter} sweeps "
-            f"(last update {delta:.3e})",
-            residual=float(np.abs(matrix @ x).max()),
-        )
+    x = np.empty(nd)
+    x[0] = 1.0
+    x[1:] = lu.solve(-matrix[1:, [0]].toarray().ravel())
+    r = matrix @ x
+    w = _left_null_vector(A)
+    r -= (w @ r) / (w @ w) * w
+    x[1:] -= lu.solve(r[1:])
 
     if normalization == "total":
-        scale = float(vol * x.sum())
+        scale = float(spec.grid.cell_volume * x.sum())
     else:
-        scale = float(wl1_weights @ x)
+        scale = float(_weights(A) @ x)
     v = x / scale
-    if v.min() <= 0.0:
+    if not v.min() > 0.0:
         raise IrreducibilityError(
             "computed null vector is not strictly positive; the configuration "
             "is not irreducible"
@@ -152,18 +147,18 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
         )
     state = State(spec.grid, v.reshape(A.n, A.cells), t=0.0, gauge="physical")
     return StationaryState(state=state, residual=residual,
-                           normalization=normalization, constraint_value=1.0,
-                           iterations=iterations)
+                           normalization=normalization, constraint_value=1.0)
 
 
 def adjoint_null_check(A: SystemOperator) -> float:
     """Max-norm of the conservation row vector applied to A.
 
-    The row vector with value cell_volume/alpha_i on block i is a left null
-    vector of any correctly assembled operator, so values near round-off
-    certify discrete mass conservation.
+    The row vector with value cell_volume/alpha_i on block i (divided by the
+    gauge factors for a Neumann-gauge operator) is a left null vector of any
+    correctly assembled operator, so values near round-off certify discrete
+    mass conservation.
     """
-    r = A.matrix.T @ _weights(A)
+    r = A.matrix.T @ _left_null_vector(A)
     return float(np.abs(r).max())
 
 
@@ -234,7 +229,6 @@ def project_onto_ray(u0: State, ray: StationaryRay, spec) -> tuple[float, Statio
         residual=c * ray.base.residual,
         normalization="mass_matched",
         constraint_value=m0,
-        iterations=ray.base.iterations,
     )
 
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from motorflux.cli import main, parse_config
+from motorflux import Grid, State
+from motorflux.cli import _write_state_csv, main, parse_config
 from motorflux.errors import ConfigError
 
 MOTOR_CONFIG = """\
@@ -52,6 +53,37 @@ initial.params = offset=1.0
 
 [coupling]
 row.1 = 0.0
+
+[time]
+dt = 0.05
+t_end = 0.5
+"""
+
+SAWTOOTH_MOTOR_CONFIG = """\
+[domain]
+lo = 0.0
+hi = 1.0
+cells = 64
+
+[species.1]
+sigma = 1.0
+alpha = 1.0
+potential.kind = sawtooth_smoothed
+potential.params = amplitude=0.5, period=1.0
+initial.kind = linear
+initial.params = offset=1.0
+
+[species.2]
+sigma = 0.8
+alpha = 1.5
+potential.kind = sawtooth_smoothed
+potential.params = amplitude=0.5, period=1.0, phase=0.3
+initial.kind = linear
+initial.params = offset=1.0
+
+[coupling]
+row.1 = -1.0, 2.0
+row.2 = 1.0, -2.0
 
 [time]
 dt = 0.05
@@ -225,6 +257,37 @@ class TestSimulate:
         assert code == 2
 
 
+def _per_cell_csv(state) -> str:
+    """The snapshot CSV written one cell at a time: the byte-level reference."""
+    grid = state.grid
+    names = [f"u{i + 1}" for i in range(state.n_species)]
+    pts = grid.centers()
+    lines = [("x," if grid.dim == 1 else "x,y,") + ",".join(names)]
+    for c in range(grid.size):
+        coords = ([float(pts[c])] if grid.dim == 1
+                  else [float(pts[c, 0]), float(pts[c, 1])])
+        vals = [float(state.fields[i, c]) for i in range(state.n_species)]
+        lines.append(",".join(repr(v) for v in coords + vals))
+    return "\n".join(lines) + "\n"
+
+
+class TestStateCsv:
+    @pytest.mark.parametrize("grid", [
+        Grid.interval(-0.3, 1.7, 20_000),
+        Grid.box((0.0, -1.0), (0.1, 2.0), (130, 70)),
+    ])
+    def test_bytes_match_per_cell_writer(self, tmp_path, grid):
+        rng = np.random.default_rng(7)
+        n = 3
+        fields = rng.uniform(0.0, 2.0, (n, grid.size)) ** 7
+        fields[0, :5] = [0.0, -0.0, 1.0, 1e-300, 1e300]
+        fields[1, -3:] = [5e-324, 0.1, 123456789.0]
+        state = State(grid, fields)
+        path = tmp_path / "s.csv"
+        _write_state_csv(path, state)
+        assert path.read_bytes() == _per_cell_csv(state).encode("ascii")
+
+
 class TestSteady:
     def test_symmetric_motor_constants(self, tmp_path):
         code = main(["steady", "--config", write_config(tmp_path, MOTOR_CONFIG),
@@ -267,6 +330,47 @@ class TestSteady:
         rec = json.loads((tmp_path / "s" / "reversible.ndjson").read_text())
         assert rec["a"] == pytest.approx(1.0, abs=1e-12)
         assert abs(rec["mass_residual"]) <= 1e-12
+
+
+    @pytest.mark.parametrize("rows", [("0.0, 0.0", "0.0, 0.0"),
+                                      ("-1.0, 0.0", "1.0, 0.0")])
+    def test_reducible_coupling_exits_4(self, tmp_path, capsys, rows):
+        text = MOTOR_CONFIG.replace("row.1 = -1.0, 1.0", f"row.1 = {rows[0]}")
+        text = text.replace("row.2 = 1.0, -1.0", f"row.2 = {rows[1]}")
+        code = main(["steady", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "s")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "not irreducible" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s" / "stationary.csv").exists()
+
+    @pytest.mark.parametrize("domain", [
+        ("0.0", "1.0", "4096"),
+        ("0.0", "1.0", "65536"),
+        ("0.0, 0.0", "1.0, 1.0", "128, 128"),
+    ])
+    def test_supported_sizes(self, tmp_path, domain):
+        import motorflux as mf
+        lo, hi, cells = domain
+        text = (SAWTOOTH_MOTOR_CONFIG.replace("lo = 0.0", f"lo = {lo}")
+                .replace("hi = 1.0", f"hi = {hi}")
+                .replace("cells = 64", f"cells = {cells}"))
+        if "," in cells:
+            text = text.replace("phase=0.3", "phase=0.3, axis=1")
+        cfg = write_config(tmp_path, text)
+        code = main(["steady", "--config", cfg, "--out", str(tmp_path / "s")])
+        assert code == 0
+        spec = parse_config(cfg).problem
+        dim = spec.grid.dim
+        table = np.loadtxt(tmp_path / "s" / "stationary.csv", delimiter=",", skiprows=1)
+        v = table[:, dim:].T.ravel()
+        assert v.min() > 0.0
+        matrix = mf.assemble_system(spec).matrix
+        norm_a = float(np.abs(matrix).sum(axis=1).max())
+        assert np.abs(matrix @ v).max() <= 1e-13 * norm_a
+        rec = json.loads((tmp_path / "s" / "steady.ndjson").read_text())
+        assert set(rec) == {"residual", "normalization", "constraint_value"}
 
 
 class TestVerifyCommands:

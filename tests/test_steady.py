@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import null_space
 
 from motorflux import (
     CouplingMatrix,
@@ -23,7 +27,7 @@ from motorflux import (
     weighted_l1_distance,
     weighted_mass,
 )
-from motorflux.errors import DegenerateDataError, NonConvergenceError
+from motorflux.errors import DegenerateDataError, IrreducibilityError, NonConvergenceError
 
 from conftest import random_problem, sawtooth_motor, smooth_state, symmetric_motor
 
@@ -63,6 +67,16 @@ class TestNullVector:
         assert ss.residual <= 1e-10 * norm_a
         assert ss.state.fields.min() > 0.0
 
+    def test_residual_contract_2d_default_tol(self, rng):
+        # without the correction solve the dropped row keeps the whole
+        # round-off residual, several times tol*||A|| at this size
+        spec = random_problem(rng, n=2, cells=128, dim=2)
+        A = assemble_system(spec)
+        ss = solve_null_vector(A)
+        norm_a = float(np.abs(A.matrix).sum(axis=1).max())
+        assert np.abs(A.matrix @ ss.state.fields.ravel()).max() <= 1e-13 * norm_a
+        assert ss.state.fields.min() > 0.0
+
     def test_normalizations(self, rng):
         spec = random_problem(rng, n=2, cells=32)
         A = assemble_system(spec)
@@ -74,14 +88,16 @@ class TestNullVector:
         with pytest.raises(ValueError):
             solve_null_vector(A, normalization="bogus")
 
-    def test_restarts_agree(self, rng):
+    def test_matches_dense_null_space(self):
         spec = sawtooth_motor(48)
         A = assemble_system(spec)
         base = solve_null_vector(A, tol=1e-13)
-        for _ in range(5):
-            start = rng.uniform(0.1, 2.0, A.matrix.shape[0])
-            again = solve_null_vector(A, tol=1e-13, start=start)
-            assert wl1(spec, again.state.fields, base.state.fields) <= 1e-8
+        dense = null_space(A.matrix.toarray())
+        assert dense.shape[1] == 1
+        ref = dense[:, 0] * np.sign(dense[:, 0].sum())
+        assert ref.min() > 0.0
+        ref = ref / (spec.grid.cell_volume * ref.sum())
+        assert wl1(spec, ref.reshape(base.state.fields.shape), base.state.fields) <= 1e-8
 
     def test_stationary_under_evolver(self):
         spec = sawtooth_motor(48)
@@ -108,11 +124,30 @@ class TestNullVector:
         dv /= spec.grid.cell_volume * dv.sum()
         assert np.abs(dv - w.fields).max() <= 1e-9
 
-    def test_iteration_cap(self):
+    def test_residual_contract_failure(self):
         spec = sawtooth_motor(32)
         A = assemble_system(spec)
         with pytest.raises(NonConvergenceError):
-            solve_null_vector(A, tol=0.0, max_iter=3)
+            solve_null_vector(A, tol=0.0)
+
+    @pytest.mark.parametrize("lam", [[[0.0, 0.0], [0.0, 0.0]],
+                                     [[-1.0, 0.0], [1.0, 0.0]]])
+    def test_reducible_coupling_raises(self, lam):
+        spec = replace(sawtooth_motor(32), coupling=CouplingMatrix(lam))
+        with pytest.raises(IrreducibilityError):
+            solve_null_vector(assemble_system(spec))
+
+    def test_singular_reduced_system_raises(self):
+        spec = sawtooth_motor(16)
+        A = assemble_system(spec)
+        # cut cell 1 of species 1 off from everything: the reduced matrix
+        # keeps an empty row and column and SuperLU reports it singular
+        m = A.matrix.tolil()
+        m[1, :] = 0.0
+        m[:, 1] = 0.0
+        broken = replace(A, matrix=sparse.csr_array(m))
+        with pytest.raises(IrreducibilityError):
+            solve_null_vector(broken)
 
 
 class TestAdjointCheck:
@@ -120,6 +155,11 @@ class TestAdjointCheck:
         for n in (1, 2, 3):
             spec = random_problem(rng, n=n, cells=24)
             assert adjoint_null_check(assemble_system(spec)) <= 1e-12
+
+    def test_neumann_gauge_operator(self):
+        spec = sawtooth_motor(48)
+        An = conjugate_to_neumann(assemble_system(spec), spec)
+        assert adjoint_null_check(An) <= 1e-12
 
     def test_pure_transport(self):
         grid = Grid.interval(0.0, 1.0, 32)
