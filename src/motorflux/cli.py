@@ -201,6 +201,13 @@ def _as_float(text: str, what: str) -> float:
         raise ConfigError(f"cannot parse {what}: {text!r}") from err
 
 
+def _as_count(text: str, what: str) -> int:
+    value = _as_float(text, what)
+    if not (value >= 1.0 and value.is_integer()):
+        raise ConfigError(f"{what} must be a positive integer, got {text!r}")
+    return int(value)
+
+
 def parse_config(path) -> RunConfig:
     """Parse and validate a config file; any violation is a ConfigError."""
     path = Path(path)
@@ -306,7 +313,7 @@ def parse_config(path) -> RunConfig:
     step = StepConfig(
         dt=_as_float(_get(parser, "time", "dt"), "[time] dt"),
         t_end=_as_float(_get(parser, "time", "t_end"), "[time] t_end"),
-        stride=int(_as_float(_get(parser, "time", "stride", "1"), "[time] stride")),
+        stride=_as_count(_get(parser, "time", "stride", "1"), "[time] stride"),
         lin_tol=_as_float(_get(parser, "time", "lin_tol", "1e-12"), "[time] lin_tol"),
     )
 
@@ -602,9 +609,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the linear-solver tolerance (and, for "
-                            "'steady', the stationary residual bound "
-                            "||A v|| <= tol*||A||)")
+                       help="override lin_tol, the bound on the backward error "
+                            "of each implicit solve (and, for 'steady', the "
+                            "stationary residual bound ||A v|| <= tol*||A||)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for synthesized random fixtures")
     return parser

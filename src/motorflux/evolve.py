@@ -17,8 +17,16 @@ contribution to v_i is -dt*alpha_i*|lam[i,i]|*r_i(u_i) >= -u_i under that
 bound.  Stage 1 conserves the weighted mass identically because the columns
 of lam sum to zero; stage 2 conserves it like any implicit transport step.
 
-1-D solves use direct banded elimination (species interleaved per cell);
-2-D solves use restarted GMRES at the configured tolerance.
+Every implicit solve goes through one stepper per step size: it factors
+K = I - dt*M once by sparse LU (SuperLU) and reuses the factors for every
+step of that size.  M is the assembled block operator of a linear problem,
+or one species' transport operator under IMEX.  An exact solve inherits the
+M-matrix guarantees up to round-off; ``lin_tol`` bounds the normwise
+backward error of each solve,
+
+    ||b - K x||_inf <= lin_tol * (||K||_inf * ||x||_inf + ||b||_inf),
+
+and a solve that misses it raises SolverError.
 """
 
 from __future__ import annotations
@@ -28,10 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import gmres
+from scipy.sparse.linalg import splu
 
-from ._parallel import pmap
 from .discretize import SystemOperator, TransportOperator, assemble_system, assemble_transport
 from .errors import (
     ConfigError,
@@ -67,21 +73,22 @@ _NEG_SLACK = 1e-13
 class StepConfig:
     """Time-stepping parameters.
 
-    ``lin_tol`` and ``lin_maxiter`` only matter for the 2-D iterative solves;
-    1-D elimination is exact up to round-off.
+    ``lin_tol`` bounds the normwise backward error of every implicit solve
+    (see the module docstring); 0 accepts only exact residuals.
     """
 
     dt: float
     t_end: float
     stride: int = 1
     lin_tol: float = 1e-12
-    lin_maxiter: int = 5000
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ConfigError(f"t_end must be nonnegative, got {self.t_end}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
+            raise ConfigError(f"t_end must be nonnegative and finite, got {self.t_end}")
+        if not (self.lin_tol >= 0.0 and math.isfinite(self.lin_tol)):
+            raise ConfigError(f"lin_tol must be nonnegative and finite, got {self.lin_tol}")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
 
@@ -130,74 +137,70 @@ def _diagnose(state: State, spec: ProblemSpec) -> SnapshotDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# linear solvers for (I - dt*A)
+# the implicit stepper
 
 
-class _BandedSolver:
-    """Direct banded elimination of (I - dt*A) on 1-D grids.
+class _Factored:
+    """K = I - dt*M factored once; every solve is checked against ``tol``."""
 
-    Unknowns are interleaved per cell (cell-major) so the matrix has
-    bandwidth n_species: transport couples the same species in adjacent
-    cells, coupling acts within a cell.
-    """
-
-    def __init__(self, matrix: sparse.csr_array, n_species: int, dt: float):
-        nd = matrix.shape[0]
-        cells = nd // n_species
-        m = sparse.csr_array(sparse.eye_array(nd, format="csr") - dt * matrix)
-        # perm[p] = species-major index of the p-th cell-major unknown
-        perm = np.arange(nd).reshape(n_species, cells).T.ravel()
-        mp = sparse.coo_array(m[perm, :][:, perm])
-        band = n_species
-        ab = np.zeros((2 * band + 1, nd))
-        ab[band + mp.row - mp.col, mp.col] = mp.data
-        self._ab = ab
-        self._band = band
-        self._perm = perm
-
-    def solve(self, b: np.ndarray, x0=None) -> np.ndarray:
-        xp = solve_banded((self._band, self._band), self._ab, b[self._perm])
-        x = np.empty_like(xp)
-        x[self._perm] = xp
-        return x
-
-
-class _KrylovSolver:
-    """Restarted GMRES on (I - dt*A) for 2-D grids, solved to ``tol`` relative."""
-
-    def __init__(self, matrix: sparse.csr_array, n_species: int, dt: float,
-                 tol: float, maxiter: int):
-        nd = matrix.shape[0]
-        self._m = sparse.csr_array(sparse.eye_array(nd, format="csr") - dt * matrix)
+    def __init__(self, matrix: sparse.csr_array, dt: float, tol: float):
+        self._k = sparse.csc_array(sparse.eye_array(matrix.shape[0], format="csr") - dt * matrix)
+        self._k_norm = float(abs(self._k).sum(axis=1).max())
         self._tol = tol
-        self._maxiter = maxiter
+        # minimum-degree ordering on K^T+K and no supernodes keep the factors
+        # near band size; SuperLU's defaults cost +23-43 MB at 131,072 unknowns
+        self._lu = splu(self._k, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
 
-    def solve(self, b: np.ndarray, x0=None) -> np.ndarray:
-        if not np.any(b):
-            return np.zeros_like(b)
-        restart = min(60, self._m.shape[0])
-        x, info = gmres(self._m, b, x0=b if x0 is None else x0,
-                        rtol=self._tol, atol=0.0,
-                        restart=restart,
-                        maxiter=max(1, self._maxiter // restart))
-        residual = float(np.linalg.norm(b - self._m @ x))
-        if info != 0 or residual > 10.0 * self._tol * float(np.linalg.norm(b)):
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = self._lu.solve(b)
+        # normwise backward error: a plain ||r||/||b|| reads 2.6e-9 from
+        # round-off alone at 65,536 cells
+        residual = float(np.abs(b - self._k @ x).max())
+        bound = self._tol * (self._k_norm * float(np.abs(x).max()) + float(np.abs(b).max()))
+        if not residual <= bound:
             raise SolverError(
-                f"GMRES did not reach rtol={self._tol:g} "
-                f"(info={info}, residual={residual:.3e})",
+                f"linear solve missed lin_tol={self._tol:g}: "
+                f"residual {residual:.3e} > bound {bound:.3e}",
                 residual=residual,
             )
         return x
 
 
-def _make_solver(matrix: sparse.csr_array, n_species: int, dt: float,
-                 dim: int, tol: float, maxiter: int):
-    if dim == 1:
-        return _BandedSolver(matrix, n_species, dt)
-    return _KrylovSolver(matrix, n_species, dt, tol, maxiter)
+class _Stepper:
+    """Steps of one size dt: the explicit reaction stage if any, then implicit solves.
+
+    The raveled state splits into one equal block per matrix: the whole state
+    for a linear problem's block operator, one species per transport operator
+    under IMEX, where ``reactions`` supplies the reaction stage.  Factoring
+    per species rather than one block-diagonal matrix keeps peak memory lower.
+    """
+
+    def __init__(self, matrices, dt: float, lin_tol: float,
+                 reactions: ProblemSpec | None = None):
+        if not dt > 0.0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        self._dt = dt
+        self._reactions = reactions
+        self._factors = [_Factored(m, dt, lin_tol) for m in matrices]
+
+    def step(self, state: State, t: float) -> State:
+        fields = state.fields
+        if self._reactions is not None:
+            dt_max = imex_dt_max(state, self._reactions)
+            if self._dt > dt_max:
+                raise StepSizeError(
+                    f"dt={self._dt:g} exceeds the positivity bound dt_max={dt_max:g}",
+                    dt_max=dt_max,
+                )
+            fields = _reaction_stage(fields, self._reactions, self._dt)
+        blocks = np.split(fields.ravel(), len(self._factors))
+        x = np.concatenate([f.solve(b) for f, b in zip(self._factors, blocks)])
+        return state.with_fields(x.reshape(fields.shape), t=t)
 
 
-def _require_nonnegative(state: State) -> None:
+def _require_physical(state: State, who: str) -> None:
+    if state.gauge != "physical":
+        raise ValueError(f"{who} expects a physical-gauge state")
     low = float(state.fields.min()) if state.fields.size else 0.0
     if low < -_NEG_SLACK:
         raise ValueError(f"state must be nonnegative; min value {low!r}")
@@ -208,20 +211,14 @@ def _require_nonnegative(state: State) -> None:
 
 
 def step_linear_implicit(state: State, A: SystemOperator, dt: float, *,
-                         lin_tol: float = 1e-12, lin_maxiter: int = 5000) -> State:
+                         lin_tol: float = 1e-12) -> State:
     """One implicit Euler step of the assembled linear system.
 
     Positivity and weighted-mass conservation hold for any dt > 0 by the
     M-matrix structure of I - dt*A.
     """
-    if state.gauge != "physical":
-        raise ValueError("step_linear_implicit expects a physical-gauge state")
-    _require_nonnegative(state)
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    solver = _make_solver(A.matrix, A.n, dt, state.grid.dim, lin_tol, lin_maxiter)
-    x = solver.solve(state.fields.ravel())
-    return state.with_fields(x.reshape(state.fields.shape), t=state.t + dt)
+    _require_physical(state, "step_linear_implicit")
+    return _Stepper((A.matrix,), dt, lin_tol).step(state, state.t + dt)
 
 
 def imex_dt_max(state: State, spec: ProblemSpec) -> float:
@@ -262,26 +259,13 @@ def _reaction_stage(fields: np.ndarray, spec: ProblemSpec, dt: float) -> np.ndar
 
 def step_imex(state: State, spec: ProblemSpec,
               operators: tuple[TransportOperator, ...], dt: float, *,
-              lin_tol: float = 1e-12, lin_maxiter: int = 5000) -> State:
+              lin_tol: float = 1e-12) -> State:
     """One IMEX step: explicit reactions, then implicit per-species transport."""
-    if state.gauge != "physical":
-        raise ValueError("step_imex expects a physical-gauge state")
+    _require_physical(state, "step_imex")
     if len(operators) != spec.n_species:
         raise ValueError("need one transport operator per species")
-    _require_nonnegative(state)
-    dt_max = imex_dt_max(state, spec)
-    if dt > dt_max:
-        raise StepSizeError(
-            f"dt={dt:g} exceeds the positivity bound dt_max={dt_max:g}",
-            dt_max=dt_max,
-        )
-    mid = _reaction_stage(state.fields, spec, dt)
-    solvers = [
-        _make_solver(op.matrix, 1, dt, state.grid.dim, lin_tol, lin_maxiter)
-        for op in operators
-    ]
-    rows = pmap(lambda i: solvers[i].solve(mid[i]), range(len(solvers)))
-    return state.with_fields(np.stack(rows), t=state.t + dt)
+    matrices = tuple(op.matrix for op in operators)
+    return _Stepper(matrices, dt, lin_tol, reactions=spec).step(state, state.t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +283,9 @@ def run(spec: ProblemSpec, cfg: StepConfig, initial: State | None = None) -> Tra
     if not report.ok:
         raise ConfigError("invalid problem: " + "; ".join(report.violations))
     state = initial_state(spec) if initial is None else initial
-    if state.gauge != "physical":
-        raise ValueError("run expects a physical-gauge initial state")
+    _require_physical(state, "run")
     if state.fields.shape != (spec.n_species, spec.grid.size):
         raise ValueError("initial state does not match the problem layout")
-    _require_nonnegative(state)
 
     snapshots = [state]
     diags = [_diagnose(state, spec)]
@@ -312,72 +294,30 @@ def run(spec: ProblemSpec, cfg: StepConfig, initial: State | None = None) -> Tra
 
     n_full = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
     remainder = cfg.t_end - n_full * cfg.dt
-    if remainder <= 1e-12 * cfg.dt:
-        remainder = 0.0
+    n_steps = n_full + (remainder > 1e-12 * cfg.dt)
 
     if spec.is_linear:
-        A = assemble_system(spec)
-        solver = _make_solver(A.matrix, A.n, cfg.dt, spec.grid.dim,
-                              cfg.lin_tol, cfg.lin_maxiter)
-
-        def advance(st: State, dt: float, t_next: float) -> State:
-            if dt == cfg.dt:
-                x = solver.solve(st.fields.ravel())
-            else:
-                x = _make_solver(A.matrix, A.n, dt, spec.grid.dim,
-                                 cfg.lin_tol, cfg.lin_maxiter).solve(st.fields.ravel())
-            return st.with_fields(x.reshape(st.fields.shape), t=t_next)
+        matrices, reactions = (assemble_system(spec).matrix,), None
     else:
-        operators = tuple(
-            assemble_transport(spec.grid, sp.sigma, sp.potential, species=i)
+        matrices = tuple(
+            assemble_transport(spec.grid, sp.sigma, sp.potential, species=i).matrix
             for i, sp in enumerate(spec.species)
         )
-        solvers = [
-            _make_solver(op.matrix, 1, cfg.dt, spec.grid.dim,
-                         cfg.lin_tol, cfg.lin_maxiter)
-            for op in operators
-        ]
+        reactions = spec
 
-        def advance(st: State, dt: float, t_next: float) -> State:
-            dt_max = imex_dt_max(st, spec)
-            if dt > dt_max:
-                raise StepSizeError(
-                    f"dt={dt:g} exceeds the positivity bound dt_max={dt_max:g}",
-                    dt_max=dt_max,
-                )
-            mid = _reaction_stage(st.fields, spec, dt)
-            if dt == cfg.dt:
-                rows = pmap(lambda i: solvers[i].solve(mid[i]), range(spec.n_species))
-            else:
-                extra = [
-                    _make_solver(op.matrix, 1, dt, spec.grid.dim,
-                                 cfg.lin_tol, cfg.lin_maxiter)
-                    for op in operators
-                ]
-                rows = pmap(lambda i: extra[i].solve(mid[i]), range(spec.n_species))
-            return st.with_fields(np.stack(rows), t=t_next)
-
-    recorded_last = True
-    for k in range(1, n_full + 1):
-        t_next = k * cfg.dt
+    stepper = None
+    for k in range(1, n_steps + 1):
+        full = k <= n_full
+        if k in (1, n_full + 1):  # factor for cfg.dt, and again for a remainder step
+            stepper = None  # release the previous factors first
+            stepper = _Stepper(matrices, cfg.dt if full else remainder, cfg.lin_tol, reactions)
+        t_next = k * cfg.dt if full else cfg.t_end
         try:
-            state = advance(state, cfg.dt, t_next)
+            state = stepper.step(state, t_next)
         except MotorfluxError as err:
             err.time = t_next
             raise
-        recorded_last = k % cfg.stride == 0
-        if recorded_last:
+        if k % cfg.stride == 0 or k == n_steps:
             snapshots.append(state)
             diags.append(_diagnose(state, spec))
-    if remainder > 0.0:
-        try:
-            state = advance(state, remainder, cfg.t_end)
-        except MotorfluxError as err:
-            err.time = cfg.t_end
-            raise
-        snapshots.append(state)
-        diags.append(_diagnose(state, spec))
-    elif not recorded_last:
-        snapshots.append(state)
-        diags.append(_diagnose(state, spec))
     return Trajectory(tuple(snapshots), tuple(diags))

@@ -430,10 +430,10 @@ def validate(spec: ProblemSpec) -> ValidationReport:
 
     pts = grid.centers()
     for i, sp in enumerate(spec.species, start=1):
-        if not sp.sigma > 0.0:
-            violations.append(f"H1: species {i} has sigma={sp.sigma} (must be > 0)")
-        if not sp.alpha > 0.0:
-            violations.append(f"H1: species {i} has alpha={sp.alpha} (must be > 0)")
+        if not 0.0 < sp.sigma < np.inf:
+            violations.append(f"H1: species {i} has sigma={sp.sigma} (must be > 0 and finite)")
+        if not 0.0 < sp.alpha < np.inf:
+            violations.append(f"H1: species {i} has alpha={sp.alpha} (must be > 0 and finite)")
         try:
             vals = np.asarray(eval_potential(sp.potential, pts, grid))
             faces = [eval_potential(sp.potential,
@@ -452,6 +452,8 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         violations.append(
             f"H2: coupling matrix is {lam.shape[0]}x{lam.shape[1]}, expected {n}x{n}"
         )
+    elif not np.all(np.isfinite(lam)):
+        violations.append("H2: coupling matrix has non-finite entries")
     else:
         for i in range(n):
             if lam[i, i] > 0.0:

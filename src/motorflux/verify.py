@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import expm
 
-from ._parallel import pmap
 from .discretize import SystemOperator, assemble_system
 from .errors import OracleScopeError
 from .evolve import StepConfig, Trajectory, run
@@ -115,7 +114,7 @@ def _sign_flags(diff: np.ndarray) -> tuple[bool, ...]:
 
 
 def _pair_trajectories(spec, cfg, u0_a, u0_b) -> tuple[Trajectory, Trajectory]:
-    return tuple(pmap(lambda u: run(spec, cfg, initial=u), [u0_a, u0_b]))
+    return run(spec, cfg, initial=u0_a), run(spec, cfg, initial=u0_b)
 
 
 def check_contraction(spec: ProblemSpec, u0_a: State, u0_b: State,

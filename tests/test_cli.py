@@ -256,6 +256,44 @@ class TestSimulate:
         code = main(["simulate", "--config", write_config(tmp_path, text)])
         assert code == 2
 
+    @pytest.mark.parametrize("line", [
+        "dt = nan", "dt = inf", "t_end = nan", "t_end = inf",
+        "lin_tol = nan", "lin_tol = inf", "lin_tol = -1e-12",
+        "stride = 2.5", "stride = inf", "stride = nan", "stride = 0",
+    ])
+    def test_bad_time_values_exit_2(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        text = "\n".join(ln for ln in MOTOR_CONFIG.split("\n")
+                         if not ln.startswith(key + " =")) + line + "\n"
+        code = main(["simulate", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_non_finite_tol_flag_exits_2(self, tmp_path, capsys):
+        code = main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
+                     "--out", str(tmp_path / "o"), "--tol", "nan"])
+        assert code == 2
+        assert "lin_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "steady"])
+    @pytest.mark.parametrize("old,new,hypothesis", [
+        ("row.2 = 1.0, -1.0", "row.2 = nan, -1.0", "H2"),
+        ("alpha = 1.0", "alpha = inf", "H1"),
+        ("sigma = 1.0", "sigma = inf", "H1"),
+    ])
+    def test_non_finite_problem_values_exit_2(self, tmp_path, capsys, command,
+                                              old, new, hypothesis):
+        text = MOTOR_CONFIG.replace(old, new, 1)
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert hypothesis in err and "finite" in err
+        assert "Traceback" not in err
+
 
 def _per_cell_csv(state) -> str:
     """The snapshot CSV written one cell at a time: the byte-level reference."""
@@ -450,17 +488,6 @@ class TestVerifyCommands:
         assert "stride = 1" in out      # default filled in
         assert "lin_tol = 1e-12" in out
 
-    def test_threads_env_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, MOTOR_CONFIG)
-        main(["verify-contraction", "--config", cfg, "--out", str(tmp_path / "a"),
-              "--seed", "5"])
-        monkeypatch.setenv("MOTORFLUX_THREADS", "4")
-        main(["verify-contraction", "--config", cfg, "--out", str(tmp_path / "b"),
-              "--seed", "5"])
-        a = (tmp_path / "a" / "check_contraction.ndjson").read_bytes()
-        b = (tmp_path / "b" / "check_contraction.ndjson").read_bytes()
-        assert a == b
-
 
 TWO_D_CONFIG = """\
 [domain]
@@ -496,6 +523,14 @@ class TestEdgeCases:
         assert len(lines) == 1 + 10 * 8
         x0, y0, _u = (float(v) for v in lines[1].split(","))
         assert (x0, y0) == (pytest.approx(0.05), pytest.approx(1.0 / 16.0))
+
+    def test_2d_lin_tol_miss_exits_4(self, tmp_path, capsys):
+        code = main(["simulate", "--config", write_config(tmp_path, TWO_D_CONFIG),
+                     "--out", str(tmp_path / "o"), "--tol", "0"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "lin_tol" in err
+        assert "Traceback" not in err
 
     def test_step_size_error_maps_to_config_exit(self, tmp_path):
         text = REVERSIBLE_CONFIG.replace("dt = 0.05", "dt = 5.0")

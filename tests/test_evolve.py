@@ -46,6 +46,16 @@ class TestStepConfig:
             StepConfig(dt=0.1, t_end=-1.0)
         with pytest.raises(ConfigError):
             StepConfig(dt=0.1, t_end=1.0, stride=0)
+        with pytest.raises(ConfigError):
+            StepConfig(dt=0.1, t_end=1.0, lin_tol=-1e-12)
+        assert StepConfig(dt=0.1, t_end=1.0, lin_tol=0.0).lin_tol == 0.0
+
+    @pytest.mark.parametrize("field", ["dt", "t_end", "lin_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, field, value):
+        kwargs = {"dt": 0.1, "t_end": 1.0, field: value}
+        with pytest.raises(ConfigError, match=field):
+            StepConfig(**kwargs)
 
 
 class TestLinearStep:
@@ -150,6 +160,28 @@ class TestImexStep:
             assert u.fields.min() >= -1e-13
 
 
+class TestSharedStepper:
+    def test_two_imex_steps_equal_two_step_run(self):
+        spec = reversible_problem(cells=32, p=2.0)
+        traj = run(spec, StepConfig(dt=0.05, t_end=0.1))
+        ops = transports_for(spec)
+        manual = step_imex(step_imex(initial_state(spec), spec, ops, 0.05), spec, ops, 0.05)
+        assert manual.t == traj.final.t
+        assert manual.fields.tobytes() == traj.final.fields.tobytes()
+
+    def test_2d_step_matches_dense_solve(self, rng):
+        spec = random_problem(rng, n=2, cells=12, dim=2)
+        A = assemble_system(spec)
+        u = initial_state(spec)
+        dt = 0.5
+        out = step_linear_implicit(u, A, dt)
+        dense = np.eye(A.matrix.shape[0]) - dt * A.matrix.toarray()
+        ref = np.linalg.solve(dense, u.fields.ravel())
+        err = np.abs(out.fields.ravel() - ref).max() / np.abs(ref).max()
+        assert err <= 1e-12
+        assert out.fields.min() >= -1e-13
+
+
 class TestRun:
     def test_t_end_zero_returns_initial_only(self):
         spec = symmetric_motor(16)
@@ -167,6 +199,11 @@ class TestRun:
         spec = symmetric_motor(16)
         traj = run(spec, StepConfig(dt=0.1, t_end=0.25, stride=1))
         assert traj.times == pytest.approx((0.0, 0.1, 0.2, 0.25))
+        A = assemble_system(spec)
+        manual = initial_state(spec)
+        for dt in (0.1, 0.1, 0.25 - 2 * 0.1):
+            manual = step_linear_implicit(manual, A, dt)
+        assert np.array_equal(traj.final.fields, manual.fields)
 
     def test_final_state_always_recorded(self):
         spec = symmetric_motor(16)
@@ -232,6 +269,9 @@ class TestRun:
         assert min(min(d.species_min) for d in traj.diagnostics) >= -1e-11
 
     def test_2d_solver_failure_raises(self, rng):
+        # lin_tol = 0 accepts only an exact residual, which round-off never gives
         spec = random_problem(rng, n=2, cells=16, dim=2)
-        with pytest.raises(SolverError):
-            run(spec, StepConfig(dt=5.0, t_end=5.0, lin_tol=1e-14, lin_maxiter=2))
+        with pytest.raises(SolverError) as exc_info:
+            run(spec, StepConfig(dt=0.05, t_end=0.2, lin_tol=0.0))
+        assert exc_info.value.time == pytest.approx(0.05)
+        assert exc_info.value.residual > 0.0
