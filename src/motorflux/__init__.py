@@ -25,6 +25,7 @@ from .evolve import (
     Trajectory,
     imex_dt_max,
     run,
+    run_batch,
     step_imex,
     step_linear_implicit,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "gauge_transform", "write_matrix_market",
     "StepConfig", "SnapshotDiagnostics", "Trajectory",
     "step_linear_implicit", "step_imex", "imex_dt_max", "run",
+    "run_batch",
     "StationaryState", "StationaryRay", "solve_null_vector",
     "adjoint_null_check", "reversible_pair", "project_onto_ray",
     "boltzmann_profile",

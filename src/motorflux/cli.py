@@ -201,6 +201,25 @@ def _as_float(text: str, what: str) -> float:
         raise ConfigError(f"cannot parse {what}: {text!r}") from err
 
 
+def _as_nonnegative(text: str, what: str) -> float:
+    value = _as_float(text, what)
+    if not 0.0 <= value < float("inf"):
+        raise ConfigError(f"{what} must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _as_oracle_time(text: str, what: str) -> float:
+    """A positive multiple of the coarsest oracle step, within oracle_compare's 1e-9."""
+    value = _as_float(text, what)
+    coarsest = verify.ORACLE_DTS[0]
+    if not (0.0 < value < float("inf") and round(value / coarsest) >= 1
+            and verify._divides(coarsest, value)):
+        raise ConfigError(
+            f"{what} must be a finite positive multiple of {coarsest!r}, got {text!r}"
+        )
+    return value
+
+
 def _as_count(text: str, what: str) -> int:
     value = _as_float(text, what)
     if not (value >= 1.0 and value.is_integer()):
@@ -331,15 +350,15 @@ def parse_config(path) -> RunConfig:
         steady_norm = _get(parser, "steady", "normalization", "total")
         if steady_norm not in ("total", "alpha_weighted"):
             raise ConfigError(f"[steady] normalization must be total or alpha_weighted, got {steady_norm!r}")
-        steady_tol = _as_float(_get(parser, "steady", "tol", "1e-13"), "[steady] tol")
+        steady_tol = _as_nonnegative(_get(parser, "steady", "tol", "1e-13"), "[steady] tol")
 
     verify_threshold, oracle_t = 1e-6, 1.0
     if "verify" in sections:
         _known_section_keys(parser, "verify", _VERIFY_KEYS)
-        verify_threshold = _as_float(_get(parser, "verify", "threshold", "1e-6"),
-                                     "[verify] threshold")
-        oracle_t = _as_float(_get(parser, "verify", "oracle_t", "1.0"),
-                             "[verify] oracle_t")
+        verify_threshold = _as_nonnegative(_get(parser, "verify", "threshold", "1e-6"),
+                                           "[verify] threshold")
+        oracle_t = _as_oracle_time(_get(parser, "verify", "oracle_t", "1.0"),
+                                   "[verify] oracle_t")
 
     return RunConfig(
         problem=problem,

@@ -27,6 +27,13 @@ backward error of each solve,
     ||b - K x||_inf <= lin_tol * (||K||_inf * ||x||_inf + ||b||_inf),
 
 and a solve that misses it raises SolverError.
+
+`run_batch` advances any number of trajectories of one (problem, dt) in
+lockstep: every factorization solves all of them in one multi-RHS call, one
+column per trajectory, and each column is checked against its own bound.
+`run` is its batch of one.  The pair checks in `verify` step both of their
+trajectories this way, so a failure in either one raises at the first failing
+step of the pair, with ``.time`` set to that step.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ __all__ = [
     "step_imex",
     "imex_dt_max",
     "run",
+    "run_batch",
 ]
 
 #: slack for "nonnegative" state checks; round-off below this is tolerated
@@ -144,6 +152,7 @@ class _Factored:
     """K = I - dt*M factored once; every solve is checked against ``tol``."""
 
     def __init__(self, matrix: sparse.csr_array, dt: float, tol: float):
+        # the residual uses this CSC K; keeping a CSR copy too cost imex1d +11 MB peak RSS
         self._k = sparse.csc_array(sparse.eye_array(matrix.shape[0], format="csr") - dt * matrix)
         self._k_norm = float(abs(self._k).sum(axis=1).max())
         self._tol = tol
@@ -152,24 +161,31 @@ class _Factored:
         self._lu = splu(self._k, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._lu.solve(b)
-        # normwise backward error: a plain ||r||/||b|| reads 2.6e-9 from
-        # round-off alone at 65,536 cells
-        residual = float(np.abs(b - self._k @ x).max())
-        bound = self._tol * (self._k_norm * float(np.abs(x).max()) + float(np.abs(b).max()))
-        if not residual <= bound:
-            raise SolverError(
-                f"linear solve missed lin_tol={self._tol:g}: "
-                f"residual {residual:.3e} > bound {bound:.3e}",
-                residual=residual,
-            )
+        """Solve K x = b_j for every row b_j of the C-contiguous ``b``; rows of the result."""
+        # b.T is a Fortran-ordered view: one RHS column per trajectory, no copy
+        x = self._lu.solve(b.T).T
+        for b_j, x_j in zip(b, x):
+            # each column keeps its own bound: a max over the batch would let
+            # one trajectory's scale hide another's miss.  Normwise backward
+            # error, since a plain ||r||/||b|| reads 2.6e-9 from round-off
+            # alone at 65,536 cells
+            residual = float(np.abs(b_j - self._k @ x_j).max())
+            bound = self._tol * (self._k_norm * float(np.abs(x_j).max())
+                                 + float(np.abs(b_j).max()))
+            if not residual <= bound:
+                raise SolverError(
+                    f"linear solve missed lin_tol={self._tol:g}: "
+                    f"residual {residual:.3e} > bound {bound:.3e}",
+                    residual=residual,
+                )
         return x
 
 
 class _Stepper:
     """Steps of one size dt: the explicit reaction stage if any, then implicit solves.
 
-    The raveled state splits into one equal block per matrix: the whole state
+    A step maps a batch array of shape (blocks, trajectories, block size) to
+    the next one, with one block per matrix: the whole state of a trajectory
     for a linear problem's block operator, one species per transport operator
     under IMEX, where ``reactions`` supplies the reaction stage.  Factoring
     per species rather than one block-diagonal matrix keeps peak memory lower.
@@ -183,19 +199,32 @@ class _Stepper:
         self._reactions = reactions
         self._factors = [_Factored(m, dt, lin_tol) for m in matrices]
 
-    def step(self, state: State, t: float) -> State:
-        fields = state.fields
+    def step(self, u: np.ndarray) -> np.ndarray:
         if self._reactions is not None:
-            dt_max = imex_dt_max(state, self._reactions)
+            # the bound of the batch is the smallest bound of its trajectories
+            dt_max = min(_dt_max(self._reactions, peaks) for peaks in u.max(axis=2).T)
             if self._dt > dt_max:
                 raise StepSizeError(
                     f"dt={self._dt:g} exceeds the positivity bound dt_max={dt_max:g}",
                     dt_max=dt_max,
                 )
-            fields = _reaction_stage(fields, self._reactions, self._dt)
-        blocks = np.split(fields.ravel(), len(self._factors))
-        x = np.concatenate([f.solve(b) for f, b in zip(self._factors, blocks)])
-        return state.with_fields(x.reshape(fields.shape), t=t)
+            u = _reaction_stage(u, self._reactions, self._dt)
+        out = np.stack([f.solve(block) for f, block in zip(self._factors, u)])
+        # States are built only for snapshots, so their finiteness check does
+        # not see every step; a residual of inf passes a bound of inf
+        if not np.isfinite(out).all():
+            raise SolverError("implicit solve produced non-finite values")
+        return out
+
+    def step_state(self, state: State, t: float) -> State:
+        """One step of a single state, for the public one-step functions."""
+        u = self.step(_batch((state,), len(self._factors)))
+        return state.with_fields(u[:, 0].reshape(state.fields.shape), t=t)
+
+
+def _batch(states, blocks: int) -> np.ndarray:
+    """Stack states into a (blocks, trajectories, block size) batch array."""
+    return np.stack([s.fields.reshape(blocks, -1) for s in states], axis=1)
 
 
 def _require_physical(state: State, who: str) -> None:
@@ -218,7 +247,7 @@ def step_linear_implicit(state: State, A: SystemOperator, dt: float, *,
     M-matrix structure of I - dt*A.
     """
     _require_physical(state, "step_linear_implicit")
-    return _Stepper((A.matrix,), dt, lin_tol).step(state, state.t + dt)
+    return _Stepper((A.matrix,), dt, lin_tol).step_state(state, state.t + dt)
 
 
 def imex_dt_max(state: State, spec: ProblemSpec) -> float:
@@ -227,28 +256,35 @@ def imex_dt_max(state: State, spec: ProblemSpec) -> float:
     L_i is the Lipschitz bound of r_i on [0, max(u_i)]; for a power law p it
     is p * max(u_i)**(p-1).  Species with lam_ii = 0 impose no bound.
     """
+    return _dt_max(spec, state.fields.max(axis=1))
+
+
+def _dt_max(spec: ProblemSpec, peaks: np.ndarray) -> float:
+    """imex_dt_max for the per-species maxima ``peaks`` of one state."""
     bound = math.inf
     lam = spec.coupling.lam
     for i, sp in enumerate(spec.species):
         rate = sp.alpha * abs(lam[i, i])
         if rate == 0.0:
             continue
-        lip = reaction_lipschitz(sp.reaction, max(float(state.fields[i].max()), 0.0))
+        lip = reaction_lipschitz(sp.reaction, max(float(peaks[i]), 0.0))
         if lip == 0.0:
             continue
         bound = min(bound, 1.0 / (rate * lip))
     return bound
 
 
-def _reaction_stage(fields: np.ndarray, spec: ProblemSpec, dt: float) -> np.ndarray:
-    clipped = np.maximum(fields, 0.0)  # round-off negatives within _NEG_SLACK
+def _reaction_stage(u: np.ndarray, spec: ProblemSpec, dt: float) -> np.ndarray:
+    """Explicit reaction stage of a (species, trajectories, cells) batch."""
+    clipped = np.maximum(u, 0.0)  # round-off negatives within _NEG_SLACK
     rates = np.stack([
         np.asarray(eval_reaction(sp.reaction, clipped[i]))
         for i, sp in enumerate(spec.species)
     ])
-    incr = spec.alphas[:, None] * (spec.coupling.lam @ rates)
-    out = fields + dt * incr
-    low = float(out.min())
+    # one matmul over the whole batch; each column equals its own trajectory's
+    mixed = (spec.coupling.lam @ rates.reshape(spec.n_species, -1)).reshape(rates.shape)
+    out = u + dt * (spec.alphas[:, None, None] * mixed)
+    low = float(out.min())  # one check over every trajectory of the batch
     if low < -_NEG_SLACK:
         raise InvariantViolationError(
             f"explicit reaction stage produced {low!r} < -{_NEG_SLACK:g} "
@@ -265,7 +301,7 @@ def step_imex(state: State, spec: ProblemSpec,
     if len(operators) != spec.n_species:
         raise ValueError("need one transport operator per species")
     matrices = tuple(op.matrix for op in operators)
-    return _Stepper(matrices, dt, lin_tol, reactions=spec).step(state, state.t + dt)
+    return _Stepper(matrices, dt, lin_tol, reactions=spec).step_state(state, state.t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +313,34 @@ def run(spec: ProblemSpec, cfg: StepConfig, initial: State | None = None) -> Tra
 
     Linear problems use the assembled block operator; any nonlinear reaction
     switches the run to IMEX splitting.  ``initial`` overrides the sampled
-    initial data (used by the verification checks).
+    initial data (used by the verification checks).  This is `run_batch`
+    with one trajectory.
+    """
+    return run_batch(spec, cfg, (initial,))[0]
+
+
+def run_batch(spec: ProblemSpec, cfg: StepConfig, initials) -> tuple[Trajectory, ...]:
+    """Advance one trajectory per entry of ``initials`` in lockstep, as `run` does.
+
+    An entry of None stands for the sampled initial data.  All trajectories
+    share each factorization and each solve call.  A failure in any of them
+    raises at the first failing step, with ``.time`` set to that step.
     """
     report = validate(spec)
     if not report.ok:
         raise ConfigError("invalid problem: " + "; ".join(report.violations))
-    state = initial_state(spec) if initial is None else initial
-    _require_physical(state, "run")
-    if state.fields.shape != (spec.n_species, spec.grid.size):
-        raise ValueError("initial state does not match the problem layout")
+    states = tuple(initial_state(spec) if s is None else s for s in initials)
+    if not states:
+        raise ValueError("run_batch needs at least one initial state")
+    for state in states:
+        _require_physical(state, "run")
+        if state.fields.shape != (spec.n_species, spec.grid.size):
+            raise ValueError("initial state does not match the problem layout")
 
-    snapshots = [state]
-    diags = [_diagnose(state, spec)]
+    snapshots = [[s] for s in states]
+    diags = [[_diagnose(s, spec)] for s in states]
     if cfg.t_end <= 0.0:
-        return Trajectory(tuple(snapshots), tuple(diags))
+        return tuple(Trajectory(tuple(s), tuple(d)) for s, d in zip(snapshots, diags))
 
     n_full = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
     remainder = cfg.t_end - n_full * cfg.dt
@@ -305,6 +355,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, initial: State | None = None) -> Tra
         )
         reactions = spec
 
+    u = _batch(states, len(matrices))
     stepper = None
     for k in range(1, n_steps + 1):
         full = k <= n_full
@@ -313,11 +364,13 @@ def run(spec: ProblemSpec, cfg: StepConfig, initial: State | None = None) -> Tra
             stepper = _Stepper(matrices, cfg.dt if full else remainder, cfg.lin_tol, reactions)
         t_next = k * cfg.dt if full else cfg.t_end
         try:
-            state = stepper.step(state, t_next)
+            u = stepper.step(u)
         except MotorfluxError as err:
             err.time = t_next
             raise
         if k % cfg.stride == 0 or k == n_steps:
-            snapshots.append(state)
-            diags.append(_diagnose(state, spec))
-    return Trajectory(tuple(snapshots), tuple(diags))
+            for j, state in enumerate(states):
+                snap = state.with_fields(u[:, j].reshape(state.fields.shape), t=t_next)
+                snapshots[j].append(snap)
+                diags[j].append(_diagnose(snap, spec))
+    return tuple(Trajectory(tuple(s), tuple(d)) for s, d in zip(snapshots, diags))

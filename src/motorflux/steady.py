@@ -140,7 +140,7 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
             "is not irreducible"
         )
     residual = float(np.abs(matrix @ v).max())
-    if residual > tol * norm_a:
+    if not residual <= tol * norm_a:  # a NaN tol fails too
         raise NonConvergenceError(
             f"stationary residual {residual:.3e} exceeds tol*||A||={tol * norm_a:.3e}",
             residual=residual,

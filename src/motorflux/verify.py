@@ -30,7 +30,7 @@ from scipy.linalg import expm
 
 from .discretize import SystemOperator, assemble_system
 from .errors import OracleScopeError
-from .evolve import StepConfig, Trajectory, run
+from .evolve import StepConfig, Trajectory, run, run_batch
 from .model import ProblemSpec, State, initial_state
 
 __all__ = [
@@ -54,6 +54,8 @@ ORACLE_SIZE_CAP = 512
 SIGN_THRESHOLD = 1e-8
 #: relative slack factor for monotonicity assertions
 MONOTONE_SLACK = 1e-10
+#: step sizes of the oracle fit, coarsest first
+ORACLE_DTS = (0.1, 0.05, 0.025)
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,8 @@ def _sign_flags(diff: np.ndarray) -> tuple[bool, ...]:
 
 
 def _pair_trajectories(spec, cfg, u0_a, u0_b) -> tuple[Trajectory, Trajectory]:
-    return run(spec, cfg, initial=u0_a), run(spec, cfg, initial=u0_b)
+    """Both runs of a pair check, stepped together on shared factorizations."""
+    return run_batch(spec, cfg, (u0_a, u0_b))
 
 
 def check_contraction(spec: ProblemSpec, u0_a: State, u0_b: State,
@@ -228,8 +231,13 @@ def oracle_expm(A: SystemOperator, t: float, u0: State) -> State:
     return u0.with_fields(propagated.reshape(u0.fields.shape), t=u0.t + t)
 
 
+def _divides(dt: float, t: float) -> bool:
+    """Is the finite t a whole number of steps dt, to 1e-9 relative?"""
+    return abs(round(t / dt) * dt - t) <= 1e-9 * max(t, 1.0)
+
+
 def oracle_compare(spec: ProblemSpec, cfg: StepConfig, t: float,
-                   dts: tuple[float, ...] = (0.1, 0.05, 0.025)) -> CheckReport:
+                   dts: tuple[float, ...] = ORACLE_DTS) -> CheckReport:
     """Fit the temporal order of the implicit stepper against the dense oracle.
 
     Runs the stepper to time ``t`` once per dt, measures weighted L1 errors
@@ -242,9 +250,9 @@ def oracle_compare(spec: ProblemSpec, cfg: StepConfig, t: float,
 
     errors = []
     for dt in sorted(dts, reverse=True):
-        steps = round(t / dt)
-        if abs(steps * dt - t) > 1e-9 * max(t, 1.0):
+        if not _divides(dt, t):
             raise ValueError(f"dt={dt} does not divide t={t}")
+        steps = round(t / dt)
         sub = replace(cfg, dt=dt, t_end=t, stride=max(steps, 1))
         traj = run(spec, sub, initial=u0)
         errors.append(weighted_l1_distance(traj.final, ref, spec))

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motorflux import Grid, State
 from motorflux.cli import _write_state_csv, main, parse_config
@@ -295,6 +301,70 @@ class TestSimulate:
         assert "Traceback" not in err
 
 
+MOTOR_8 = MOTOR_CONFIG.replace("cells = 64", "cells = 8").replace("t_end = 1.0", "t_end = 0.1")
+
+#: each key's section and the command that reads it
+_KEY_COMMANDS = {
+    "tol": ("steady", "steady"),
+    "threshold": ("verify", "verify-convergence"),
+    "oracle_t": ("verify", "oracle-compare"),
+}
+
+
+class TestSectionValues:
+    @pytest.mark.parametrize("key,value", [
+        ("tol", "nan"), ("tol", "inf"), ("tol", "-1e-13"),
+        ("threshold", "nan"), ("threshold", "inf"), ("threshold", "-1e-6"),
+        ("oracle_t", "0.33"), ("oracle_t", "-1"), ("oracle_t", "inf"),
+        ("oracle_t", "nan"), ("oracle_t", "0"), ("oracle_t", "0.01"),
+    ])
+    def test_bad_values_exit_2(self, tmp_path, capsys, key, value):
+        section, command = _KEY_COMMANDS[key]
+        text = MOTOR_8 + f"\n[{section}]\n{key} = {value}\n"
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("tol", "1e-10"), ("threshold", "0"), ("oracle_t", "0.3"), ("oracle_t", "2.0"),
+    ])
+    def test_admissible_values_run(self, tmp_path, key, value):
+        section, command = _KEY_COMMANDS[key]
+        text = MOTOR_8 + f"\n[{section}]\n{key} = {value}\n"
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code in (0, 3)
+        if key == "oracle_t":
+            assert code == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        key=st.sampled_from(sorted(_KEY_COMMANDS)),
+        value=st.one_of(
+            st.floats(min_value=-10.0, max_value=10.0),
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-320, 1e400]),
+            st.integers(min_value=-5, max_value=30).map(lambda k: k * 0.1),
+            st.integers(min_value=1, max_value=30).map(lambda k: k * 0.1 + 0.03),
+        ),
+    )
+    def test_fuzz_exit_codes(self, key, value):
+        # finite draws stay within 10: a huge oracle_t such as 1e12 passes the
+        # check and then runs about 1e13 steps (no step-count cap yet)
+        section, command = _KEY_COMMANDS[key]
+        text = MOTOR_8 + f"\n[{section}]\n{key} = {value!r}\n"
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+
+
 def _per_cell_csv(state) -> str:
     """The snapshot CSV written one cell at a time: the byte-level reference."""
     grid = state.grid
@@ -526,6 +596,29 @@ class TestEdgeCases:
 
     def test_2d_lin_tol_miss_exits_4(self, tmp_path, capsys):
         code = main(["simulate", "--config", write_config(tmp_path, TWO_D_CONFIG),
+                     "--out", str(tmp_path / "o"), "--tol", "0"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "lin_tol" in err
+        assert "Traceback" not in err
+
+    def test_pair_step_size_error_from_second_datum_exits_2(self, tmp_path, capsys):
+        # only the second datum (max 2) breaks dt <= 1/(p*max^(p-1)) = 0.25 at dt = 0.3
+        text = REVERSIBLE_CONFIG.replace("dt = 0.05", "dt = 0.3").replace(
+            "t_end = 50.0", "t_end = 1.5")
+        text = "\n".join(
+            ln + ("\ninitial2.kind = linear\ninitial2.params = offset=2.0"
+                  if ln.startswith("initial.params") else "")
+            for ln in text.split("\n"))
+        path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "s")]) == 0
+        code = main(["verify-contraction", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dt_max" in err and "Traceback" not in err
+
+    def test_pair_lin_tol_miss_exits_4(self, tmp_path, capsys):
+        code = main(["verify-comparison", "--config", write_config(tmp_path, SAWTOOTH_MOTOR_CONFIG),
                      "--out", str(tmp_path / "o"), "--tol", "0"])
         assert code == 4
         err = capsys.readouterr().err

@@ -15,11 +15,13 @@ from motorflux import (
     initial_state,
     oracle_expm,
     run,
+    run_batch,
     step_imex,
     step_linear_implicit,
     weighted_l1_distance,
     weighted_mass,
 )
+import motorflux.evolve
 from motorflux.errors import ConfigError, SolverError, StepSizeError
 
 from conftest import (
@@ -275,3 +277,95 @@ class TestRun:
             run(spec, StepConfig(dt=0.05, t_end=0.2, lin_tol=0.0))
         assert exc_info.value.time == pytest.approx(0.05)
         assert exc_info.value.residual > 0.0
+
+
+class TestRunBatch:
+    """Lockstep trajectories equal independent runs byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["imex_1d_3_species", "linear_1d", "linear_2d"])
+    def test_batch_equals_independent_runs(self, rng, kind):
+        if kind == "imex_1d_3_species":
+            spec = random_problem(rng, n=3, cells=33, linear=False)
+            cfg = StepConfig(dt=0.01, t_end=0.075, stride=3)
+        elif kind == "linear_1d":
+            spec = random_problem(rng, n=2, cells=31)
+            cfg = StepConfig(dt=0.05, t_end=0.37, stride=3)
+        else:
+            spec = random_problem(rng, n=2, cells=9, dim=2)
+            cfg = StepConfig(dt=0.05, t_end=0.37, stride=3)
+        assert spec.is_linear == (kind != "imex_1d_3_species")
+        initials = (None, smooth_state(spec, rng), smooth_state(spec, rng))
+        batch = run_batch(spec, cfg, initials)
+        assert len(batch) == 3
+        for traj, initial in zip(batch, initials):
+            alone = run(spec, cfg, initial)
+            # 7 full steps and a remainder step; snapshots after steps 3, 6 and 8
+            assert traj.times == alone.times
+            assert traj.times[-1] == cfg.t_end and len(traj.times) == 4
+            for a, b in zip(traj.states, alone.states):
+                assert a.fields.tobytes() == b.fields.tobytes()
+            assert traj.diagnostics == alone.diagnostics
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            run_batch(symmetric_motor(8), StepConfig(dt=0.1, t_end=0.2), ())
+
+    def test_step_size_error_from_second_trajectory(self):
+        spec = reversible_problem(cells=16, p=3.0)
+        cfg = StepConfig(dt=0.1, t_end=1.0)
+        low = initial_state(spec)
+        high = State(spec.grid, np.full((2, spec.grid.size), 2.0))
+        run(spec, cfg, low)  # the first trajectory alone is admissible
+        with pytest.raises(StepSizeError) as exc_info:
+            run_batch(spec, cfg, (low, high))
+        # L = p * max(u)^(p-1) = 3*4 = 12 with alpha = |lam_ii| = 1
+        assert exc_info.value.dt_max == pytest.approx(1.0 / 12.0)
+        assert exc_info.value.time == pytest.approx(0.1)
+
+    def test_pair_solver_failure_raises(self, rng):
+        spec = random_problem(rng, n=2, cells=32)
+        cfg = StepConfig(dt=0.05, t_end=0.2, lin_tol=0.0)
+        with pytest.raises(SolverError) as exc_info:
+            run_batch(spec, cfg, (None, smooth_state(spec, rng)))
+        assert exc_info.value.time == pytest.approx(0.05)
+        assert exc_info.value.residual > 0.0
+
+    def test_non_finite_solve_raises(self, monkeypatch):
+        # one infinite entry makes the residual inf, not nan, and the bound inf:
+        # the backward-error check passes it
+        def one_infinite_entry(x):
+            x[0, 0] = np.inf
+
+        _tamper_solves(monkeypatch, one_infinite_entry)
+        with pytest.raises(SolverError, match="non-finite") as exc_info:
+            run_batch(symmetric_motor(8), StepConfig(dt=0.1, t_end=0.3), (None, None))
+        assert exc_info.value.time == pytest.approx(0.1)
+
+    def test_each_trajectory_keeps_its_own_bound(self, monkeypatch):
+        # a 1e-6 relative error in the small trajectory's solve misses its own
+        # bound but would pass a bound taken over the batch, whose scale is 1e8
+        def perturb_first_column(x):
+            x[:, 0] *= 1.0 + 1e-6
+
+        spec = symmetric_motor(8)
+        small = initial_state(spec)
+        large = small.with_fields(1e8 * small.fields)
+        _tamper_solves(monkeypatch, perturb_first_column)
+        with pytest.raises(SolverError, match="lin_tol"):
+            run_batch(spec, StepConfig(dt=0.1, t_end=0.1), (small, large))
+
+
+def _tamper_solves(monkeypatch, tamper):
+    """Pass every solve result of the stepper's factorizations through ``tamper``."""
+    factorize = motorflux.evolve.splu
+
+    class Tampered:
+        def __init__(self, *args, **kwargs):
+            self._lu = factorize(*args, **kwargs)
+
+        def solve(self, b):
+            x = self._lu.solve(b)
+            tamper(x)
+            return x
+
+    monkeypatch.setattr(motorflux.evolve, "splu", Tampered)

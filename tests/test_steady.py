@@ -130,6 +130,12 @@ class TestNullVector:
         with pytest.raises(NonConvergenceError):
             solve_null_vector(A, tol=0.0)
 
+    def test_nan_tol_fails_residual_contract(self):
+        # residual > nan*||A|| is false, so the check must not be written that way
+        A = assemble_system(sawtooth_motor(32))
+        with pytest.raises(NonConvergenceError):
+            solve_null_vector(A, tol=float("nan"))
+
     @pytest.mark.parametrize("lam", [[[0.0, 0.0], [0.0, 0.0]],
                                      [[-1.0, 0.0], [1.0, 0.0]]])
     def test_reducible_coupling_raises(self, lam):
