@@ -26,7 +26,10 @@ backward error of each solve,
 
     ||b - K x||_inf <= lin_tol * (||K||_inf * ||x||_inf + ||b||_inf),
 
-and a solve that misses it raises SolverError.
+and a solve that misses it raises SolverError.  The max|x| that the bound
+takes also checks finiteness: a NaN propagates through it and an inf shows,
+so a non-finite solution raises SolverError after the step's last solve,
+without a separate pass over the state.
 
 `run_batch` advances any number of trajectories of one (problem, dt) in
 lockstep: every factorization solves all of them in one multi-RHS call, one
@@ -56,7 +59,6 @@ from .errors import (
 from .model import (
     ProblemSpec,
     State,
-    eval_reaction,
     initial_state,
     reaction_lipschitz,
     validate,
@@ -160,25 +162,37 @@ class _Factored:
         # near band size; SuperLU's defaults cost +23-43 MB at 131,072 unknowns
         self._lu = splu(self._k, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve K x = b_j for every row b_j of the C-contiguous ``b``; rows of the result."""
+    def solve(self, b: np.ndarray, out: np.ndarray) -> bool:
+        """Solve K x = b_j for every row b_j of the C-contiguous ``b`` into the rows of ``out``.
+
+        Returns whether every solution is finite; the caller raises after the
+        last block, so a later block's residual failure still takes precedence.
+        """
         # b.T is a Fortran-ordered view: one RHS column per trajectory, no copy
         x = self._lu.solve(b.T).T
-        for b_j, x_j in zip(b, x):
+        finite = True
+        for b_j, x_j, out_j in zip(b, x, out):
             # each column keeps its own bound: a max over the batch would let
             # one trajectory's scale hide another's miss.  Normwise backward
             # error, since a plain ||r||/||b|| reads 2.6e-9 from round-off
-            # alone at 65,536 cells
-            residual = float(np.abs(b_j - self._k @ x_j).max())
-            bound = self._tol * (self._k_norm * float(np.abs(x_j).max())
-                                 + float(np.abs(b_j).max()))
+            # alone at 65,536 cells.  max|a| is max(a.max(), -a.min()): no
+            # abs temporaries, and a NaN still propagates
+            r = self._k @ x_j
+            r -= b_j
+            residual = max(float(r.max()), -float(r.min()))
+            x_max = max(float(x_j.max()), -float(x_j.min()))
+            bound = self._tol * (self._k_norm * x_max
+                                 + max(float(b_j.max()), -float(b_j.min())))
             if not residual <= bound:
                 raise SolverError(
                     f"linear solve missed lin_tol={self._tol:g}: "
                     f"residual {residual:.3e} > bound {bound:.3e}",
                     residual=residual,
                 )
-        return x
+            # an inf entry makes the residual and the bound inf, which passes
+            finite = finite and math.isfinite(x_max)
+            out_j[...] = x_j
+        return finite
 
 
 class _Stepper:
@@ -209,10 +223,11 @@ class _Stepper:
                     dt_max=dt_max,
                 )
             u = _reaction_stage(u, self._reactions, self._dt)
-        out = np.stack([f.solve(block) for f, block in zip(self._factors, u)])
+        out = np.empty_like(u)
         # States are built only for snapshots, so their finiteness check does
-        # not see every step; a residual of inf passes a bound of inf
-        if not np.isfinite(out).all():
+        # not see every step
+        finite = [f.solve(block, out_i) for f, block, out_i in zip(self._factors, u, out)]
+        if not all(finite):
             raise SolverError("implicit solve produced non-finite values")
         return out
 
@@ -275,15 +290,20 @@ def _dt_max(spec: ProblemSpec, peaks: np.ndarray) -> float:
 
 
 def _reaction_stage(u: np.ndarray, spec: ProblemSpec, dt: float) -> np.ndarray:
-    """Explicit reaction stage of a (species, trajectories, cells) batch."""
-    clipped = np.maximum(u, 0.0)  # round-off negatives within _NEG_SLACK
-    rates = np.stack([
-        np.asarray(eval_reaction(sp.reaction, clipped[i]))
-        for i, sp in enumerate(spec.species)
-    ])
+    """Explicit reaction stage of a (species, trajectories, cells) batch.
+
+    Computes u + dt*(alphas*(lam @ r(u))) in that operation order, in place
+    on two buffers.  The clip makes every argument of r nonnegative.
+    """
+    rates = np.maximum(u, 0.0)  # round-off negatives within _NEG_SLACK
+    for i, sp in enumerate(spec.species):
+        if sp.reaction.kind != "linear":
+            np.power(rates[i], sp.reaction.exponent, out=rates[i])
     # one matmul over the whole batch; each column equals its own trajectory's
-    mixed = (spec.coupling.lam @ rates.reshape(spec.n_species, -1)).reshape(rates.shape)
-    out = u + dt * (spec.alphas[:, None, None] * mixed)
+    out = (spec.coupling.lam @ rates.reshape(spec.n_species, -1)).reshape(u.shape)
+    out *= spec.alphas[:, None, None]
+    out *= dt
+    out += u
     low = float(out.min())  # one check over every trajectory of the batch
     if low < -_NEG_SLACK:
         raise InvariantViolationError(
