@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from motorflux import (
     Grid,
@@ -23,12 +24,14 @@ from motorflux import (
     weighted_mass,
 )
 import motorflux.evolve
+from motorflux.cli import MASS_DRIFT_TOL
 from motorflux.errors import ConfigError, SolverError, StepSizeError
 
 from conftest import (
     ZERO,
     random_problem,
     reversible_problem,
+    sawtooth_motor,
     smooth_state,
     symmetric_motor,
 )
@@ -366,6 +369,59 @@ class TestRunBatch:
         _tamper_solves(monkeypatch, perturb_first_column)
         with pytest.raises(SolverError, match="lin_tol"):
             run_batch(spec, StepConfig(dt=0.1, t_end=0.1), (small, large))
+
+
+class TestConservativeProjection:
+    def test_mass_drift_at_65536_cells(self):
+        # the rounding of K = I - dt*M and of the LU solve drift this run's
+        # weighted mass by about 1.7e-10 without the projection
+        spec = sawtooth_motor(65536)
+        traj = run(spec, StepConfig(dt=1e-3, t_end=0.04, stride=8))
+        masses = [d.weighted_mass for d in traj.diagnostics]
+        drift = max(abs(m - masses[0]) for m in masses) / masses[0]
+        assert drift <= MASS_DRIFT_TOL
+        assert min(min(d.species_min) for d in traj.diagnostics) >= 0.0
+
+    @pytest.mark.parametrize("spec", [symmetric_motor(8), reversible_problem(cells=8, p=2.0)],
+                             ids=["linear", "imex"])
+    def test_solve_off_by_1e_6_still_raises(self, monkeypatch, spec):
+        # a scaled column is what the projection undoes, so the check must see it first
+        def perturb_one_column(x):
+            x[:, 0] *= 1.0 + 1e-6
+
+        _tamper_solves(monkeypatch, perturb_one_column)
+        with pytest.raises(SolverError) as exc_info:
+            run_batch(spec, StepConfig(dt=0.05, t_end=0.1), (None, None))
+        assert exc_info.value.time == pytest.approx(0.05)
+
+    def test_zero_weighted_mass_solution_raises(self, monkeypatch):
+        # with lin_tol = 1 a zero column passes the backward-error check
+        def zero_first_column(x):
+            x[:, 0] = 0.0
+
+        _tamper_solves(monkeypatch, zero_first_column)
+        with pytest.raises(SolverError, match="projection"):
+            run(symmetric_motor(8), StepConfig(dt=0.1, t_end=0.1, lin_tol=1.0))
+
+    def test_guard_rejects_mass_change_beyond_bound(self):
+        # K = I has no rounding defect, so the guard allows ||w||_1 * bound
+        n = 4
+        factored = motorflux.evolve._Factored(
+            sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, 0.0)
+        b = np.ones(n)
+        out = np.empty(n)
+        factored._project(b, np.full(n, 1.0 + 1e-3), 1e-3, out)
+        assert np.dot(np.full(n, 0.25), out) == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(SolverError, match="projection"):
+            factored._project(b, np.full(n, 1.0 + 1e-3), 1e-4, out)
+
+    def test_all_zero_block_is_left_alone(self):
+        spec = reversible_problem(cells=8, p=2.0)
+        zero = State(spec.grid, np.zeros((2, 8)))
+        traj = run(spec, StepConfig(dt=0.1, t_end=0.2))
+        alone = run(spec, StepConfig(dt=0.1, t_end=0.2), zero)
+        assert np.array_equal(alone.final.fields, zero.fields)
+        assert traj.final.fields.min() > 0.0
 
 
 def _tamper_solves(monkeypatch, tamper):
