@@ -51,7 +51,7 @@ from .errors import (
     StepSizeError,
     UnsupportedConfigurationError,
 )
-from .evolve import StepConfig, run
+from .evolve import MAX_STEPS, StepConfig, run
 from .model import (
     CouplingMatrix,
     Grid,
@@ -155,12 +155,15 @@ def _build_profile(kind: str, params: dict[str, list[float]], what: str) -> Pote
             kwargs["table_x"] = tuple(vals)
         elif name == "values":
             kwargs["table_v"] = tuple(vals)
-        elif name in ("terms", "axis"):
-            kwargs[name] = int(vals[0])
         else:
             if len(vals) != 1:
                 raise ConfigError(f"{what}: parameter {name!r} expects one value")
-            kwargs[name] = vals[0]
+            if name == "terms":
+                kwargs[name] = _exact_int(vals[0], f"{what} terms", 1)
+            elif name == "axis":  # 0 or 1: the axis of a 2-D grid
+                kwargs[name] = _exact_int(vals[0], f"{what} axis", 0, 1)
+            else:
+                kwargs[name] = vals[0]
     try:
         return PotentialSpec(kind, **kwargs)
     except UnsupportedConfigurationError as err:
@@ -209,7 +212,8 @@ def _as_nonnegative(text: str, what: str) -> float:
 
 
 def _as_oracle_time(text: str, what: str) -> float:
-    """A positive multiple of the coarsest oracle step, within oracle_compare's 1e-9."""
+    """A positive multiple of the coarsest oracle step, within oracle_compare's 1e-9,
+    that the finest oracle step reaches within MAX_STEPS steps."""
     value = _as_float(text, what)
     coarsest = verify.ORACLE_DTS[0]
     if not (0.0 < value < float("inf") and round(value / coarsest) >= 1
@@ -217,14 +221,23 @@ def _as_oracle_time(text: str, what: str) -> float:
         raise ConfigError(
             f"{what} must be a finite positive multiple of {coarsest!r}, got {text!r}"
         )
+    if not value / verify.ORACLE_DTS[-1] <= MAX_STEPS:
+        raise ConfigError(
+            f"{what} = {text!r} needs more than {MAX_STEPS} steps of {verify.ORACLE_DTS[-1]!r}"
+        )
     return value
 
 
-def _as_count(text: str, what: str) -> int:
-    value = _as_float(text, what)
-    if not (value >= 1.0 and value.is_integer()):
-        raise ConfigError(f"{what} must be a positive integer, got {text!r}")
+def _exact_int(value: float, what: str, low: int, high: float = float("inf")) -> int:
+    """An integer in [low, high]; 2.5 is an error, not a truncation to 2."""
+    if not (low <= value <= high and value.is_integer()):
+        limits = f">= {low}" if high == float("inf") else f"in [{low}, {high}]"
+        raise ConfigError(f"{what} must be an integer {limits}, got {value!r}")
     return int(value)
+
+
+def _as_count(text: str, what: str) -> int:
+    return _exact_int(_as_float(text, what), what, 1)
 
 
 def parse_config(path) -> RunConfig:
@@ -259,7 +272,8 @@ def parse_config(path) -> RunConfig:
     _known_section_keys(parser, "domain", _DOMAIN_KEYS)
     lo = _parse_floats(_get(parser, "domain", "lo"), "[domain] lo")
     hi = _parse_floats(_get(parser, "domain", "hi"), "[domain] hi")
-    cells = [int(v) for v in _parse_floats(_get(parser, "domain", "cells"), "[domain] cells")]
+    cells = [_exact_int(v, "[domain] cells", 1)
+             for v in _parse_floats(_get(parser, "domain", "cells"), "[domain] cells")]
     try:
         grid = Grid(tuple(lo), tuple(hi), tuple(cells))
     except ValueError as err:
@@ -473,9 +487,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
             }))
     masses = [d.weighted_mass for d in traj.diagnostics]
     scale = max(abs(masses[0]), 1e-300)
-    drift = max(abs(m - masses[0]) for m in masses) / scale
-    if drift > MASS_DRIFT_TOL:
-        print(f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL:g}", file=sys.stderr)
+    drifts = [abs(m - masses[0]) / scale for m in masses]
+    worst = max(range(len(drifts)), key=drifts.__getitem__)
+    if drifts[worst] > MASS_DRIFT_TOL:
+        print(f"mass drift {drifts[worst]:.3e} exceeds {MASS_DRIFT_TOL:g} at snapshot "
+              f"{worst} (t={traj.times[worst]!r})", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 

@@ -84,6 +84,7 @@ from .model import (
 )
 
 __all__ = [
+    "MAX_STEPS",
     "StepConfig",
     "SnapshotDiagnostics",
     "Trajectory",
@@ -97,13 +98,18 @@ __all__ = [
 #: slack for "nonnegative" state checks; round-off below this is tolerated
 _NEG_SLACK = 1e-13
 
+#: most time steps one run may take (t_end/dt): a larger count is a config
+#: error, so an absurd t_end or a tiny dt fails at once instead of running for days
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class StepConfig:
     """Time-stepping parameters.
 
     ``lin_tol`` bounds the normwise backward error of every implicit solve
-    (see the module docstring); 0 accepts only exact residuals.
+    (see the module docstring); 0 accepts only exact residuals.  ``t_end/dt``
+    may not exceed MAX_STEPS.
     """
 
     dt: float
@@ -116,6 +122,10 @@ class StepConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise ConfigError(f"t_end must be nonnegative and finite, got {self.t_end}")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ConfigError(
+                f"t_end/dt = {self.t_end / self.dt:.6g} steps exceed the cap of {MAX_STEPS}"
+            )
         if not (self.lin_tol >= 0.0 and math.isfinite(self.lin_tol)):
             raise ConfigError(f"lin_tol must be nonnegative and finite, got {self.lin_tol}")
         if self.stride < 1:

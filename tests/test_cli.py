@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motorflux import Grid, State
+import motorflux.cli
 from motorflux.cli import _write_state_csv, main, parse_config
+from motorflux.evolve import Trajectory, _diagnose, run
 from motorflux.errors import ConfigError
 
 MOTOR_CONFIG = """\
@@ -266,6 +268,7 @@ class TestSimulate:
         "dt = nan", "dt = inf", "t_end = nan", "t_end = inf",
         "lin_tol = nan", "lin_tol = inf", "lin_tol = -1e-12",
         "stride = 2.5", "stride = inf", "stride = nan", "stride = 0",
+        "t_end = 1e300", "dt = 1e-300",
     ])
     def test_bad_time_values_exit_2(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
@@ -277,6 +280,37 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("cells = 64", "cells = 16.7", "cells"),
+        ("potential.kind = zero",
+         "potential.kind = sawtooth_smoothed\npotential.params = terms=2.5", "terms"),
+        ("potential.kind = zero", "potential.kind = cosine\npotential.params = axis=0.5", "axis"),
+        ("potential.kind = zero", "potential.kind = cosine\npotential.params = axis=2", "axis"),
+    ])
+    def test_non_integer_counts_exit_2(self, tmp_path, capsys, old, new, key):
+        text = MOTOR_CONFIG.replace(old, new, 1)
+        code = main(["simulate", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "integer" in err
+        assert "Traceback" not in err
+
+    def test_mass_failure_names_snapshot(self, tmp_path, capsys, monkeypatch):
+        def leaky_run(spec, cfg):
+            traj = run(spec, cfg)
+            states = list(traj.states)
+            states[4] = states[4].with_fields(states[4].fields * (1.0 + 1e-9))
+            diags = [_diagnose(state, spec) for state in states]
+            return Trajectory(tuple(states), tuple(diags))
+
+        monkeypatch.setattr(motorflux.cli, "run", leaky_run)
+        code = main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "exceeds 1e-11 at snapshot 4 (t=0.4)" in err
 
     def test_non_finite_tol_flag_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
@@ -310,6 +344,14 @@ _KEY_COMMANDS = {
     "oracle_t": ("verify", "oracle-compare"),
 }
 
+#: keys that replace a line of MOTOR_8 instead, all read by simulate
+_REPLACED_KEYS = {
+    "cells": ("cells = 8", "cells = {}"),
+    "t_end": ("t_end = 0.1", "t_end = {}"),
+    "terms": ("potential.kind = zero",
+              "potential.kind = sawtooth_smoothed\npotential.params = terms={}"),
+}
+
 
 class TestSectionValues:
     @pytest.mark.parametrize("key,value", [
@@ -317,6 +359,7 @@ class TestSectionValues:
         ("threshold", "nan"), ("threshold", "inf"), ("threshold", "-1e-6"),
         ("oracle_t", "0.33"), ("oracle_t", "-1"), ("oracle_t", "inf"),
         ("oracle_t", "nan"), ("oracle_t", "0"), ("oracle_t", "0.01"),
+        ("oracle_t", "1e12"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, key, value):
         section, command = _KEY_COMMANDS[key]
@@ -342,7 +385,7 @@ class TestSectionValues:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        key=st.sampled_from(sorted(_KEY_COMMANDS)),
+        key=st.sampled_from(sorted(_KEY_COMMANDS) + sorted(_REPLACED_KEYS)),
         value=st.one_of(
             st.floats(min_value=-10.0, max_value=10.0),
             st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-320, 1e400]),
@@ -351,10 +394,14 @@ class TestSectionValues:
         ),
     )
     def test_fuzz_exit_codes(self, key, value):
-        # finite draws stay within 10: a huge oracle_t such as 1e12 passes the
-        # check and then runs about 1e13 steps (no step-count cap yet)
-        section, command = _KEY_COMMANDS[key]
-        text = MOTOR_8 + f"\n[{section}]\n{key} = {value!r}\n"
+        # finite draws stay within 10: cells and terms have no upper cap, so a
+        # huge value allocates or loops for as long as it asks
+        if key in _KEY_COMMANDS:
+            section, command = _KEY_COMMANDS[key]
+            text = MOTOR_8 + f"\n[{section}]\n{key} = {value!r}\n"
+        else:
+            old, new = _REPLACED_KEYS[key]
+            text, command = MOTOR_8.replace(old, new.format(repr(value)), 1), "simulate"
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.ini"

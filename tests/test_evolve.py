@@ -12,6 +12,7 @@ from motorflux import (
     StepConfig,
     assemble_system,
     assemble_transport,
+    conjugate_to_neumann,
     eval_reaction,
     imex_dt_max,
     initial_state,
@@ -25,6 +26,7 @@ from motorflux import (
 )
 import motorflux.evolve
 from motorflux.cli import MASS_DRIFT_TOL
+from motorflux.evolve import MAX_STEPS
 from motorflux.errors import ConfigError, SolverError, StepSizeError
 
 from conftest import (
@@ -55,6 +57,11 @@ class TestStepConfig:
         with pytest.raises(ConfigError):
             StepConfig(dt=0.1, t_end=1.0, lin_tol=-1e-12)
         assert StepConfig(dt=0.1, t_end=1.0, lin_tol=0.0).lin_tol == 0.0
+
+    def test_step_count_cap(self):
+        StepConfig(dt=1.0, t_end=float(MAX_STEPS))
+        with pytest.raises(ConfigError, match="cap"):
+            StepConfig(dt=1.0, t_end=MAX_STEPS + 1.0)
 
     @pytest.mark.parametrize("field", ["dt", "t_end", "lin_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -113,6 +120,12 @@ class TestLinearStep:
         bad = State(spec.grid, -np.ones((2, 8)))
         with pytest.raises(ValueError):
             step_linear_implicit(bad, A, 0.1)
+
+    def test_neumann_gauge_operator_rejected(self):
+        spec = sawtooth_motor(8)
+        A = conjugate_to_neumann(assemble_system(spec), spec)
+        with pytest.raises(ValueError, match="physical-gauge operators"):
+            step_linear_implicit(initial_state(spec), A, 0.1)
 
     def test_comparison_preserved_by_m_matrix(self, rng):
         spec = random_problem(rng, n=2, cells=32)
