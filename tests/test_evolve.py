@@ -169,7 +169,7 @@ class TestImexStep:
                           for i, sp in enumerate(spec.species)])
         mixed = (spec.coupling.lam @ rates.reshape(3, -1)).reshape(u.shape)
         reference = u + dt * (spec.alphas[:, None, None] * mixed)
-        fused = motorflux.evolve._reaction_stage(u, spec, dt)
+        fused = motorflux.evolve._reaction_stage(u, spec, dt, np.empty_like(u), np.empty_like(u))
         assert fused.tobytes() == reference.tobytes()
 
     def test_dt_bound_value_and_error(self):
@@ -427,6 +427,14 @@ class TestConservativeProjection:
         assert np.dot(np.full(n, 0.25), out) == pytest.approx(1.0, rel=1e-15)
         with pytest.raises(SolverError, match="projection"):
             factored._project(b, np.full(n, 1.0 + 1e-3), 1e-4, out)
+
+    def test_diagonals_match_scipy_conversion(self, rng, monkeypatch):
+        monkeypatch.setattr(motorflux.evolve, "_DIA_CHUNK", 7)  # cross chunk borders
+        spec = random_problem(rng, n=3, cells=9, dim=2)
+        k = sparse.csc_array(sparse.eye_array(3 * 81) - 0.1 * assemble_system(spec).matrix)
+        ours, theirs = motorflux.evolve._diagonals(k), sparse.dia_array(k)
+        assert np.array_equal(ours.offsets, theirs.offsets)
+        assert ours.data.tobytes() == theirs.data.tobytes()
 
     def test_all_zero_block_is_left_alone(self):
         spec = reversible_problem(cells=8, p=2.0)
