@@ -416,8 +416,8 @@ def _reaction_stage(u: np.ndarray, spec: ProblemSpec, dt: float,
     """Explicit reaction stage of a (species, trajectories, cells) batch.
 
     Computes u + dt*(alphas*(lam @ r(u))) in that operation order into
-    ``out``, with ``rates`` as scratch; both are C-contiguous, shaped like u.
-    The clip makes every argument of r nonnegative.
+    ``out``, with ``rates`` as working storage; both are C-contiguous and
+    shaped like u.  The clip makes every argument of r nonnegative.
     """
     np.maximum(u, 0.0, out=rates)  # round-off negatives within _NEG_SLACK
     for i, sp in enumerate(spec.species):
