@@ -23,6 +23,7 @@ reports violations of H1-H4 as data; it never raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "initial_state",
     "POTENTIAL_KINDS",
     "REACTION_KINDS",
+    "MAX_UNKNOWNS",
 ]
 
 POTENTIAL_KINDS = ("zero", "linear", "cosine", "sawtooth_smoothed", "tabulated")
@@ -53,6 +55,12 @@ REACTION_KINDS = ("linear", "power")
 
 #: absolute tolerance on coupling-matrix column sums (H2)
 COLUMN_SUM_TOL = 1e-14
+
+#: most unknowns (species x cells) a problem may have, 16 times the largest
+#: sweep point (4 species x 65,536 cells): `validate` rejects a larger problem
+#: before any array of its size is allocated.  A 1-D run takes about 230 bytes
+#: per unknown, so about 1 GB at the cap.
+MAX_UNKNOWNS = 2**22
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.cells))
+        return math.prod(self.cells)  # exact: np.prod wraps around in int64
 
     @property
     def volume(self) -> float:
@@ -416,7 +424,7 @@ def _strongly_connected(lam: np.ndarray) -> bool:
 
 
 def validate(spec: ProblemSpec) -> ValidationReport:
-    """Check H1-H4 plus structural consistency; violations come back as data.
+    """Check H1-H4, structural consistency and the MAX_UNKNOWNS cap; violations are data.
 
     Idempotent and side-effect free: validating twice yields the same report.
     """
@@ -424,6 +432,13 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     warnings: list[str] = []
     grid = spec.grid
     n = spec.n_species
+
+    unknowns = n * grid.size
+    if unknowns > MAX_UNKNOWNS:  # the checks below would allocate per cell
+        return ValidationReport(violations=(
+            f"grid: {n} species x {grid.size} cells = {unknowns} unknowns "
+            f"exceed the cap of {MAX_UNKNOWNS}",
+        ))
 
     if abs(grid.size * grid.cell_volume - grid.volume) > 1e-12 * grid.volume:
         violations.append("grid: cell volumes do not sum to the domain volume")

@@ -13,6 +13,7 @@ from motorflux import Grid, State
 import motorflux.cli
 from motorflux.cli import _write_state_csv, main, parse_config
 from motorflux.evolve import Trajectory, _diagnose, run
+from motorflux.model import MAX_UNKNOWNS
 from motorflux.errors import ConfigError
 
 MOTOR_CONFIG = """\
@@ -296,6 +297,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert key in err and "integer" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cells", ["1e12", str(MAX_UNKNOWNS // 2 + 1)])
+    def test_too_many_unknowns_exit_2(self, tmp_path, capsys, cells):
+        # two species: half the cap plus one cell is one unknown too many
+        text = MOTOR_CONFIG.replace("cells = 64", f"cells = {cells}", 1)
+        code = main(["simulate", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"exceed the cap of {MAX_UNKNOWNS}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_mass_failure_names_snapshot(self, tmp_path, capsys, monkeypatch):
         def leaky_run(spec, cfg):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import SuperLU, splu
 
 from motorflux import (
     Grid,
@@ -26,7 +27,7 @@ from motorflux import (
 )
 import motorflux.evolve
 from motorflux.cli import MASS_DRIFT_TOL
-from motorflux.evolve import MAX_STEPS
+from motorflux.evolve import MAX_STEPS, _Factored, _SymmetrizedTridiagonal
 from motorflux.errors import ConfigError, SolverError, StepSizeError
 
 from conftest import (
@@ -445,9 +446,91 @@ class TestConservativeProjection:
         assert traj.final.fields.min() > 0.0
 
 
+def _potential_with_span(rng, span: float, sigma: float) -> PotentialSpec:
+    """A random piecewise-linear potential whose psi/sigma spans exactly ``span``."""
+    v = rng.random(9)
+    v = span * sigma * (v - v.min()) / (v.max() - v.min())
+    return PotentialSpec("tabulated", table_x=tuple(np.linspace(0.0, 1.0, 9)),
+                         table_v=tuple(v))
+
+
+class TestTridiagonalSolve:
+    """1-D transport blocks are solved by pttrs on a symmetrized K; the rest by SuperLU."""
+
+    @pytest.mark.parametrize("span", [0.0, 5.0, 60.0, 300.0])
+    def test_agrees_with_superlu_and_dense(self, rng, span):
+        for _ in range(3):
+            cells = int(rng.integers(64, 300))
+            grid = Grid.interval(0.0, 1.0, cells)
+            sigma = float(rng.uniform(0.5, 1.5))
+            matrix = assemble_transport(grid, sigma, _potential_with_span(rng, span, sigma)).matrix
+            dt = float(10.0 ** rng.uniform(-5.0, -1.0))
+            factored = _Factored(matrix, np.full(cells, grid.cell_volume), dt, 1e-12)
+            assert isinstance(factored._solver, _SymmetrizedTridiagonal)
+
+            k = sparse.csc_array(sparse.eye_array(cells) - dt * matrix)
+            b = rng.random((3, cells))
+            x = factored._solver.solve(b.T).T
+            dense = k.toarray()
+            k_norm = np.abs(dense).sum(axis=1).max()
+            for x_j, b_j in zip(x, b):
+                residual = np.abs(k @ x_j - b_j).max()
+                assert residual <= 1e-12 * (k_norm * np.abs(x_j).max() + np.abs(b_j).max())
+            # a backward-stable solve is within cells * eps * cond(K) of the exact one
+            bound = cells * np.finfo(float).eps * np.linalg.cond(dense, np.inf)
+            for reference in (splu(k).solve(b.T).T, np.linalg.solve(dense, b.T).T):
+                assert np.abs(x - reference).max() <= bound * np.abs(reference).max()
+
+    def test_other_blocks_keep_superlu(self, rng):
+        spec_2d = random_problem(rng, n=1, cells=8, dim=2)
+        coupled = symmetric_motor(16)
+        grid = Grid.interval(0.0, 1.0, 64)
+        # psi/sigma spans 1000: the centred log-scale would reach 250 > 256 ln 2
+        steep = assemble_transport(grid, 1.0, PotentialSpec("linear", slope=1000.0)).matrix
+        blocks = [
+            (transports_for(spec_2d)[0].matrix, np.ones(64)),
+            (assemble_system(coupled).matrix, np.ones(32)),
+            (steep, np.ones(64)),
+        ]
+        for matrix, w in blocks:
+            factored = _Factored(matrix, w, 0.01, 1e-12)
+            assert isinstance(factored._solver, SuperLU)
+            b = rng.random((1, len(w)))
+            out = np.empty_like(b)
+            assert factored.solve(b, out)  # still checked and finite
+
+    def test_factor_refuses_other_tridiagonals(self):
+        def tridiagonal(lower, diag, upper, n=8):
+            return sparse.csc_array(sparse.diags_array(
+                [np.full(n - 1, lower), np.full(n, diag), np.full(n - 1, upper)],
+                offsets=[-1, 0, 1]))
+
+        # off-diagonal products of mixed sign, zero, and a K that is not positive definite
+        assert _SymmetrizedTridiagonal.factor(tridiagonal(1.0, 3.0, -1.0)) is None
+        assert _SymmetrizedTridiagonal.factor(tridiagonal(0.0, 3.0, -1.0)) is None
+        assert _SymmetrizedTridiagonal.factor(tridiagonal(-1.0, 0.5, -1.0)) is None
+        assert _SymmetrizedTridiagonal.factor(tridiagonal(-1.0, 3.0, -2.0)) is not None
+
+    def test_1d_imex_never_calls_superlu(self, rng, monkeypatch):
+        # a silent fallback would keep every result and lose the speed
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 1-D transport block was factored by SuperLU")
+
+        monkeypatch.setattr(motorflux.evolve, "splu", refuse)
+        spec = random_problem(rng, n=3, cells=64, linear=False)
+        cfg = StepConfig(dt=0.01, t_end=0.035, stride=2)  # full steps and a remainder
+        run_batch(spec, cfg, (None, smooth_state(spec, rng)))
+
+
 def _tamper_solves(monkeypatch, tamper):
-    """Pass every solve result of the stepper's factorizations through ``tamper``."""
+    """Pass every solve result of the stepper's factorizations through ``tamper``.
+
+    That covers SuperLU's solves and the pttrs solves of tridiagonal blocks.
+    pttrs returns y of x = s * y; scaling a column, zeroing it or setting an
+    entry to inf acts on x as it does on y.
+    """
     factorize = motorflux.evolve.splu
+    pttrs = motorflux.evolve.dpttrs
 
     class Tampered:
         def __init__(self, *args, **kwargs):
@@ -458,4 +541,10 @@ def _tamper_solves(monkeypatch, tamper):
             tamper(x)
             return x
 
+    def tampered_pttrs(*args, **kwargs):
+        y, info = pttrs(*args, **kwargs)
+        tamper(y)
+        return y, info
+
     monkeypatch.setattr(motorflux.evolve, "splu", Tampered)
+    monkeypatch.setattr(motorflux.evolve, "dpttrs", tampered_pttrs)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,7 @@ from motorflux import (
     validate,
 )
 from motorflux.errors import OutOfDomainError, UnsupportedConfigurationError
+from motorflux.model import MAX_UNKNOWNS
 
 from conftest import ZERO, symmetric_motor
 
@@ -188,6 +191,23 @@ class TestValidate:
     def test_idempotent(self):
         spec = symmetric_motor(16)
         assert validate(spec) == validate(spec)
+
+    @pytest.mark.parametrize("cells,ok", [
+        ((MAX_UNKNOWNS // 2,), True),
+        ((MAX_UNKNOWNS // 2 + 1,), False),
+        ((10**6, 10**7), False),  # 1e13 cells: np.prod of the cells wraps in int64
+    ])
+    def test_unknowns_cap(self, cells, ok):
+        spec = symmetric_motor(16)  # two species
+        grid = Grid((0.0,) * len(cells), (1.0,) * len(cells), cells)
+        report = validate(ProblemSpec(grid=grid, species=spec.species,
+                                      coupling=spec.coupling, initial=spec.initial))
+        assert report.ok == ok
+        if not ok:
+            assert report.violations == (
+                f"grid: 2 species x {math.prod(cells)} cells = {2 * math.prod(cells)} "
+                f"unknowns exceed the cap of {MAX_UNKNOWNS}",
+            )
 
     def test_disconnected_coupling_warns(self):
         spec = symmetric_motor(16)
