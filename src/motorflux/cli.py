@@ -255,6 +255,9 @@ def parse_config(path) -> RunConfig:
             parser.read_file(fh)
     except configparser.Error as err:
         raise ConfigError(f"config parse error: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {str(path)!r} is not valid UTF-8 "
+                          f"(byte {err.start}: {err.reason})") from err
 
     sections = set(parser.sections())
     species_sections = sorted(s for s in sections if s.startswith("species."))
@@ -448,19 +451,34 @@ def _profile_params(p: PotentialSpec) -> str:
 _CSV_CHUNK_ROWS = 4096
 
 
-def _write_state_csv(path, state: State) -> None:
-    grid = state.grid
-    names = [f"u{i + 1}" for i in range(state.n_species)]
-    coords = ["x", "y"][:grid.dim]
+def _row_templates(grid: Grid, n_species: int) -> list[str]:
+    """The rows of each CSV chunk with the cell centres written in.
+
+    Every row holds its coordinates and one ``%r`` slot per species, so a
+    chunk of a state is ``template % values``.  A float repr never contains
+    ``%``.  The states of one run share the templates: a few large strings,
+    not one string per row, which would fragment the small-object heap.
+    """
     pts = grid.centers().reshape(grid.size, grid.dim)
     # %r of a Python float is its repr: the shortest round-trip decimal
-    row_fmt = ",".join(["%r"] * (grid.dim + state.n_species)) + "\n"
+    row = "%r," * grid.dim + ",".join(["%%r"] * n_species) + "\n"
+    return [(row * len(chunk)) % tuple(chunk.ravel().tolist())
+            for chunk in (pts[k:k + _CSV_CHUNK_ROWS]
+                          for k in range(0, grid.size, _CSV_CHUNK_ROWS))]
+
+
+def _write_state_csv(path, state: State, templates: list[str] | None = None) -> None:
+    """Write one row per cell; ``templates`` are ``_row_templates`` of the
+    state's grid and species count, built here when not given."""
+    if templates is None:
+        templates = _row_templates(state.grid, state.n_species)
+    names = [f"u{i + 1}" for i in range(state.n_species)]
+    coords = ["x", "y"][:state.grid.dim]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(coords + names) + "\n")
-        for k in range(0, grid.size, _CSV_CHUNK_ROWS):
-            rows = slice(k, k + _CSV_CHUNK_ROWS)
-            chunk = np.column_stack([pts[rows], state.fields[:, rows].T])
-            fh.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for k, template in zip(range(0, state.grid.size, _CSV_CHUNK_ROWS), templates):
+            values = state.fields[:, k:k + _CSV_CHUNK_ROWS].T.ravel().tolist()
+            fh.write(template % tuple(values))
 
 
 def _json_line(obj: dict) -> str:
@@ -471,13 +489,25 @@ def _json_line(obj: dict) -> str:
 # commands
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def _output_dir(cfg: RunConfig) -> Path:
+    """The output directory, created with its parents; a path that cannot be
+    a directory (an existing file, a path under a file) is a config error."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot use output directory {str(out)!r}: {err.strerror}") from err
+    return out
+
+
+def cmd_simulate(cfg: RunConfig) -> int:
+    out = _output_dir(cfg)
     traj = run(cfg.problem, cfg.step)
+    # after run() returns, so the templates stay out of the solver's peak memory
+    templates = _row_templates(cfg.problem.grid, cfg.problem.n_species)
     with open(out / "manifest.ndjson", "w", encoding="ascii") as fh:
         for k, (state, diag) in enumerate(zip(traj.states, traj.diagnostics)):
-            _write_state_csv(out / f"snapshot_{k}_t{state.t!r}.csv", state)
+            _write_state_csv(out / f"snapshot_{k}_t{state.t!r}.csv", state, templates)
             fh.write(_json_line({
                 "index": k,
                 "time": diag.time,
@@ -497,8 +527,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_steady(cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     spec = cfg.problem
     if cfg.steady_mode == "reversible":
         _require_reversible_form(spec)
@@ -573,8 +602,7 @@ def _second_state(cfg: RunConfig, mode: str) -> State:
 
 
 def cmd_verify(cfg: RunConfig, check: str) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     spec = cfg.problem
     u0 = initial_state(spec)
 
@@ -661,6 +689,8 @@ def main(argv=None) -> int:
         if args.tol is not None:
             cfg = replace(cfg, step=replace(cfg.step, lin_tol=args.tol),
                           steady_tol=args.tol)
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)
         print(format_effective_config(cfg))
         if args.command == "simulate":

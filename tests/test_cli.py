@@ -185,6 +185,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.ini")
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bin.ini"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ConfigError, match="UTF-8"):
+            parse_config(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "bin.ini" in err and "Traceback" not in err
+
     def test_unknown_key_is_hard_error(self, tmp_path):
         text = MOTOR_CONFIG.replace("sigma = 1.0", "sigmma = 1.0", 1)
         with pytest.raises(ConfigError, match="sigmma"):
@@ -424,6 +433,53 @@ class TestSectionValues:
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["verify-contraction", "verify-comparison"]),
+        seed=st.one_of(st.integers(max_value=-1), st.integers(min_value=0, max_value=2**80)),
+    )
+    def test_fuzz_seed_exit_codes(self, command, seed):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(MOTOR_8)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o"),
+                             "--seed", str(seed)])
+        if seed < 0:
+            assert code == 2
+            assert "--seed" in err.getvalue()
+        else:
+            assert code in (0, 3, 4)
+        assert "Traceback" not in err.getvalue()
+
+
+_COMMANDS = ("simulate", "steady", "verify-contraction", "verify-comparison",
+             "verify-convergence", "oracle-compare")
+
+
+class TestUnusableArguments:
+    @pytest.mark.parametrize("command", _COMMANDS)
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_output_path_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys,
+                                                           command, under_file):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / "sub" if under_file else afile
+        code = main([command, "--config", write_config(tmp_path, MOTOR_8), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"output directory {str(out)!r}" in err and "Traceback" not in err
+        assert afile.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        code = main([command, "--config", write_config(tmp_path, MOTOR_8),
+                     "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert code == 2
+        assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def _per_cell_csv(state) -> str:
     """The snapshot CSV written one cell at a time: the byte-level reference."""
@@ -441,19 +497,46 @@ def _per_cell_csv(state) -> str:
 
 class TestStateCsv:
     @pytest.mark.parametrize("grid", [
-        Grid.interval(-0.3, 1.7, 20_000),
+        Grid.interval(-0.3, 1.7, 20_000),                 # not a multiple of 4,096 rows
         Grid.box((0.0, -1.0), (0.1, 2.0), (130, 70)),
+        Grid.interval(0.0, 1.0, 1000),                    # below one chunk
+        Grid.box((0.0, 0.0), (1.0, 3.0), (20, 30)),
     ])
     def test_bytes_match_per_cell_writer(self, tmp_path, grid):
         rng = np.random.default_rng(7)
-        n = 3
-        fields = rng.uniform(0.0, 2.0, (n, grid.size)) ** 7
-        fields[0, :5] = [0.0, -0.0, 1.0, 1e-300, 1e300]
-        fields[1, -3:] = [5e-324, 0.1, 123456789.0]
-        state = State(grid, fields)
-        path = tmp_path / "s.csv"
-        _write_state_csv(path, state)
-        assert path.read_bytes() == _per_cell_csv(state).encode("ascii")
+        for n in (1, 3):
+            templates = motorflux.cli._row_templates(grid, n)
+            for k in range(3):
+                fields = rng.uniform(0.0, 2.0, (n, grid.size)) ** 7
+                fields[0, :5] = [0.0, -0.0, 1.0, 1e-300, 1e300]
+                fields[-1, -3:] = [5e-324, 0.1, 123456789.0]
+                state = State(grid, fields, t=0.1 * k)
+                expected = _per_cell_csv(state).encode("ascii")
+                _write_state_csv(tmp_path / "shared.csv", state, templates)
+                assert (tmp_path / "shared.csv").read_bytes() == expected
+                _write_state_csv(tmp_path / "own.csv", state)
+                assert (tmp_path / "own.csv").read_bytes() == expected
+
+    def test_simulate_formats_coordinates_once(self, tmp_path, monkeypatch):
+        calls = {"templates": 0, "writes": 0}
+        row_templates, write_state_csv = motorflux.cli._row_templates, _write_state_csv
+
+        def counted_templates(*args):
+            calls["templates"] += 1
+            return row_templates(*args)
+
+        def counted_write(*args):
+            calls["writes"] += 1
+            return write_state_csv(*args)
+
+        monkeypatch.setattr(motorflux.cli, "_row_templates", counted_templates)
+        monkeypatch.setattr(motorflux.cli, "_write_state_csv", counted_write)
+        text = MOTOR_CONFIG.replace("t_end = 1.0", "t_end = 0.5")
+        code = main(["simulate", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert len(list((tmp_path / "o").glob("snapshot_*.csv"))) == 6
+        assert calls == {"templates": 1, "writes": 6}
 
 
 class TestSteady:
