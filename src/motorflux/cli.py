@@ -110,6 +110,8 @@ class RunConfig:
     oracle_t: float = 1.0
     initial2: tuple[PotentialSpec, ...] | None = None
     seed: int = 0
+    #: `validate` warnings on the problem; every command prints them to stderr
+    warnings: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +389,7 @@ def parse_config(path) -> RunConfig:
         verify_threshold=verify_threshold,
         oracle_t=oracle_t,
         initial2=tuple(initial2) if any_initial2 else None,
+        warnings=report.warnings,
     )
 
 
@@ -530,7 +533,7 @@ def cmd_steady(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     spec = cfg.problem
     if cfg.steady_mode == "reversible":
-        _require_reversible_form(spec)
+        _require_reversible_form(spec, "[steady] mode = reversible")
         u0 = initial_state(spec)
         mass = verify.weighted_mass(u0, spec)
         a, b = reversible_pair(mass, spec.species[0].reaction, spec.species[1].reaction,
@@ -555,17 +558,19 @@ def cmd_steady(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _require_reversible_form(spec: ProblemSpec) -> None:
+def _require_reversible_form(spec: ProblemSpec, who: str) -> None:
+    """The two-species reversible form that `reversible_pair` solves; ``who``
+    names what needs it in the error message."""
     lam = spec.coupling.lam
     if spec.n_species != 2:
-        raise ConfigError("reversible mode needs exactly two species")
+        raise ConfigError(f"{who} needs exactly two species, got {spec.n_species}")
     k = lam[1, 0]
     if not (k > 0.0 and lam[0, 1] == k and lam[0, 0] == -k and lam[1, 1] == -k):
         raise ConfigError(
-            "reversible mode needs coupling [[-k, k], [k, -k]] with k > 0"
+            f"{who} needs coupling [[-k, k], [k, -k]] with k > 0"
         )
     if any(sp.potential.kind != "zero" for sp in spec.species):
-        raise ConfigError("reversible mode needs zero potentials (pure diffusion)")
+        raise ConfigError(f"{who} needs zero potentials (pure diffusion)")
 
 
 def _second_state(cfg: RunConfig, mode: str) -> State:
@@ -635,7 +640,8 @@ def _convergence_target(cfg: RunConfig, u0: State):
                                  normalization=cfg.steady_normalization)
         _c, target = project_onto_ray(u0, StationaryRay(base), spec)
         return target
-    _require_reversible_form(spec)
+    # the reversible pair's constant state is the only nonlinear target computed
+    _require_reversible_form(spec, "verify-convergence with nonlinear reactions")
     mass = verify.weighted_mass(u0, spec)
     a, b = reversible_pair(mass, spec.species[0].reaction, spec.species[1].reaction,
                            alpha=spec.species[0].alpha, beta=spec.species[1].alpha,
@@ -692,6 +698,8 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)
+        for text in cfg.warnings:
+            print(f"warning: {text}", file=sys.stderr)
         print(format_effective_config(cfg))
         if args.command == "simulate":
             return cmd_simulate(cfg)

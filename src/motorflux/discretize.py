@@ -157,13 +157,15 @@ def assemble_transport(grid: Grid, sigma: float, psi: PotentialSpec,
 def assemble_system(spec: ProblemSpec) -> SystemOperator:
     """Assemble the block operator for a fully linear problem.
 
-    Nonlinear reactions have no matrix representation here; those problems are
-    advanced matrix-free by the evolver.
+    A nonlinear reaction has no block-operator matrix.  The evolver steps such
+    problems by IMEX: it assembles and factors each species' transport
+    operator and takes the reactions explicitly.
     """
     if not spec.is_linear:
         raise UnsupportedConfigurationError(
-            "assemble_system requires linear reactions; nonlinear problems are "
-            "evolved matrix-free"
+            "assemble_system requires linear reactions: a nonlinear reaction has "
+            "no block-operator matrix (the evolver factors only the per-species "
+            "transport operators and takes the reactions explicitly)"
         )
     transports = tuple(
         assemble_transport(spec.grid, sp.sigma, sp.potential, species=i)

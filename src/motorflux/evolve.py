@@ -9,8 +9,12 @@ solve back onto it (below), so the mass is exact to round-off.
 
 Nonlinear reactions are split off explicitly:
 
-    stage 1   v_i = u_i + dt * alpha_i * sum_j lam[i,j] * r_j(u_j)
-    stage 2   (I - dt * T_i) u+_i = v_i          (per-species transport)
+    stage 1   v_i = u_i + sum_j c[i,j] * r_j(u_j)    c[i,j] = dt * (alpha_i * lam[i,j])
+    stage 2   (I - dt * T_i) u+_i = v_i              (per-species transport)
+
+The stepper scales c once per step size, so stage 1 is one matrix product
+over the whole batch and one addition.  The powers r(s) = s**2 and s**3
+are products s*s and s*s*s, not libm pow (`motorflux.model.eval_power`).
 
 Stage 1 keeps v >= 0 provided dt <= dt_max = min_i 1/(alpha_i*|lam[i,i]|*L_i),
 where L_i bounds the slope of r_i on [0, max(u_i)]: the only negative
@@ -31,22 +35,28 @@ centred on its range) makes S^-1 K S symmetric positive definite: it is
 similar to K, whose eigenvalues are >= 1.  LAPACK pttrf factors it as
 L D L^T, and each solve is x = s * pttrs(b/s), without pivoting.  That takes
 about 0.17 ms per right-hand side at 16,384 cells against 0.45 ms for
-SuperLU (2-vCPU x86-64 host, one BLAS thread).  The scaling costs no stability however wide the span of psi/sigma:
-the error of the symmetric solve maps back through S, which turns the
-entries of S^-1 K S back into those of K, so only neighbour ratios of s
-enter.  Every other K goes to sparse LU (SuperLU): 2-D blocks, the coupled
-block operator of a linear problem, a scale beyond 2^(+-256), and a K that
-pttrf finds not positive definite.
+SuperLU (2-vCPU x86-64 host, one BLAS thread).  The scaling costs no
+stability however wide the span of psi/sigma: the error of the symmetric
+solve maps back through S, which turns the entries of S^-1 K S back into
+those of K, so only neighbour ratios of s enter.  Every other K goes to
+sparse LU (SuperLU): 2-D blocks, the coupled block operator of a linear
+problem, a scale beyond 2^(+-256), and a K that pttrf finds not positive
+definite.
 
 An exact solve inherits the M-matrix guarantees up to round-off; ``lin_tol``
 bounds the normwise backward error of each solve,
 
     ||b - K x||_inf <= lin_tol * (||K||_inf * ||x||_inf + ||b||_inf),
 
-and a solve that misses it raises SolverError.  The max|x| that the bound
-takes also checks finiteness: a NaN propagates through it and an inf shows,
-so a non-finite solution raises SolverError after the step's last solve,
-without a separate pass over the state.
+and a solve that misses it raises SolverError.  The bound is taken lazily:
+the residual is first held against lin_tol * ||K||_inf * ||x||_inf, and
+only when it exceeds that is ||b||_inf taken and the full bound tested.  For
+lin_tol >= 0 rounding is monotone, so the lazy bound is never above the full
+one and the two accept the same solves; error messages report the full
+bound.  A NaN in b reaches the residual, which then fails both.  The max|x|
+that the bound takes also checks finiteness: a NaN propagates through it and
+an inf shows, so a non-finite solution raises SolverError after the step's
+last solve, without a separate pass over the state.
 
 Conservative projection.  Rounding in K (its weighted column sums miss 1 by
 up to 2.6e-9 relative at 65,536 cells) and inside the solve each drift the
@@ -65,6 +75,8 @@ w.b - w.x = w.(b - Kx) + (w^T K - w^T).x, a correct solve has
 
 with ``bound`` the column's own backward-error bound and |w^T K - w^T| the
 rounding defect of K's weighted column sums, taken once per factorization.
+The guard, too, tries ||w||_1 times the lazy bound first and takes the full
+bound and the defect term before it raises.
 A column beyond that, or one whose factor is not positive and finite (w.x = 0
 while w.b != 0), raises SolverError.  Columns with w.b = w.x, such as
 all-zero blocks, are left as they are.
@@ -98,6 +110,7 @@ from .errors import (
 from .model import (
     ProblemSpec,
     State,
+    eval_power,
     initial_state,
     reaction_lipschitz,
     validate,
@@ -324,20 +337,26 @@ class _Factored:
             r -= b_j
             residual = max(float(r.max()), -float(r.min()))
             x_max = max(float(x_j.max()), -float(x_j.min()))
-            bound = self._tol * (self._k_norm * x_max
-                                 + max(float(b_j.max()), -float(b_j.min())))
+            # the lazy bound: max|b_j| is a pass over b_j, taken only when needed
+            bound = self._tol * (self._k_norm * x_max)
             if not residual <= bound:
-                raise SolverError(
-                    f"linear solve missed lin_tol={self._tol:g}: "
-                    f"residual {residual:.3e} > bound {bound:.3e}",
-                    residual=residual,
-                )
+                bound = self._full_bound(x_max, b_j)
+                if not residual <= bound:
+                    raise SolverError(
+                        f"linear solve missed lin_tol={self._tol:g}: "
+                        f"residual {residual:.3e} > bound {bound:.3e}",
+                        residual=residual,
+                    )
             # an inf entry can make the residual and the bound inf, which passes
             if not math.isfinite(x_max):
                 finite = False
                 continue
-            self._project(b_j, x_j, bound, out_j)
+            self._project(b_j, x_j, bound, out_j, x_max)
         return finite
+
+    def _full_bound(self, x_max: float, b_j: np.ndarray) -> float:
+        """tol * (||K||_inf * max|x_j| + max|b_j|), the column's backward-error bound."""
+        return self._tol * (self._k_norm * x_max + max(float(b_j.max()), -float(b_j.min())))
 
     def _weighted_sum(self, v: np.ndarray) -> float:
         """w.v as weighted segment sums of v.
@@ -349,8 +368,13 @@ class _Factored:
                    for start, stop, weight in self._segments)
 
     def _project(self, b_j: np.ndarray, x_j: np.ndarray, bound: float,
-                 out_j: np.ndarray) -> None:
-        """Write x_j * (w.b_j)/(w.x_j) to out_j, after the guard of the module docstring."""
+                 out_j: np.ndarray, x_max: float | None = None) -> None:
+        """Write x_j * (w.b_j)/(w.x_j) to out_j, after the guard of the module docstring.
+
+        ``bound`` is the column's backward-error bound.  Given ``x_max`` =
+        max|x_j|, it may be the lazy bound, and the guard takes the full bound
+        before it raises.
+        """
         wb = self._weighted_sum(b_j)
         wx = self._weighted_sum(x_j)
         if wb == wx:  # nothing to correct; all-zero blocks would give 0/0
@@ -358,9 +382,12 @@ class _Factored:
             return
         gap = abs(wb - wx)
         limit = self._w_norm * bound
-        # the defect term costs a pass over x_j, so it is summed only when needed
+        # the full bound and the defect term each cost a pass, so they are
+        # taken only when needed
         if not gap <= limit:
-            limit += float(np.dot(self._defect, np.abs(x_j)))
+            if x_max is not None:
+                bound = self._full_bound(x_max, b_j)
+            limit = self._w_norm * bound + float(np.dot(self._defect, np.abs(x_j)))
             if not gap <= limit:
                 raise SolverError(
                     f"conservative projection: weighted mass of the solve is off "
@@ -399,6 +426,9 @@ class _Stepper:
             raise ValueError(f"dt must be positive, got {dt}")
         self._dt = dt
         self._reactions = reactions
+        # the reaction stage's coupling, dt*alpha_i*lam[i,j], scaled once per step size
+        self._coeff = (None if reactions is None
+                       else dt * (reactions.alphas[:, None] * reactions.coupling.lam))
         self._factors = [_Factored(m, w, dt, lin_tol) for m, w in zip(matrices, weights)]
         self._arrays = None
 
@@ -422,7 +452,7 @@ class _Stepper:
                     f"dt={self._dt:g} exceeds the positivity bound dt_max={dt_max:g}",
                     dt_max=dt_max,
                 )
-            u = _reaction_stage(u, self._reactions, self._dt, arrays[2], arrays[3])
+            u = _reaction_stage(u, self._reactions, self._coeff, arrays[2], arrays[3])
         # States are built only for snapshots, so their finiteness check does
         # not see every step
         finite = [f.solve(block, out_i) for f, block, out_i in zip(self._factors, u, out)]
@@ -502,23 +532,22 @@ def _dt_max(spec: ProblemSpec, peaks: np.ndarray) -> float:
     return bound
 
 
-def _reaction_stage(u: np.ndarray, spec: ProblemSpec, dt: float,
+def _reaction_stage(u: np.ndarray, spec: ProblemSpec, coeff: np.ndarray,
                     rates: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Explicit reaction stage of a (species, trajectories, cells) batch.
 
-    Computes u + dt*(alphas*(lam @ r(u))) in that operation order into
+    Computes u + coeff @ r(u), with coeff = dt*(alphas[:, None]*lam), into
     ``out``, with ``rates`` as working storage; both are C-contiguous and
     shaped like u.  The clip makes every argument of r nonnegative.
     """
     np.maximum(u, 0.0, out=rates)  # round-off negatives within _NEG_SLACK
     for i, sp in enumerate(spec.species):
         if sp.reaction.kind != "linear":
-            np.power(rates[i], sp.reaction.exponent, out=rates[i])
+            # out[i] is free until the matmul writes it
+            eval_power(rates[i], sp.reaction.exponent, rates[i], out[i])
     # one matmul over the whole batch; each column equals its own trajectory's
-    np.matmul(spec.coupling.lam, rates.reshape(spec.n_species, -1),
+    np.matmul(coeff, rates.reshape(spec.n_species, -1),
               out=out.reshape(spec.n_species, -1))
-    out *= spec.alphas[:, None, None]
-    out *= dt
     out += u
     low = float(out.min())  # one check over every trajectory of the batch
     if low < -_NEG_SLACK:

@@ -42,6 +42,7 @@ __all__ = [
     "validate",
     "eval_potential",
     "eval_reaction",
+    "eval_power",
     "reaction_inverse",
     "reaction_lipschitz",
     "initial_state",
@@ -361,8 +362,31 @@ def eval_reaction(r: ReactionSpec, s):
     if r.kind == "linear":
         out = arr.copy()
     else:
-        out = np.power(arr, r.exponent)
+        out = np.empty_like(arr)
+        eval_power(arr, r.exponent, out, out)
     return float(out) if np.isscalar(s) or arr.ndim == 0 else out
+
+
+def eval_power(x: np.ndarray, exponent: float, out: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+    """x**exponent for x >= 0 into ``out``, which may be ``x`` itself.
+
+    The exponents 2 and 3 are taken by multiplication: x*x*x rounds twice,
+    so it stays within 2 ulp of libm's pow and is nondecreasing in x, and it
+    takes about 11 us per 16,384 values where pow takes 65 us (2-vCPU x86-64
+    host).  A fourth power would round three times.  Other exponents use
+    np.power.  ``scratch`` holds x*x for the cube: an array shaped like x
+    that is not x, and may be ``out`` when ``out`` is not x.  The evolver's
+    reaction stage and `eval_reaction` both call this, so they agree bit for bit.
+    """
+    if exponent == 2.0:
+        np.multiply(x, x, out=out)
+    elif exponent == 3.0:
+        np.multiply(x, x, out=scratch)
+        np.multiply(scratch, x, out=out)
+    else:
+        np.power(x, exponent, out=out)
+    return out
 
 
 def reaction_inverse(r: ReactionSpec, y):

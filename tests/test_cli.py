@@ -801,3 +801,80 @@ class TestEdgeCases:
         code = main(["steady", "--config", write_config(tmp_path, asym),
                      "--out", str(tmp_path / "s")])
         assert code == 2
+
+
+IMEX3_CONFIG = """\
+[domain]
+lo = 0.0
+hi = 1.0
+cells = 32
+
+[species.1]
+sigma = 1.0
+alpha = 1.0
+reaction.kind = power
+reaction.params = exponent=2.0
+initial.kind = cosine
+initial.params = amplitude=0.3, offset=1.0
+
+[species.2]
+sigma = 0.8
+alpha = 1.0
+initial.kind = cosine
+initial.params = amplitude=0.2, offset=1.0, phase=0.3
+
+[species.3]
+sigma = 0.6
+alpha = 1.0
+reaction.kind = power
+reaction.params = exponent=3.0
+initial.kind = cosine
+initial.params = amplitude=0.4, offset=1.0, phase=0.6
+
+[coupling]
+row.1 = -1.0, 0.5, 0.25
+row.2 = 0.5, -1.0, 0.75
+row.3 = 0.5, 0.5, -1.0
+
+[time]
+dt = 0.01
+t_end = 0.1
+"""
+
+class TestMessages:
+    @pytest.mark.parametrize("command, code", [
+        ("simulate", 0), ("steady", 4), ("verify-contraction", 0),
+        ("verify-comparison", 0), ("verify-convergence", 4), ("oracle-compare", 0),
+    ])
+    def test_validation_warnings_reach_stderr(self, tmp_path, capsys, command, code):
+        # species 1 only feeds species 2: admissible, not strongly connected
+        text = MOTOR_CONFIG.replace("row.1 = -1.0, 1.0", "row.1 = -1.0, 0.0")
+        text = text.replace("row.2 = 1.0, -1.0", "row.2 = 1.0, 0.0")
+        assert main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.count("warning: coupling graph is not strongly connected") == 1
+
+    def test_no_warning_for_an_irreducible_coupling(self, tmp_path, capsys):
+        assert main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["steady", "oracle-compare"])
+    def test_linear_only_commands_name_the_block_operator(self, tmp_path, capsys, command):
+        code = main([command, "--config", write_config(tmp_path, IMEX3_CONFIG),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "assemble_system requires linear reactions" in err
+        assert "per-species transport operators" in err
+        assert "matrix-free" not in err
+
+    def test_nonlinear_convergence_names_its_requirement(self, tmp_path, capsys):
+        code = main(["verify-convergence", "--config", write_config(tmp_path, IMEX3_CONFIG),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("verify-convergence with nonlinear reactions needs exactly two species, "
+                "got 3") in err
+        assert "reversible mode" not in err

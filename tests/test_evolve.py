@@ -161,17 +161,39 @@ class TestImexStep:
         out = step_imex(u, spec, transports_for(spec), dt)
         assert abs(weighted_mass(out, spec) - m0) <= 1e-13 * max(1.0, m0)
 
-    def test_fused_reaction_stage_equals_reference(self, rng):
+    @staticmethod
+    def _stage_inputs(rng):
+        """A 3-species power-law batch of two trajectories, its dt and its rates r(u)."""
         spec = random_problem(rng, n=3, cells=40, linear=False)
         u = np.stack([smooth_state(spec, rng).fields for _ in range(2)], axis=1)
         u[1, 0, 3] = -1e-14  # a round-off negative, clipped before r
         dt = 0.5 * min(imex_dt_max(State(spec.grid, u[:, j]), spec) for j in range(2))
         rates = np.stack([eval_reaction(sp.reaction, np.maximum(u[i], 0.0))
                           for i, sp in enumerate(spec.species)])
+        return spec, u, dt, rates
+
+    @staticmethod
+    def _stage(spec, u, dt):
+        coeff = motorflux.evolve._Stepper((), (), dt, 1e-12, spec)._coeff
+        return motorflux.evolve._reaction_stage(u, spec, coeff, np.empty_like(u),
+                                                np.empty_like(u))
+
+    def test_fused_reaction_stage_equals_reference(self, rng):
+        spec, u, dt, rates = self._stage_inputs(rng)
+        coeff = dt * (spec.alphas[:, None] * spec.coupling.lam)
+        reference = u + (coeff @ rates.reshape(3, -1)).reshape(u.shape)
+        assert self._stage(spec, u, dt).tobytes() == reference.tobytes()
+
+    def test_fused_reaction_stage_near_unscaled_formula(self, rng):
+        # u + dt*(alphas*(lam @ r(u))) rounds in another order: each entry may
+        # differ by a few ulps of the terms it sums, never more
+        spec, u, dt, rates = self._stage_inputs(rng)
         mixed = (spec.coupling.lam @ rates.reshape(3, -1)).reshape(u.shape)
-        reference = u + dt * (spec.alphas[:, None, None] * mixed)
-        fused = motorflux.evolve._reaction_stage(u, spec, dt, np.empty_like(u), np.empty_like(u))
-        assert fused.tobytes() == reference.tobytes()
+        unscaled = u + dt * (spec.alphas[:, None, None] * mixed)
+        scale = np.abs(u) + dt * spec.alphas[:, None, None] * (
+            np.abs(spec.coupling.lam) @ rates.reshape(3, -1)).reshape(u.shape)
+        fused = self._stage(spec, u, dt)
+        assert np.all(np.abs(fused - unscaled) <= 4.0 * np.finfo(float).eps * scale)
 
     def test_dt_bound_value_and_error(self):
         spec = reversible_problem(cells=16, p=2.0)
@@ -444,6 +466,91 @@ class TestConservativeProjection:
         alone = run(spec, StepConfig(dt=0.1, t_end=0.2), zero)
         assert np.array_equal(alone.final.fields, zero.fields)
         assert traj.final.fields.min() > 0.0
+
+
+class TestLazyBound:
+    """The residual check and the projection guard try tol*||K||*max|x| first;
+    they accept and reject exactly the columns the full bound does."""
+
+    # a large tolerance keeps the band between the two bounds wide
+    TOL = 0.5
+
+    def identity(self, x=None):
+        """K = I on 4 cells (||K|| = 1, no rounding defect), whose solve returns ``x``."""
+        factored = _Factored(sparse.csr_array((4, 4)), np.full(4, 0.25), 0.1, self.TOL)
+        if x is not None:
+            class Fixed:
+                def solve(self, b):
+                    return x.T
+            factored._solver = Fixed()
+        return factored
+
+    def full_bound(self, x, b):
+        return self.TOL * (1.0 * np.abs(x).max() + np.abs(b).max())
+
+    def test_residual_between_lazy_and_full_bound_is_accepted(self):
+        b = np.ones((1, 4))
+        x = b.copy()
+        x[0, 0] += 1.5  # residual 1.5: lazy bound 1.25, full bound 1.75
+        assert self.identity(x).solve(b, np.empty_like(b))
+
+        x[0, 0] = 1.0 + 2.5  # beyond the full bound 2.25
+        with pytest.raises(SolverError, match="lin_tol") as exc_info:
+            self.identity(x).solve(b, np.empty_like(b))
+        assert f"bound {self.full_bound(x, b):.3e}" in str(exc_info.value)
+
+    def test_residual_check_accepts_what_the_full_bound_accepts(self):
+        b = np.ones((1, 4))
+        for d in np.linspace(0.0, 3.0, 301):
+            x = b.copy()
+            x[0, 0] += d
+            accepted = float(np.abs(x - b).max()) <= self.full_bound(x, b)
+            try:
+                self.identity(x).solve(b, np.empty_like(b))
+            except SolverError:
+                assert not accepted, d
+            else:
+                assert accepted, d
+
+    def test_nan_in_b_is_rejected(self):
+        # the NaN reaches the residual, whatever the solve returns
+        b = np.ones((1, 4))
+        b[0, 2] = np.nan
+        for factored in (self.identity(), self.identity(np.ones((1, 4)))):
+            with pytest.raises(SolverError, match="bound nan"):
+                factored.solve(b, np.empty_like(b))
+
+    def test_projection_guard_falls_back_to_the_full_bound(self):
+        factored = self.identity()
+        b, out = np.ones(4), np.empty(4)
+        x = np.full(4, 1.0 + 1.5)  # weighted mass off by 1.5: lazy 1.25, full 1.75
+        x_max = float(x.max())
+        lazy = self.TOL * (1.0 * x_max)
+        factored._project(b, x, lazy, out, x_max)
+        assert np.dot(np.full(4, 0.25), out) == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(SolverError, match="projection"):  # lazy taken as the full bound
+            factored._project(b, x, lazy, out)
+
+        x = np.full(4, 1.0 + 2.5)  # beyond the full bound 2.25
+        x_max = float(x.max())
+        with pytest.raises(SolverError, match="projection") as exc_info:
+            factored._project(b, x, self.TOL * (1.0 * x_max), out, x_max)
+        assert f"bound {self.full_bound(x, b):.3e}" in str(exc_info.value)
+
+    def test_projection_guard_accepts_what_the_full_bound_accepts(self):
+        factored = self.identity()
+        b, out = np.ones(4), np.empty(4)
+        for e in np.linspace(0.0, 3.0, 301):
+            x = np.full(4, 1.0 + e)
+            x_max = float(x.max())
+            gap = abs(factored._weighted_sum(b) - factored._weighted_sum(x))
+            accepted = gap <= factored._w_norm * self.full_bound(x, b)
+            try:
+                factored._project(b, x, self.TOL * (1.0 * x_max), out, x_max)
+            except SolverError:
+                assert not accepted, e
+            else:
+                assert accepted, e
 
 
 def _potential_with_span(rng, span: float, sigma: float) -> PotentialSpec:

@@ -20,7 +20,9 @@ from motorflux import (
     validate,
 )
 from motorflux.errors import OutOfDomainError, UnsupportedConfigurationError
-from motorflux.model import MAX_UNKNOWNS
+import motorflux.evolve
+import motorflux.model
+from motorflux.model import MAX_UNKNOWNS, eval_power
 
 from conftest import ZERO, symmetric_motor
 
@@ -139,6 +141,71 @@ class TestReactions:
         r = ReactionSpec("power", exponent=exponent)
         lo, hi = min(s1, s2), max(s1, s2)
         assert eval_reaction(r, lo) <= eval_reaction(r, hi)
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance in units in the last place between nonnegative doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestEvalPower:
+    """Integer exponents up to 3 are products; the result stays that of libm pow."""
+
+    @staticmethod
+    def samples(rng) -> np.ndarray:
+        tiny = np.finfo(float).tiny
+        edges = [0.0, 5e-324, 1e-310, tiny, 1e-110, 1e-100, 1.0, 2.0, 1e100, 5.6e102]
+        return np.concatenate([
+            edges,
+            rng.random(20000) * 10.0,
+            np.exp(rng.uniform(-230.0, 230.0, 20000)),  # cubes stay finite
+            tiny * rng.random(1000),  # subnormals
+        ])
+
+    @pytest.mark.parametrize("exponent", [1.0, 2.0, 3.0, 1.5, 2.5])
+    def test_within_2_ulp_of_np_power(self, rng, exponent):
+        x = self.samples(rng)
+        out, scratch = np.empty_like(x), np.empty_like(x)
+        got = eval_power(x, exponent, out, scratch)
+        assert got is out
+        with np.errstate(under="ignore"):
+            reference = np.power(x, exponent)
+        assert _ulps(got, reference).max() <= 2
+        assert got[0] == 0.0
+
+    def test_in_place_and_overflow(self, rng):
+        x = np.concatenate([self.samples(rng), [1e103, 1e200, np.inf]])
+        with np.errstate(over="ignore", under="ignore"):
+            reference = np.power(x, 3.0)
+            y = x.copy()
+            eval_power(y, 3.0, y, np.empty_like(y))  # out may be x itself
+        assert _ulps(y, reference).max() <= 2
+        assert np.all(np.isinf(y[-3:]))
+
+    @pytest.mark.parametrize("exponent", [2.0, 3.0])
+    def test_monotone(self, exponent):
+        # consecutive doubles, where a rounding could step backwards
+        x = np.concatenate([1.0 + np.arange(5000) * np.finfo(float).eps,
+                            np.nextafter(0.7, 1.0) + np.arange(5000) * 1e-16,
+                            np.linspace(0.0, 100.0, 5000)])
+        x.sort()
+        out = np.empty_like(x)
+        assert np.all(np.diff(eval_power(x, exponent, out, out)) >= 0.0)
+
+    def test_shared_with_eval_reaction_and_the_stepper(self, rng, monkeypatch):
+        assert motorflux.evolve.eval_power is eval_power
+        calls = []
+
+        def spy(x, exponent, out, scratch):
+            calls.append(exponent)
+            return eval_power(x, exponent, out, scratch)
+
+        monkeypatch.setattr(motorflux.model, "eval_power", spy)
+        x = self.samples(rng)
+        got = eval_reaction(ReactionSpec("power", exponent=3.0), x)
+        assert calls == [3.0]
+        assert got.tobytes() == eval_power(x, 3.0, np.empty_like(x), np.empty_like(x)).tobytes()
+        assert eval_reaction(ReactionSpec("power", exponent=3.0), 1.5) == 1.5 * 1.5 * 1.5
 
 
 class TestValidate:
