@@ -20,7 +20,9 @@ parameters (tabulated profiles) separate numbers with whitespace, e.g.
 ``xs=0 0.5 1, values=1 0.25 1``.
 
 All emitted files are byte-deterministic: floats are written with their
-shortest round-trip decimal representation and JSON keys are sorted.
+shortest round-trip decimal representation, exactly as Python's ``repr``
+writes them, and JSON keys are sorted.  The snapshot CSVs get that text from
+orjson's C float writer, one call per chunk of rows (``_texts``).
 
 Exit codes: 0 pass, 2 config error, 3 invariant failure, 4 solver failure.
 """
@@ -454,18 +456,36 @@ def _profile_params(p: PotentialSpec) -> str:
 _CSV_CHUNK_ROWS = 4096
 
 
+def _texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each float of a C-contiguous 1-D float64 array, formatted in C.
+
+    orjson writes the same shortest round-trip digits as ``repr``, and the
+    same positional notation for 0.0, -0.0 and 1e-4 <= |x| < 1e16.  It writes
+    other magnitudes in another exponent style and non-finite values as
+    ``null``, so those keep ``repr``.
+    """
+    import orjson
+
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode("ascii")
+    texts = text[1:-1].split(",")
+    mag = np.abs(values)
+    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0)).tolist():
+        texts[i] = repr(float(values[i]))
+    return texts
+
+
 def _row_templates(grid: Grid, n_species: int) -> list[str]:
     """The rows of each CSV chunk with the cell centres written in.
 
-    Every row holds its coordinates and one ``%r`` slot per species, so a
-    chunk of a state is ``template % values``.  A float repr never contains
-    ``%``.  The states of one run share the templates: a few large strings,
-    not one string per row, which would fragment the small-object heap.
+    Every row holds its coordinates and one ``%s`` slot per species, so a
+    chunk of a state is ``template % tuple(_texts(values))``.  A float's text
+    never contains ``%``.  The states of one run share the templates: a few
+    large strings, not one string per row, which would fragment the
+    small-object heap.
     """
     pts = grid.centers().reshape(grid.size, grid.dim)
-    # %r of a Python float is its repr: the shortest round-trip decimal
-    row = "%r," * grid.dim + ",".join(["%%r"] * n_species) + "\n"
-    return [(row * len(chunk)) % tuple(chunk.ravel().tolist())
+    row = "%s," * grid.dim + ",".join(["%%s"] * n_species) + "\n"
+    return [(row * len(chunk)) % tuple(_texts(chunk.ravel()))
             for chunk in (pts[k:k + _CSV_CHUNK_ROWS]
                           for k in range(0, grid.size, _CSV_CHUNK_ROWS))]
 
@@ -480,8 +500,8 @@ def _write_state_csv(path, state: State, templates: list[str] | None = None) -> 
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(coords + names) + "\n")
         for k, template in zip(range(0, state.grid.size, _CSV_CHUNK_ROWS), templates):
-            values = state.fields[:, k:k + _CSV_CHUNK_ROWS].T.ravel().tolist()
-            fh.write(template % tuple(values))
+            values = state.fields[:, k:k + _CSV_CHUNK_ROWS].T.ravel()
+            fh.write(template % tuple(_texts(values)))
 
 
 def _json_line(obj: dict) -> str:
@@ -587,7 +607,10 @@ def _second_state(cfg: RunConfig, mode: str) -> State:
         rep = validate(probe)
         if not rep.ok:
             raise ConfigError("invalid initial2 data: " + "; ".join(rep.violations))
-        return initial_state(probe)
+        second = initial_state(probe)
+        if mode == "comparison":
+            _require_ordered(base, second)
+        return second
     rng = np.random.default_rng(cfg.seed)
     pts = spec.grid.centers()
     coord = pts if spec.grid.dim == 1 else pts[:, 0]
@@ -604,6 +627,20 @@ def _second_state(cfg: RunConfig, mode: str) -> State:
         else:
             rows.append(base.fields[i] * np.exp(0.4 * bump / 3.0))
     return State(spec.grid, np.stack(rows), t=0.0, gauge="physical")
+
+
+def _require_ordered(low: State, high: State) -> None:
+    """The comparison check starts from an ordered pair; name the first
+    species and cell where ``initial`` exceeds ``initial2``."""
+    above = low.fields > high.fields
+    if above.any():
+        i, c = np.unravel_index(np.argmax(above), above.shape)
+        centre = low.grid.centers().reshape(low.grid.size, low.grid.dim)[c].tolist()
+        raise ConfigError(
+            f"verify-comparison needs initial2 >= initial in every cell; species {i + 1} "
+            f"breaks the order at cell {c} (centre {', '.join(map(repr, centre))}): "
+            f"initial {low.fields[i, c].item()!r} > initial2 {high.fields[i, c].item()!r}"
+        )
 
 
 def cmd_verify(cfg: RunConfig, check: str) -> int:

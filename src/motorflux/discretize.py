@@ -124,31 +124,43 @@ def assemble_transport(grid: Grid, sigma: float, psi: PotentialSpec,
 
     rows, cols, vals = [], [], []
     colsum = np.zeros(grid.size)
-    for ax in range(grid.dim):
-        h = grid.h[ax]
-        w = sigma / (h * h)
-        take_lo = tuple(slice(None, -1) if a == ax else slice(None) for a in range(grid.dim))
-        take_hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(grid.dim))
-        s = (pot[take_hi] - pot[take_lo]).ravel() / sigma
-        left = idx[take_lo].ravel()
-        right = idx[take_hi].ravel()
-        c_left = w * bernoulli(s)     # weight of u_left in the face flux
-        c_right = w * bernoulli(-s)   # weight of u_right
-        rows.append(left)
-        cols.append(right)
-        vals.append(c_right)
-        rows.append(right)
-        cols.append(left)
-        vals.append(c_left)
-        np.add.at(colsum, left, c_left)
-        np.add.at(colsum, right, c_right)
+    # a potential jump too steep for double precision gives an inf or nan
+    # weight, which the check below reports instead of a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ax in range(grid.dim):
+            h = grid.h[ax]
+            w = sigma / (h * h)
+            take_lo = tuple(slice(None, -1) if a == ax else slice(None) for a in range(grid.dim))
+            take_hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(grid.dim))
+            s = (pot[take_hi] - pot[take_lo]).ravel() / sigma
+            left = idx[take_lo].ravel()
+            right = idx[take_hi].ravel()
+            c_left = w * bernoulli(s)     # weight of u_left in the face flux
+            c_right = w * bernoulli(-s)   # weight of u_right
+            rows.append(left)
+            cols.append(right)
+            vals.append(c_right)
+            rows.append(right)
+            cols.append(left)
+            vals.append(c_left)
+            np.add.at(colsum, left, c_left)
+            np.add.at(colsum, right, c_right)
 
     diag = np.arange(grid.size)
     rows.append(diag)
     cols.append(diag)
     vals.append(-colsum)
+    data = np.concatenate(vals)
+    finite = np.isfinite(data)
+    if not finite.all():
+        cell = int(np.concatenate(cols)[np.argmin(finite)])
+        raise ScalingError(
+            f"species {species + 1}: the Scharfetter-Gummel weight of cell {cell} is not "
+            "finite; the potential jump between neighbouring cells divided by sigma "
+            "is too large for double precision"
+        )
     matrix = sparse.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (data, (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.size, grid.size),
     ).tocsr()
     return TransportOperator(species=species, matrix=matrix, grid=grid)

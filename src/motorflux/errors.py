@@ -26,7 +26,8 @@ class UnsupportedConfigurationError(MotorfluxError):
 
 
 class ScalingError(MotorfluxError):
-    """Gauge factor exp(psi/sigma) would overflow double precision."""
+    """A gauge factor exp(psi/sigma) or a Scharfetter-Gummel weight would
+    overflow double precision."""
 
 
 class StepSizeError(MotorfluxError):
@@ -60,7 +61,8 @@ class DegenerateDataError(MotorfluxError):
 
 
 class OracleScopeError(MotorfluxError):
-    """Problem exceeds the size cap of the dense reference computation."""
+    """Problem exceeds the size cap of the dense reference computation, or
+    its exp(t*A) u0 overflows double precision."""
 
 
 class InvariantViolationError(MotorfluxError):

@@ -228,6 +228,11 @@ def oracle_expm(A: SystemOperator, t: float, u0: State) -> State:
         raise ValueError("oracle_expm needs t >= 0")
     dense = A.matrix.toarray()
     propagated = expm(t * dense) @ u0.fields.ravel()
+    if not np.isfinite(propagated).all():
+        raise OracleScopeError(
+            f"exp(t*A) u0 is not finite at t={t!r}: the dense oracle overflows "
+            "double precision for this operator"
+        )
     return u0.with_fields(propagated.reshape(u0.fields.shape), t=u0.t + t)
 
 

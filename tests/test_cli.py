@@ -372,6 +372,23 @@ _REPLACED_KEYS = {
     "t_end": ("t_end = 0.1", "t_end = {}"),
     "terms": ("potential.kind = zero",
               "potential.kind = sawtooth_smoothed\npotential.params = terms={}"),
+    "amplitude": ("potential.kind = zero",
+                  "potential.kind = cosine\npotential.params = amplitude={}"),
+}
+
+_SMALL_VALUES = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-320, 1e400]),
+    st.integers(min_value=-5, max_value=30).map(lambda k: k * 0.1),
+    st.integers(min_value=1, max_value=30).map(lambda k: k * 0.1 + 0.03),
+)
+#: fuzz draws per key (None: every other key).  Finite draws stay within 10
+#: unless the key is an amplitude: cells and terms have no upper cap, so a
+#: huge value allocates or loops for as long as it asks
+_FUZZ_VALUES = {
+    None: _SMALL_VALUES,
+    "amplitude": st.one_of(_SMALL_VALUES, st.sampled_from([1e100, 1e200, 1e308, -1e308]),
+                           st.floats(min_value=-1e308, max_value=1e308)),
 }
 
 
@@ -407,17 +424,11 @@ class TestSectionValues:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        key=st.sampled_from(sorted(_KEY_COMMANDS) + sorted(_REPLACED_KEYS)),
-        value=st.one_of(
-            st.floats(min_value=-10.0, max_value=10.0),
-            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-320, 1e400]),
-            st.integers(min_value=-5, max_value=30).map(lambda k: k * 0.1),
-            st.integers(min_value=1, max_value=30).map(lambda k: k * 0.1 + 0.03),
-        ),
+        key_value=st.sampled_from(sorted(_KEY_COMMANDS) + sorted(_REPLACED_KEYS)).flatmap(
+            lambda key: st.tuples(st.just(key), _FUZZ_VALUES.get(key, _FUZZ_VALUES[None]))),
     )
-    def test_fuzz_exit_codes(self, key, value):
-        # finite draws stay within 10: cells and terms have no upper cap, so a
-        # huge value allocates or loops for as long as it asks
+    def test_fuzz_exit_codes(self, key_value):
+        key, value = key_value
         if key in _KEY_COMMANDS:
             section, command = _KEY_COMMANDS[key]
             text = MOTOR_8 + f"\n[{section}]\n{key} = {value!r}\n"
@@ -495,12 +506,43 @@ def _per_cell_csv(state) -> str:
     return "\n".join(lines) + "\n"
 
 
+class TestTexts:
+    """``_texts`` must give ``repr`` of every float, so that a change in orjson's
+    float writer fails here instead of changing the snapshot files."""
+
+    @staticmethod
+    def check(values):
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        assert motorflux.cli._texts(values) == [repr(v) for v in values.tolist()]
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(11)
+        self.check(rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64))
+
+    def test_random_magnitudes_of_both_signs(self):
+        rng = np.random.default_rng(12)
+        self.check(rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-6, 18, 100_000))
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = 10.0 ** np.arange(-4, 16)
+        powers = np.concatenate([powers, -powers])
+        self.check(np.concatenate([powers, np.nextafter(powers, 0.0),
+                                   np.nextafter(powers, 2.0 * powers)]))
+
+    def test_edge_values(self):
+        self.check([np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e16, 0.0), 1e16,
+                    0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+                    np.inf, -np.inf, np.nan, 2.0**53, 2.0**53 + 2, -(2.0**53 + 2),
+                    2.0**63, 123456789012345.6, 0.1, 1.0 / 3.0])
+
+
 class TestStateCsv:
     @pytest.mark.parametrize("grid", [
         Grid.interval(-0.3, 1.7, 20_000),                 # not a multiple of 4,096 rows
         Grid.box((0.0, -1.0), (0.1, 2.0), (130, 70)),
         Grid.interval(0.0, 1.0, 1000),                    # below one chunk
         Grid.box((0.0, 0.0), (1.0, 3.0), (20, 30)),
+        Grid.box((0.0, 1e15), (2e-3, 3e16), (40, 50)),    # coordinates repr writes in e-notation
     ])
     def test_bytes_match_per_cell_writer(self, tmp_path, grid):
         rng = np.random.default_rng(7)
@@ -509,6 +551,8 @@ class TestStateCsv:
             for k in range(3):
                 fields = rng.uniform(0.0, 2.0, (n, grid.size)) ** 7
                 fields[0, :5] = [0.0, -0.0, 1.0, 1e-300, 1e300]
+                fields[0, 5:12] = [9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16,
+                                   2.0**53 + 2, 1e-5, np.finfo(float).max]
                 fields[-1, -3:] = [5e-324, 0.1, 123456789.0]
                 state = State(grid, fields, t=0.1 * k)
                 expected = _per_cell_csv(state).encode("ascii")
@@ -779,6 +823,43 @@ class TestEdgeCases:
         code = main(["oracle-compare", "--config", write_config(tmp_path, big),
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_unordered_initial2_comparison_exits_2(self, tmp_path, capsys):
+        text = MOTOR_8.replace(
+            "initial.params = amplitude=0.4, offset=1.0, period=1.0",
+            "initial.params = amplitude=0.4, offset=1.0, period=1.0\n"
+            "initial2.kind = cosine\ninitial2.params = amplitude=0.4, offset=0.5, period=1.0",
+        ).replace(
+            "initial.params = amplitude=0.3, offset=1.0, period=0.5",
+            "initial.params = amplitude=0.3, offset=1.0, period=0.5\n"
+            "initial2.kind = cosine\ninitial2.params = amplitude=0.3, offset=1.0, period=0.5",
+        )
+        code = main(["verify-comparison", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "initial2 >= initial" in err and "species 1 breaks the order at cell 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_overflowing_flux_weights_exit_2(self, tmp_path, capsys, command):
+        text = MOTOR_8.replace("potential.kind = zero",
+                               "potential.kind = cosine\npotential.params = amplitude=1e308", 1)
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "species 1: the Scharfetter-Gummel weight of cell" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_oracle_exits_2(self, tmp_path, capsys):
+        text = MOTOR_8.replace("potential.kind = zero",
+                               "potential.kind = cosine\npotential.params = amplitude=1e100", 1)
+        code = main(["oracle-compare", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "exp(t*A) u0 is not finite" in err and "Traceback" not in err
 
     def test_tol_flag_overrides_solver_tolerances(self, tmp_path):
         cfg = write_config(tmp_path, MOTOR_CONFIG)
