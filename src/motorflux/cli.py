@@ -1,23 +1,9 @@
 """Command-line front end: config ingestion, experiment orchestration, output.
 
-Config files are INI-style with strict keys (any unknown key or section is a
-hard error).  Layout:
-
-    [domain]            lo, hi, cells        (comma-separated per axis)
-    [species.1] ...     sigma, alpha, potential.kind, potential.params,
-                        reaction.kind, reaction.params, initial.kind,
-                        initial.params, and optionally initial2.kind/params
-                        (second datum for the pair checks)
-    [coupling]          row.1 .. row.n
-    [time]              dt, t_end, stride, lin_tol
-    [output]            dir
-    [steady]            mode, normalization, tol          (optional; tol is
-                        the residual bound ||A v|| <= tol*||A||)
-    [verify]            threshold, oracle_t               (optional)
-
-``*.params`` values are comma-separated name=value entries; list-valued
-parameters (tabulated profiles) separate numbers with whitespace, e.g.
-``xs=0 0.5 1, values=1 0.25 1``.
+Config files are INI-style with strict keys: any unknown key or section is a
+hard error.  ``_KEYS`` lists every key with its section, type, default and
+echo format.  `parse_config` and `format_effective_config` both walk it, so
+the effective config that every command prints parses back to the same run.
 
 All emitted files are byte-deterministic: floats are written with their
 shortest round-trip decimal representation, exactly as Python's ``repr``
@@ -35,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,7 +52,13 @@ from .model import (
     initial_state,
     validate,
 )
-from .steady import StationaryRay, project_onto_ray, reversible_pair, solve_null_vector
+from .steady import (
+    StationaryRay,
+    StationaryState,
+    project_onto_ray,
+    reversible_pair,
+    solve_null_vector,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,28 +68,6 @@ EXIT_SOLVER = 4
 #: mass column of the simulate manifest must be constant to this relative drift
 MASS_DRIFT_TOL = 1e-11
 
-_DOMAIN_KEYS = {"lo", "hi", "cells"}
-_SPECIES_KEYS = {
-    "sigma", "alpha",
-    "potential.kind", "potential.params",
-    "reaction.kind", "reaction.params",
-    "initial.kind", "initial.params",
-    "initial2.kind", "initial2.params",
-}
-_TIME_KEYS = {"dt", "t_end", "stride", "lin_tol"}
-_OUTPUT_KEYS = {"dir"}
-_STEADY_KEYS = {"mode", "normalization", "tol"}
-_VERIFY_KEYS = {"threshold", "oracle_t"}
-
-_POTENTIAL_PARAMS = {
-    "zero": set(),
-    "linear": {"slope", "offset", "axis"},
-    "cosine": {"amplitude", "period", "phase", "offset", "axis"},
-    "sawtooth_smoothed": {"amplitude", "period", "phase", "offset", "terms", "axis"},
-    "tabulated": {"xs", "values", "axis"},
-}
-_REACTION_PARAMS = {"linear": set(), "power": {"exponent"}}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -105,105 +76,31 @@ class RunConfig:
     problem: ProblemSpec
     step: StepConfig
     out_dir: str
-    steady_mode: str = "null_vector"
-    steady_normalization: str = "total"
-    steady_tol: float = 1e-13
-    verify_threshold: float = 1e-6
-    oracle_t: float = 1.0
-    initial2: tuple[PotentialSpec, ...] | None = None
+    steady_normalization: str
+    steady_tol: float
+    verify_threshold: float
+    oracle_t: float
+    initial2: tuple[PotentialSpec, ...] | None
     seed: int = 0
     #: `validate` warnings on the problem; every command prints them to stderr
     warnings: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
-# parsing
-
-
-def _parse_floats(text: str, what: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as err:
-        raise ConfigError(f"cannot parse {what}: {text!r}") from err
-
-
-def _parse_params(text: str, what: str) -> dict[str, list[float]]:
-    params: dict[str, list[float]] = {}
-    for entry in text.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        if "=" not in entry:
-            raise ConfigError(f"{what}: expected name=value, got {entry!r}")
-        name, _, value = entry.partition("=")
-        name = name.strip()
-        if name in params:
-            raise ConfigError(f"{what}: duplicate parameter {name!r}")
-        params[name] = _parse_floats(value, f"{what}.{name}")
-    return params
-
-
-def _build_profile(kind: str, params: dict[str, list[float]], what: str) -> PotentialSpec:
-    if kind not in _POTENTIAL_PARAMS:
-        raise ConfigError(
-            f"{what}: unknown kind {kind!r}; expected one of "
-            f"{sorted(_POTENTIAL_PARAMS)}"
-        )
-    allowed = _POTENTIAL_PARAMS[kind]
-    for name in params:
-        if name not in allowed:
-            raise ConfigError(f"{what}: unknown parameter {name!r} for kind {kind!r}")
-    kwargs = {}
-    for name, vals in params.items():
-        if name == "xs":
-            kwargs["table_x"] = tuple(vals)
-        elif name == "values":
-            kwargs["table_v"] = tuple(vals)
-        else:
-            if len(vals) != 1:
-                raise ConfigError(f"{what}: parameter {name!r} expects one value")
-            if name == "terms":
-                kwargs[name] = _exact_int(vals[0], f"{what} terms", 1)
-            elif name == "axis":  # 0 or 1: the axis of a 2-D grid
-                kwargs[name] = _exact_int(vals[0], f"{what} axis", 0, 1)
-            else:
-                kwargs[name] = vals[0]
-    try:
-        return PotentialSpec(kind, **kwargs)
-    except UnsupportedConfigurationError as err:
-        raise ConfigError(f"{what}: {err}") from err
-
-
-def _build_reaction(kind: str, params: dict[str, list[float]], what: str) -> ReactionSpec:
-    if kind not in _REACTION_PARAMS:
-        raise ConfigError(
-            f"{what}: unknown kind {kind!r}; expected one of {sorted(_REACTION_PARAMS)}"
-        )
-    for name in params:
-        if name not in _REACTION_PARAMS[kind]:
-            raise ConfigError(f"{what}: unknown parameter {name!r} for kind {kind!r}")
-    exponent = params.get("exponent", [1.0])[0]
-    return ReactionSpec(kind, exponent=exponent)
-
-
-def _known_section_keys(parser: configparser.ConfigParser, section: str,
-                        allowed: set[str]) -> None:
-    for key in parser.options(section):
-        if key not in allowed:
-            raise ConfigError(f"[{section}]: unknown key {key!r}")
-
-
-def _get(parser, section, key, default=None):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    if default is None:
-        raise ConfigError(f"[{section}]: missing required key {key!r}")
-    return default
+# value types: how a value is read from its config text and written back
 
 
 def _as_float(text: str, what: str) -> float:
     try:
         return float(text)
+    except ValueError as err:
+        raise ConfigError(f"cannot parse {what}: {text!r}") from err
+
+
+def _as_floats(text: str, what: str) -> tuple[float, ...]:
+    """Numbers separated by commas or whitespace."""
+    try:
+        return tuple(float(tok) for tok in text.replace(",", " ").split())
     except ValueError as err:
         raise ConfigError(f"cannot parse {what}: {text!r}") from err
 
@@ -240,8 +137,187 @@ def _exact_int(value: float, what: str, low: int, high: float = float("inf")) ->
     return int(value)
 
 
-def _as_count(text: str, what: str) -> int:
-    return _exact_int(_as_float(text, what), what, 1)
+class _Type(NamedTuple):
+    """``read(text, what)`` parses a value, raising a ConfigError that names
+    ``what``; ``write(value)`` gives the text that reads back to it."""
+
+    read: Callable[[str, str], object]
+    write: Callable[[object], str] = repr
+
+
+def _int(low: int, high: float = float("inf")) -> _Type:
+    return _Type(lambda text, what: _exact_int(_as_float(text, what), what, low, high), str)
+
+
+def _enum(*choices: str) -> _Type:
+    def read(text: str, what: str) -> str:
+        if text not in choices:
+            raise ConfigError(f"{what} must be {' or '.join(choices)}, got {text!r}")
+        return text
+    return _Type(read, str)
+
+
+def _floats(sep: str) -> _Type:
+    return _Type(_as_floats, lambda values: sep.join(repr(float(v)) for v in values))
+
+
+_FLOAT = _Type(_as_float)
+_FLOATS = _floats(", ")
+
+
+class _Kinds(NamedTuple):
+    """A ``kind`` key and its ``params`` key, read as ``cls(kind, **params)``.
+
+    ``kinds`` maps each kind to its parameter names in echo order; ``params``
+    are comma-separated name=value entries, and list values separate their
+    numbers with whitespace (``xs=0 0.5 1, values=1 0.25 1``).
+    """
+
+    cls: type
+    kinds: dict[str, tuple[str, ...]]
+
+    def read(self, kind: str, text: str, what: str):
+        if kind not in self.kinds:
+            raise ConfigError(
+                f"{what}: unknown kind {kind!r}; expected one of {sorted(self.kinds)}"
+            )
+        args = {}
+        for entry in filter(None, (e.strip() for e in text.split(","))):
+            name, eq, value = (s.strip() for s in entry.partition("="))
+            if not eq:
+                raise ConfigError(f"{what}.params: expected name=value, got {entry!r}")
+            if name not in self.kinds[kind]:
+                raise ConfigError(f"{what}: unknown parameter {name!r} for kind {kind!r}")
+            field, type_ = _PARAMS[name]
+            if field in args:
+                raise ConfigError(f"{what}.params: duplicate parameter {name!r}")
+            args[field] = type_.read(value, f"{what}.params.{name}")
+        try:
+            return self.cls(kind, **args)
+        except UnsupportedConfigurationError as err:
+            raise ConfigError(f"{what}: {err}") from err
+
+    def write(self, spec) -> tuple[str, str]:
+        """The texts of the kind key and of the params key."""
+        return spec.kind, ", ".join(
+            f"{name}={_PARAMS[name][1].write(getattr(spec, _PARAMS[name][0]))}"
+            for name in self.kinds[spec.kind])
+
+
+#: every kind parameter: its field of PotentialSpec or ReactionSpec, and its type
+_PARAMS = {
+    "slope": ("slope", _FLOAT),
+    "amplitude": ("amplitude", _FLOAT),
+    "period": ("period", _FLOAT),
+    "phase": ("phase", _FLOAT),
+    "offset": ("offset", _FLOAT),
+    "axis": ("axis", _int(0, 1)),  # the coordinate of a 2-D grid that a profile follows
+    "terms": ("terms", _int(1)),
+    "xs": ("table_x", _floats(" ")),
+    "values": ("table_v", _floats(" ")),
+    "exponent": ("exponent", _FLOAT),
+}
+
+_POTENTIAL_PARAMS = _Kinds(PotentialSpec, {
+    "zero": (),
+    "linear": ("slope", "offset", "axis"),
+    "cosine": ("amplitude", "period", "phase", "offset", "axis"),
+    "sawtooth_smoothed": ("amplitude", "period", "phase", "offset", "axis", "terms"),
+    "tabulated": ("xs", "values", "axis"),
+})
+_REACTION_PARAMS = _Kinds(ReactionSpec, {"linear": (), "power": ("exponent",)})
+
+
+# ---------------------------------------------------------------------------
+# the config table
+
+#: default of a key that must be given
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """One config key.
+
+    ``{i}`` in ``section`` or ``name`` stands for the species number: such a
+    section, or key, repeats once per species.  ``default`` is the text read
+    when the key is absent, ``_REQUIRED``, or None for a key that may be
+    absent and then reads as None.  ``get(cfg, i)`` is the key's value in a
+    RunConfig (``i`` counts species from 0).  A `_Kinds` key stands for the
+    two keys ``name.kind`` and ``name.params``.
+    """
+
+    section: str
+    name: str
+    type: _Type | _Kinds
+    default: object
+    get: Callable[[RunConfig, int], object]
+
+
+#: every config key, in echo order
+_KEYS = (
+    _Key("domain", "lo", _FLOATS, _REQUIRED, lambda c, i: c.problem.grid.lo),
+    _Key("domain", "hi", _FLOATS, _REQUIRED, lambda c, i: c.problem.grid.hi),
+    _Key("domain", "cells", _Type(
+        lambda text, what: tuple(_exact_int(v, what, 1) for v in _as_floats(text, what)),
+        lambda cells: ", ".join(map(str, cells))), _REQUIRED, lambda c, i: c.problem.grid.cells),
+    _Key("species.{i}", "sigma", _FLOAT, _REQUIRED, lambda c, i: c.problem.species[i].sigma),
+    _Key("species.{i}", "alpha", _FLOAT, _REQUIRED, lambda c, i: c.problem.species[i].alpha),
+    _Key("species.{i}", "potential", _POTENTIAL_PARAMS, "zero",
+         lambda c, i: c.problem.species[i].potential),
+    _Key("species.{i}", "reaction", _REACTION_PARAMS, "linear",
+         lambda c, i: c.problem.species[i].reaction),
+    _Key("species.{i}", "initial", _POTENTIAL_PARAMS, "zero", lambda c, i: c.problem.initial[i]),
+    # the second datum of the pair checks, given for every species or for none
+    _Key("species.{i}", "initial2", _POTENTIAL_PARAMS, None,
+         lambda c, i: None if c.initial2 is None else c.initial2[i]),
+    _Key("coupling", "row.{i}", _FLOATS, _REQUIRED, lambda c, i: c.problem.coupling.lam[i]),
+    _Key("time", "dt", _FLOAT, _REQUIRED, lambda c, i: c.step.dt),
+    _Key("time", "t_end", _FLOAT, _REQUIRED, lambda c, i: c.step.t_end),
+    _Key("time", "stride", _int(1), "1", lambda c, i: c.step.stride),
+    _Key("time", "lin_tol", _FLOAT, "1e-12", lambda c, i: c.step.lin_tol),
+    _Key("output", "dir", _Type(lambda text, what: text, str), "out", lambda c, i: c.out_dir),
+    _Key("steady", "normalization", _enum("total", "alpha_weighted"), "total",
+         lambda c, i: c.steady_normalization),
+    # the residual bound ||A v|| <= tol*||A|| of the stationary solve
+    _Key("steady", "tol", _Type(_as_nonnegative), "1e-13", lambda c, i: c.steady_tol),
+    _Key("verify", "threshold", _Type(_as_nonnegative), "1e-6", lambda c, i: c.verify_threshold),
+    _Key("verify", "oracle_t", _Type(_as_oracle_time), "1.0", lambda c, i: c.oracle_t),
+)
+
+
+def _layout(n: int) -> dict[str, list[tuple[str, _Key, int]]]:
+    """The sections of an n-species config in echo order, each with its keys
+    as (name, table row, species index)."""
+    layout: dict[str, list[tuple[str, _Key, int]]] = {}
+    for key in _KEYS:
+        for i in range(n) if "{i}" in key.section + key.name else (0,):
+            layout.setdefault(key.section.format(i=i + 1), []).append(
+                (key.name.format(i=i + 1), key, i))
+    return layout
+
+
+def _ini_keys(name: str, key: _Key) -> tuple[str, ...]:
+    return (f"{name}.kind", f"{name}.params") if isinstance(key.type, _Kinds) else (name,)
+
+
+def _text(parser: configparser.ConfigParser, section: str, name: str, default):
+    if parser.has_option(section, name):
+        return parser.get(section, name)
+    if default is _REQUIRED:
+        raise ConfigError(f"[{section}]: missing required key {name!r}")
+    return default
+
+
+def _read(parser: configparser.ConfigParser, section: str, name: str, key: _Key):
+    what = f"[{section}] {name}"
+    if not isinstance(key.type, _Kinds):
+        return key.type.read(_text(parser, section, name, key.default), what)
+    # params without their kind are an error, not read against the default kind
+    given = parser.has_option(section, f"{name}.params")
+    kind = _text(parser, section, f"{name}.kind", _REQUIRED if given else key.default)
+    if kind is None:
+        return None
+    return key.type.read(kind, _text(parser, section, f"{name}.params", ""), what)
 
 
 def parse_config(path) -> RunConfig:
@@ -263,189 +339,78 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config file {str(path)!r} is not valid UTF-8 "
                           f"(byte {err.start}: {err.reason})") from err
 
-    sections = set(parser.sections())
-    species_sections = sorted(s for s in sections if s.startswith("species."))
-    known = {"domain", "coupling", "time", "output", "steady", "verify"}
-    for s in sections:
-        if s not in known and s not in species_sections:
-            raise ConfigError(f"unknown section [{s}]")
-    for required in ("domain", "coupling", "time"):
-        if required not in sections:
-            raise ConfigError(f"missing required section [{required}]")
-    if not species_sections:
-        raise ConfigError("no [species.N] sections found")
-
-    # domain
-    _known_section_keys(parser, "domain", _DOMAIN_KEYS)
-    lo = _parse_floats(_get(parser, "domain", "lo"), "[domain] lo")
-    hi = _parse_floats(_get(parser, "domain", "hi"), "[domain] hi")
-    cells = [_exact_int(v, "[domain] cells", 1)
-             for v in _parse_floats(_get(parser, "domain", "cells"), "[domain] cells")]
-    try:
-        grid = Grid(tuple(lo), tuple(hi), tuple(cells))
-    except ValueError as err:
-        raise ConfigError(f"[domain]: {err}") from err
-
-    # species
+    species_sections = sorted(s for s in parser.sections() if s.startswith("species."))
     n = len(species_sections)
-    expected = {f"species.{i}" for i in range(1, n + 1)}
-    if set(species_sections) != expected:
+    if not n:
+        raise ConfigError("no [species.N] sections found")
+    if set(species_sections) != {f"species.{i}" for i in range(1, n + 1)}:
         raise ConfigError(
             f"species sections must be species.1 .. species.{n}; got {species_sections}"
         )
-    species = []
-    initial = []
-    initial2 = []
-    any_initial2 = False
-    for i in range(1, n + 1):
-        sec = f"species.{i}"
-        _known_section_keys(parser, sec, _SPECIES_KEYS)
-        sigma = _as_float(_get(parser, sec, "sigma"), f"[{sec}] sigma")
-        alpha = _as_float(_get(parser, sec, "alpha"), f"[{sec}] alpha")
-        pot = _build_profile(
-            _get(parser, sec, "potential.kind", "zero"),
-            _parse_params(_get(parser, sec, "potential.params", ""), f"[{sec}] potential.params"),
-            f"[{sec}] potential",
-        )
-        reac = _build_reaction(
-            _get(parser, sec, "reaction.kind", "linear"),
-            _parse_params(_get(parser, sec, "reaction.params", ""), f"[{sec}] reaction.params"),
-            f"[{sec}] reaction",
-        )
-        init = _build_profile(
-            _get(parser, sec, "initial.kind", "zero"),
-            _parse_params(_get(parser, sec, "initial.params", ""), f"[{sec}] initial.params"),
-            f"[{sec}] initial",
-        )
-        species.append(SpeciesSpec(sigma=sigma, alpha=alpha, potential=pot, reaction=reac))
-        initial.append(init)
-        if parser.has_option(sec, "initial2.kind"):
-            any_initial2 = True
-            initial2.append(_build_profile(
-                parser.get(sec, "initial2.kind"),
-                _parse_params(_get(parser, sec, "initial2.params", ""),
-                              f"[{sec}] initial2.params"),
-                f"[{sec}] initial2",
-            ))
-        else:
-            initial2.append(None)
-    if any_initial2 and any(p is None for p in initial2):
-        raise ConfigError("initial2 must be given for every species or for none")
+    layout = _layout(n)
+    for section in parser.sections():
+        if section not in layout:
+            raise ConfigError(f"unknown section [{section}]")
+        known = {ini for name, key, _i in layout[section] for ini in _ini_keys(name, key)}
+        for name in parser.options(section):
+            if name not in known:
+                raise ConfigError(f"[{section}]: unknown key {name!r}")
+    values = {section: {name: _read(parser, section, name, key) for name, key, _i in keys}
+              for section, keys in layout.items()}
 
-    # coupling
-    _known_section_keys(parser, "coupling", {f"row.{i}" for i in range(1, n + 1)})
-    rows = []
-    for i in range(1, n + 1):
-        row = _parse_floats(_get(parser, "coupling", f"row.{i}"), f"[coupling] row.{i}")
+    domain = values["domain"]
+    try:
+        grid = Grid(domain["lo"], domain["hi"], domain["cells"])
+    except ValueError as err:
+        raise ConfigError(f"[domain]: {err}") from err
+    species = [values[f"species.{i}"] for i in range(1, n + 1)]
+    rows = values["coupling"]
+    for name, row in rows.items():
         if len(row) != n:
-            raise ConfigError(f"[coupling] row.{i}: expected {n} entries, got {len(row)}")
-        rows.append(row)
-    coupling = CouplingMatrix(np.array(rows))
-
-    problem = ProblemSpec(grid=grid, species=tuple(species), coupling=coupling,
-                          initial=tuple(initial))
+            raise ConfigError(f"[coupling] {name}: expected {n} entries, got {len(row)}")
+    initial2 = tuple(sp["initial2"] for sp in species)
+    if None in initial2 and any(initial2):
+        raise ConfigError("initial2 must be given for every species or for none")
+    problem = ProblemSpec(
+        grid=grid,
+        species=tuple(SpeciesSpec(sp["sigma"], sp["alpha"], sp["potential"], sp["reaction"])
+                      for sp in species),
+        coupling=CouplingMatrix(np.array(list(rows.values()))),
+        initial=tuple(sp["initial"] for sp in species),
+    )
     report = validate(problem)
     if not report.ok:
         raise ConfigError("invalid problem: " + "; ".join(report.violations))
 
-    # time
-    _known_section_keys(parser, "time", _TIME_KEYS)
-    step = StepConfig(
-        dt=_as_float(_get(parser, "time", "dt"), "[time] dt"),
-        t_end=_as_float(_get(parser, "time", "t_end"), "[time] t_end"),
-        stride=_as_count(_get(parser, "time", "stride", "1"), "[time] stride"),
-        lin_tol=_as_float(_get(parser, "time", "lin_tol", "1e-12"), "[time] lin_tol"),
-    )
-
-    out_dir = "out"
-    if "output" in sections:
-        _known_section_keys(parser, "output", _OUTPUT_KEYS)
-        out_dir = _get(parser, "output", "dir", "out")
-
-    steady_mode, steady_norm, steady_tol = "null_vector", "total", 1e-13
-    if "steady" in sections:
-        _known_section_keys(parser, "steady", _STEADY_KEYS)
-        steady_mode = _get(parser, "steady", "mode", "null_vector")
-        if steady_mode not in ("null_vector", "reversible"):
-            raise ConfigError(f"[steady] mode must be null_vector or reversible, got {steady_mode!r}")
-        steady_norm = _get(parser, "steady", "normalization", "total")
-        if steady_norm not in ("total", "alpha_weighted"):
-            raise ConfigError(f"[steady] normalization must be total or alpha_weighted, got {steady_norm!r}")
-        steady_tol = _as_nonnegative(_get(parser, "steady", "tol", "1e-13"), "[steady] tol")
-
-    verify_threshold, oracle_t = 1e-6, 1.0
-    if "verify" in sections:
-        _known_section_keys(parser, "verify", _VERIFY_KEYS)
-        verify_threshold = _as_nonnegative(_get(parser, "verify", "threshold", "1e-6"),
-                                           "[verify] threshold")
-        oracle_t = _as_oracle_time(_get(parser, "verify", "oracle_t", "1.0"),
-                                   "[verify] oracle_t")
-
+    steady, checks = values["steady"], values["verify"]
     return RunConfig(
         problem=problem,
-        step=step,
-        out_dir=out_dir,
-        steady_mode=steady_mode,
-        steady_normalization=steady_norm,
-        steady_tol=steady_tol,
-        verify_threshold=verify_threshold,
-        oracle_t=oracle_t,
-        initial2=tuple(initial2) if any_initial2 else None,
+        step=StepConfig(**values["time"]),
+        out_dir=values["output"]["dir"],
+        steady_normalization=steady["normalization"],
+        steady_tol=steady["tol"],
+        verify_threshold=checks["threshold"],
+        oracle_t=checks["oracle_t"],
+        initial2=None if None in initial2 else initial2,
         warnings=report.warnings,
     )
 
 
 def format_effective_config(cfg: RunConfig) -> str:
-    """Echo of the configuration with every default filled in."""
-    spec = cfg.problem
-    lines = ["[domain]"]
-    lines.append(f"lo = {', '.join(repr(v) for v in spec.grid.lo)}")
-    lines.append(f"hi = {', '.join(repr(v) for v in spec.grid.hi)}")
-    lines.append(f"cells = {', '.join(str(v) for v in spec.grid.cells)}")
-    for i, (sp, init) in enumerate(zip(spec.species, spec.initial), start=1):
-        lines.append(f"[species.{i}]")
-        lines.append(f"sigma = {sp.sigma!r}")
-        lines.append(f"alpha = {sp.alpha!r}")
-        lines.append(f"potential.kind = {sp.potential.kind}")
-        lines.append(f"potential.params = {_profile_params(sp.potential)}")
-        lines.append(f"reaction.kind = {sp.reaction.kind}")
-        lines.append(f"reaction.params = exponent={sp.reaction.exponent!r}")
-        lines.append(f"initial.kind = {init.kind}")
-        lines.append(f"initial.params = {_profile_params(init)}")
-    lines.append("[coupling]")
-    for i, row in enumerate(spec.coupling.lam, start=1):
-        lines.append(f"row.{i} = {', '.join(repr(float(v)) for v in row)}")
-    lines.append("[time]")
-    lines.append(f"dt = {cfg.step.dt!r}")
-    lines.append(f"t_end = {cfg.step.t_end!r}")
-    lines.append(f"stride = {cfg.step.stride}")
-    lines.append(f"lin_tol = {cfg.step.lin_tol!r}")
-    lines.append("[output]")
-    lines.append(f"dir = {cfg.out_dir}")
-    lines.append("[steady]")
-    lines.append(f"mode = {cfg.steady_mode}")
-    lines.append(f"normalization = {cfg.steady_normalization}")
-    lines.append(f"tol = {cfg.steady_tol!r}")
-    lines.append("[verify]")
-    lines.append(f"threshold = {cfg.verify_threshold!r}")
-    lines.append(f"oracle_t = {cfg.oracle_t!r}")
+    """The config text of ``cfg`` with every default filled in; it parses back to ``cfg``."""
+    lines = []
+    for section, keys in _layout(cfg.problem.n_species).items():
+        lines.append(f"[{section}]")
+        for name, key, i in keys:
+            value = key.get(cfg, i)
+            if value is None:
+                continue
+            if isinstance(key.type, _Kinds):
+                kind, params = key.type.write(value)
+                lines += [f"{name}.kind = {kind}", f"{name}.params = {params}"]
+            else:
+                lines.append(f"{name} = {key.type.write(value)}")
     return "\n".join(lines)
-
-
-def _profile_params(p: PotentialSpec) -> str:
-    if p.kind == "zero":
-        return ""
-    if p.kind == "linear":
-        return f"slope={p.slope!r}, offset={p.offset!r}, axis={p.axis}"
-    if p.kind == "tabulated":
-        xs = " ".join(repr(v) for v in p.table_x)
-        vs = " ".join(repr(v) for v in p.table_v)
-        return f"xs={xs}, values={vs}, axis={p.axis}"
-    base = (f"amplitude={p.amplitude!r}, period={p.period!r}, "
-            f"phase={p.phase!r}, offset={p.offset!r}, axis={p.axis}")
-    if p.kind == "sawtooth_smoothed":
-        base += f", terms={p.terms}"
-    return base
 
 
 # ---------------------------------------------------------------------------
@@ -552,22 +517,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_steady(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     spec = cfg.problem
-    if cfg.steady_mode == "reversible":
-        _require_reversible_form(spec, "[steady] mode = reversible")
-        u0 = initial_state(spec)
-        mass = verify.weighted_mass(u0, spec)
-        a, b = reversible_pair(mass, spec.species[0].reaction, spec.species[1].reaction,
-                               alpha=spec.species[0].alpha, beta=spec.species[1].alpha,
-                               volume=spec.grid.volume)
+    ss = _stationary(cfg, "steady")
+    if not spec.is_linear:
+        a, b = ss.state.fields[:, 0].tolist()
         residual = (a / spec.species[0].alpha + b / spec.species[1].alpha
-                    - mass / spec.grid.volume)
+                    - ss.constraint_value / spec.grid.volume)
         with open(out / "reversible.ndjson", "w", encoding="ascii") as fh:
             fh.write(_json_line({"a": a, "b": b, "mass_residual": residual}))
         print(f"a={a!r} b={b!r}")
         return EXIT_OK
-    A = assemble_system(spec)
-    ss = solve_null_vector(A, tol=cfg.steady_tol,
-                           normalization=cfg.steady_normalization)
     _write_state_csv(out / "stationary.csv", ss.state)
     with open(out / "steady.ndjson", "w", encoding="ascii") as fh:
         fh.write(_json_line({
@@ -578,19 +536,38 @@ def cmd_steady(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _require_reversible_form(spec: ProblemSpec, who: str) -> None:
-    """The two-species reversible form that `reversible_pair` solves; ``who``
-    names what needs it in the error message."""
+def _stationary(cfg: RunConfig, command: str) -> StationaryState:
+    """The stationary state that `steady` writes and `verify-convergence` targets.
+
+    With linear reactions it is the null vector of the block operator under
+    ``[steady] normalization``.  With nonlinear ones it is the constant
+    equilibrium, with the initial data's weighted mass, of the two-species
+    reversible form that `reversible_pair` solves, the only nonlinear
+    stationary state computed; other problems are a config error that names
+    ``command``.
+    """
+    spec = cfg.problem
+    if spec.is_linear:
+        return solve_null_vector(assemble_system(spec), tol=cfg.steady_tol,
+                                 normalization=cfg.steady_normalization)
+    who = f"{command} with nonlinear reactions"
     lam = spec.coupling.lam
     if spec.n_species != 2:
         raise ConfigError(f"{who} needs exactly two species, got {spec.n_species}")
     k = lam[1, 0]
     if not (k > 0.0 and lam[0, 1] == k and lam[0, 0] == -k and lam[1, 1] == -k):
-        raise ConfigError(
-            f"{who} needs coupling [[-k, k], [k, -k]] with k > 0"
-        )
+        raise ConfigError(f"{who} needs coupling [[-k, k], [k, -k]] with k > 0")
     if any(sp.potential.kind != "zero" for sp in spec.species):
         raise ConfigError(f"{who} needs zero potentials (pure diffusion)")
+    mass = verify.weighted_mass(initial_state(spec), spec)
+    a, b = reversible_pair(mass, spec.species[0].reaction, spec.species[1].reaction,
+                           alpha=spec.species[0].alpha, beta=spec.species[1].alpha,
+                           volume=spec.grid.volume)
+    fields = np.stack([np.full(spec.grid.size, a), np.full(spec.grid.size, b)])
+    return StationaryState(
+        state=State(spec.grid, fields, 0.0, "physical"),
+        residual=0.0, normalization="mass_matched", constraint_value=mass,
+    )
 
 
 def _second_state(cfg: RunConfig, mode: str) -> State:
@@ -669,26 +646,12 @@ def cmd_verify(cfg: RunConfig, check: str) -> int:
     return EXIT_OK
 
 
-def _convergence_target(cfg: RunConfig, u0: State):
-    spec = cfg.problem
-    if spec.is_linear:
-        A = assemble_system(spec)
-        base = solve_null_vector(A, tol=cfg.steady_tol,
-                                 normalization=cfg.steady_normalization)
-        _c, target = project_onto_ray(u0, StationaryRay(base), spec)
-        return target
-    # the reversible pair's constant state is the only nonlinear target computed
-    _require_reversible_form(spec, "verify-convergence with nonlinear reactions")
-    mass = verify.weighted_mass(u0, spec)
-    a, b = reversible_pair(mass, spec.species[0].reaction, spec.species[1].reaction,
-                           alpha=spec.species[0].alpha, beta=spec.species[1].alpha,
-                           volume=spec.grid.volume)
-    fields = np.stack([np.full(spec.grid.size, a), np.full(spec.grid.size, b)])
-    from .steady import StationaryState
-    return StationaryState(
-        state=State(spec.grid, fields, 0.0, "physical"),
-        residual=0.0, normalization="mass_matched", constraint_value=mass,
-    )
+def _convergence_target(cfg: RunConfig, u0: State) -> StationaryState:
+    """The stationary state with u0's weighted mass."""
+    target = _stationary(cfg, "verify-convergence")
+    if cfg.problem.is_linear:
+        _c, target = project_onto_ray(u0, StationaryRay(target), cfg.problem)
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +708,7 @@ def main(argv=None) -> int:
         if args.command == "oracle-compare":
             return cmd_verify(cfg, "oracle")
         return cmd_verify(cfg, args.command.removeprefix("verify-"))
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (StepSizeError, ScalingError, OracleScopeError, OutOfDomainError,
+    except (ConfigError, StepSizeError, ScalingError, OracleScopeError, OutOfDomainError,
             UnsupportedConfigurationError, DegenerateDataError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,8 @@ class UnsupportedConfigurationError(MotorfluxError):
 
 class ScalingError(MotorfluxError):
     """A gauge factor exp(psi/sigma) or a Scharfetter-Gummel weight would
-    overflow double precision."""
+    overflow double precision, or a matrix that is nonsingular in exact
+    arithmetic rounds to a singular one because its scales lie too far apart."""
 
 
 class StepSizeError(MotorfluxError):

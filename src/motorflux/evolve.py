@@ -104,6 +104,7 @@ from .errors import (
     ConfigError,
     InvariantViolationError,
     MotorfluxError,
+    ScalingError,
     SolverError,
     StepSizeError,
 )
@@ -271,7 +272,8 @@ class _SymmetrizedTridiagonal:
         if _offsets(k).tolist() != [-1, 0, 1]:
             return None
         lower, upper = k.diagonal(-1), k.diagonal(1)
-        product = lower * upper
+        with np.errstate(over="ignore"):  # an infinite product is rejected below
+            product = lower * upper
         if not (np.all(product > 0.0) and np.all(product < math.inf)):
             return None
         log_scale = np.zeros(k.shape[0])
@@ -312,8 +314,13 @@ class _Factored:
         self._defect = np.abs(k.T @ w - w)
         # minimum-degree ordering on K^T+K and no supernodes keep SuperLU's
         # factors near band size; its defaults cost +23-43 MB at 131,072 unknowns
-        self._solver = (_SymmetrizedTridiagonal.factor(k)
-                        or splu(k, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1))
+        try:
+            self._solver = (_SymmetrizedTridiagonal.factor(k)
+                            or splu(k, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1))
+        except RuntimeError as err:  # a nonsingular M-matrix in exact arithmetic
+            raise ScalingError(f"K = I - dt*M is singular in double precision ({err}): the "
+                               f"identity is lost in rounding at ||K||_inf = {self._k_norm:.3e}"
+                               ) from err
         # the residual matvec runs on DIA, which halves its time.  The copy is
         # made after SuperLU's factorization, so it adds nothing to its peak memory
         self._k = _diagonals(k)
@@ -522,13 +529,12 @@ def _dt_max(spec: ProblemSpec, peaks: np.ndarray) -> float:
     bound = math.inf
     lam = spec.coupling.lam
     for i, sp in enumerate(spec.species):
-        rate = sp.alpha * abs(lam[i, i])
+        rate = sp.alpha * abs(float(lam[i, i]))
         if rate == 0.0:
             continue
-        lip = reaction_lipschitz(sp.reaction, max(float(peaks[i]), 0.0))
-        if lip == 0.0:
-            continue
-        bound = min(bound, 1.0 / (rate * lip))
+        rate *= reaction_lipschitz(sp.reaction, max(float(peaks[i]), 0.0))
+        if rate > 0.0:  # a product that underflows bounds nothing, like a zero one
+            bound = min(bound, 1.0 / rate)
     return bound
 
 

@@ -85,6 +85,8 @@ class Grid:
                 raise ValueError(f"axis {a}: need at least 2 cells, got {n}")
             if not hi > lo:
                 raise ValueError(f"axis {a}: hi={hi} must exceed lo={lo}")
+        if not math.isfinite(math.prod(hi - lo for lo, hi in zip(self.lo, self.hi))):
+            raise ValueError("the domain volume must be finite")
 
     @classmethod
     def interval(cls, lo: float, hi: float, n: int) -> "Grid":
@@ -407,7 +409,10 @@ def reaction_lipschitz(r: ReactionSpec, s_max: float) -> float:
         raise OutOfDomainError("s_max must be nonnegative")
     if r.kind == "linear" or r.exponent == 1.0:
         return 1.0
-    return float(r.exponent * s_max ** (r.exponent - 1.0))
+    try:
+        return float(r.exponent * s_max ** (r.exponent - 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def initial_state(spec: ProblemSpec) -> State:
@@ -447,6 +452,8 @@ def _strongly_connected(lam: np.ndarray) -> bool:
     return bool(reachable(adj).all() and reachable(adj.T).all())
 
 
+# a profile that overflows or divides by zero is reported as not finite, not warned about
+@np.errstate(all="ignore")
 def validate(spec: ProblemSpec) -> ValidationReport:
     """Check H1-H4, structural consistency and the MAX_UNKNOWNS cap; violations are data.
 
@@ -471,8 +478,9 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     for i, sp in enumerate(spec.species, start=1):
         if not 0.0 < sp.sigma < np.inf:
             violations.append(f"H1: species {i} has sigma={sp.sigma} (must be > 0 and finite)")
-        if not 0.0 < sp.alpha < np.inf:
-            violations.append(f"H1: species {i} has alpha={sp.alpha} (must be > 0 and finite)")
+        if not (0.0 < sp.alpha < np.inf and 1.0 / float(sp.alpha) < np.inf):  # 1/alpha weighs mass
+            violations.append(f"H1: species {i} has alpha={sp.alpha} (must be > 0 and finite, "
+                              "with a finite 1/alpha)")
         try:
             vals = np.asarray(eval_potential(sp.potential, pts, grid))
             faces = [eval_potential(sp.potential,

@@ -27,7 +27,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .discretize import SystemOperator, _gauge_factors
-from .errors import DegenerateDataError, IrreducibilityError, NonConvergenceError
+from .errors import DegenerateDataError, IrreducibilityError, NonConvergenceError, ScalingError
 from .model import (
     ReactionSpec,
     State,
@@ -100,7 +100,8 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
     scaled to the requested integral constraint and must satisfy
     ||A v||_inf <= tol * ||A||_inf, or NonConvergenceError is raised.  A
     coupling graph that is not strongly connected, a singular reduced matrix
-    or a result that is not strictly positive raise IrreducibilityError.
+    or a result that is not strictly positive raise IrreducibilityError;
+    ScalingError when transport weights are lost in rounding beside the rates.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -116,6 +117,15 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
     try:
         lu = splu(matrix[1:, 1:])
     except RuntimeError as err:
+        # nonsingular in exact arithmetic, since the coupling is strongly connected
+        weight = min(sp.sigma for sp in spec.species) / max(spec.grid.h) ** 2
+        rate = float(np.max(spec.alphas * np.abs(np.diag(spec.coupling.lam))))
+        if weight <= np.finfo(float).eps * rate:
+            raise ScalingError(
+                f"reduced stationary system is singular ({err}) although the coupling graph is "
+                f"strongly connected: the smallest transport weight sigma/h^2 = {weight:.3e} is "
+                f"lost in rounding beside the largest coupling rate alpha_i*|lam_ii| = {rate:.3e}"
+            ) from err
         raise IrreducibilityError(
             f"reduced stationary system is singular ({err}); the configuration "
             "is not irreducible"

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from motorflux import Grid, State
 import motorflux.cli
-from motorflux.cli import _write_state_csv, main, parse_config
+from motorflux.cli import _write_state_csv, format_effective_config, main, parse_config
 from motorflux.evolve import Trajectory, _diagnose, run
 from motorflux.model import MAX_UNKNOWNS
 from motorflux.errors import ConfigError
@@ -130,9 +131,6 @@ row.2 = 1.0, -1.0
 dt = 0.05
 t_end = 50.0
 stride = 100
-
-[steady]
-mode = reversible
 """
 
 
@@ -173,7 +171,8 @@ class TestParseConfig:
         assert cfg.step.stride == 1          # documented default
         assert cfg.step.lin_tol == 1e-12     # documented default
         assert cfg.out_dir == "out"
-        assert cfg.steady_mode == "null_vector"
+        assert cfg.steady_normalization == "total"
+        assert cfg.steady_tol == 1e-13
 
     def test_minimal_single_species(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, SAWTOOTH_SINGLE))
@@ -345,6 +344,8 @@ class TestSimulate:
         ("row.2 = 1.0, -1.0", "row.2 = nan, -1.0", "H2"),
         ("alpha = 1.0", "alpha = inf", "H1"),
         ("sigma = 1.0", "sigma = inf", "H1"),
+        ("alpha = 1.0", "alpha = 1e-320", "H1"),  # 1/alpha, the mass weight, overflows
+        ("potential.kind = zero", "potential.kind = cosine\npotential.params = period=0.0", "H3"),
     ])
     def test_non_finite_problem_values_exit_2(self, tmp_path, capsys, command,
                                               old, new, hypothesis):
@@ -366,15 +367,8 @@ _KEY_COMMANDS = {
     "oracle_t": ("verify", "oracle-compare"),
 }
 
-#: keys that replace a line of MOTOR_8 instead, all read by simulate
-_REPLACED_KEYS = {
-    "cells": ("cells = 8", "cells = {}"),
-    "t_end": ("t_end = 0.1", "t_end = {}"),
-    "terms": ("potential.kind = zero",
-              "potential.kind = sawtooth_smoothed\npotential.params = terms={}"),
-    "amplitude": ("potential.kind = zero",
-                  "potential.kind = cosine\npotential.params = amplitude={}"),
-}
+_COMMANDS = ("simulate", "steady", "verify-contraction", "verify-comparison",
+             "verify-convergence", "oracle-compare")
 
 _SMALL_VALUES = st.one_of(
     st.floats(min_value=-10.0, max_value=10.0),
@@ -382,14 +376,138 @@ _SMALL_VALUES = st.one_of(
     st.integers(min_value=-5, max_value=30).map(lambda k: k * 0.1),
     st.integers(min_value=1, max_value=30).map(lambda k: k * 0.1 + 0.03),
 )
-#: fuzz draws per key (None: every other key).  Finite draws stay within 10
-#: unless the key is an amplitude: cells and terms have no upper cap, so a
-#: huge value allocates or loops for as long as it asks
-_FUZZ_VALUES = {
+#: wild draws per number (None: every other number).  Finite draws stay within
+#: 10, or dt at 0.01 and up, unless the number is an amplitude: cells, terms
+#: and t_end/dt have no cap below MAX_UNKNOWNS and MAX_STEPS, so a huge count
+#: allocates or loops for as long as it asks
+_WILD_NUMBERS = {
     None: _SMALL_VALUES,
     "amplitude": st.one_of(_SMALL_VALUES, st.sampled_from([1e100, 1e200, 1e308, -1e308]),
                            st.floats(min_value=-1e308, max_value=1e308)),
+    "dt": st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-320, -1.0]),
+                    st.floats(min_value=0.01, max_value=10.0)),
 }
+_WILD_TEXTS = {"normalization": ["total", "alpha_weighted", "bogus", ""], "dir": ["out"]}
+
+#: admissible potential parameters; an initial profile also gets the offset it needs
+_PARAM_VALUES = {
+    "slope": st.floats(-2.0, 2.0), "amplitude": st.floats(-2.0, 2.0),
+    "period": st.floats(0.1, 5.0), "phase": st.floats(-1.0, 1.0),
+    "offset": st.floats(-2.0, 2.0), "axis": st.integers(0, 1), "terms": st.integers(1, 8),
+}
+
+
+def _numbers(draw, values, count: int) -> str:
+    return ", ".join(repr(v) for v in draw(st.lists(values, min_size=count, max_size=count)))
+
+
+def _profile_params(draw, kind: str, bound: float, nonnegative: bool) -> dict[str, str]:
+    """Admissible params of a potential (or, ``nonnegative``, initial) profile
+    on a domain within [-bound, bound]."""
+    names = motorflux.cli._POTENTIAL_PARAMS.kinds[kind]
+    params = {name: repr(draw(_PARAM_VALUES[name])) for name in names
+              if name in _PARAM_VALUES and draw(st.booleans())}
+    if kind == "tabulated":
+        xs = sorted(draw(st.lists(st.integers(-60, 60), min_size=2, max_size=5, unique=True)))
+        params["xs"] = " ".join(repr(k / 4) for k in xs)
+        params["values"] = _numbers(draw, st.floats(0.0 if nonnegative else -5.0, 5.0),
+                                    len(xs)).replace(",", "")
+    elif nonnegative and kind != "zero":
+        size = draw(st.floats(-2.0, 2.0))
+        # the offset per unit of |slope| or |amplitude| that keeps the profile
+        # >= 0; a truncated sawtooth series stays within 1.2 of its offset
+        per_unit = {"linear": bound, "cosine": 1.0, "sawtooth_smoothed": 2.0}[kind]
+        params["slope" if kind == "linear" else "amplitude"] = repr(size)
+        params["offset"] = repr(per_unit * abs(size) + draw(st.floats(0.1, 2.0)))
+    return params
+
+
+def _wild_params(draw, kinds: dict) -> tuple[str, dict[str, str]]:
+    kind = draw(st.sampled_from(sorted(kinds) + ["bogus"]))
+    names = draw(st.lists(st.sampled_from(list(kinds.get(kind, ())) + ["bogus"]), unique=True))
+    return kind, {name: _numbers(draw, _WILD_NUMBERS.get(name, _SMALL_VALUES),
+                                 draw(st.integers(1, 2))).replace(",", "")
+                  for name in names}
+
+
+@st.composite
+def table_configs(draw, fuzz: bool = False):
+    """A config text drawn key by key from `motorflux.cli._KEYS`.
+
+    Every value is admissible unless ``fuzz`` is set; then a few table keys
+    get wild values, and a required key may be left out.  Keys with a default
+    are left out at random either way.  1-3 species, 1-D or 2-D, every
+    potential kind, and ``initial2`` for every species or for none.
+    """
+    n, dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    lo = draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim))
+    hi = [a + draw(st.floats(0.5, 10.0)) for a in lo]
+    bound = max(map(abs, lo + hi))
+    lam = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n * n, max_size=n * n)))
+    lam = lam.reshape(n, n) * (1.0 - np.eye(n))
+    lam -= np.diag(lam.sum(axis=0))
+    with_initial2 = draw(st.booleans())
+    wild = draw(st.sets(st.sampled_from([key.name for key in motorflux.cli._KEYS]),
+                        max_size=4)) if fuzz else set()
+
+    def admissible(key, i: int):
+        """The text of a scalar key, or (kind, params) of a kind key."""
+        if key.name == "reaction":
+            if draw(st.booleans()):
+                return "linear", {}
+            return "power", {"exponent": repr(draw(st.floats(1.0, 4.0)))}
+        if isinstance(key.type, motorflux.cli._Kinds):
+            kind = draw(st.sampled_from(sorted(key.type.kinds)))
+            return kind, _profile_params(draw, kind, bound, nonnegative=key.name != "potential")
+        return {
+            "lo": lambda: ", ".join(map(repr, lo)),
+            "hi": lambda: ", ".join(map(repr, hi)),
+            "cells": lambda: ", ".join(map(str, draw(st.lists(
+                st.integers(2, 10), min_size=dim, max_size=dim)))),
+            "row.{i}": lambda: ", ".join(repr(float(v)) for v in lam[i]),
+            "sigma": lambda: repr(draw(st.floats(0.1, 10.0))),
+            "alpha": lambda: repr(draw(st.floats(0.1, 10.0))),
+            "dt": lambda: repr(draw(st.floats(0.01, 1.0))),
+            "t_end": lambda: repr(draw(st.floats(0.0, 10.0))),
+            "stride": lambda: str(draw(st.integers(1, 50))),
+            "lin_tol": lambda: repr(draw(st.floats(0.0, 1e-6))),
+            "dir": lambda: draw(st.sampled_from(["out", "runs/a", "o-1"])),
+            "normalization": lambda: draw(st.sampled_from(["total", "alpha_weighted"])),
+            "tol": lambda: repr(draw(st.floats(0.0, 1.0))),
+            "threshold": lambda: repr(draw(st.floats(0.0, 1.0))),
+            "oracle_t": lambda: repr(draw(st.integers(1, 30)) * 0.1),
+        }[key.name]()  # a new table key needs its draw here
+
+    lines = []
+    for section, keys in motorflux.cli._layout(n).items():
+        lines.append(f"[{section}]")
+        for name, key, i in keys:
+            if key.name == "initial2" and not with_initial2:
+                continue
+            if key.default is motorflux.cli._REQUIRED or key.name == "initial2":
+                # a wild required key is left out one time in ten
+                present = key.name not in wild or draw(st.integers(0, 9)) > 0
+            else:
+                present = draw(st.booleans())
+            if not present:
+                continue
+            kinds = isinstance(key.type, motorflux.cli._Kinds)
+            if key.name not in wild:
+                value = admissible(key, i)
+            elif kinds:
+                value = _wild_params(draw, key.type.kinds)
+            elif key.name in _WILD_TEXTS:
+                value = draw(st.sampled_from(_WILD_TEXTS[key.name]))
+            else:
+                value = _numbers(draw, _WILD_NUMBERS.get(key.name, _SMALL_VALUES),
+                                 draw(st.integers(1, 3)))
+            if kinds:
+                kind, params = value
+                lines += [f"{name}.kind = {kind}", f"{name}.params = "
+                          + ", ".join(f"{k}={v}" for k, v in params.items())]
+            else:
+                lines.append(f"{name} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 class TestSectionValues:
@@ -423,18 +541,8 @@ class TestSectionValues:
             assert code == 0
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        key_value=st.sampled_from(sorted(_KEY_COMMANDS) + sorted(_REPLACED_KEYS)).flatmap(
-            lambda key: st.tuples(st.just(key), _FUZZ_VALUES.get(key, _FUZZ_VALUES[None]))),
-    )
-    def test_fuzz_exit_codes(self, key_value):
-        key, value = key_value
-        if key in _KEY_COMMANDS:
-            section, command = _KEY_COMMANDS[key]
-            text = MOTOR_8 + f"\n[{section}]\n{key} = {value!r}\n"
-        else:
-            old, new = _REPLACED_KEYS[key]
-            text, command = MOTOR_8.replace(old, new.format(repr(value)), 1), "simulate"
+    @given(command=st.sampled_from(_COMMANDS), text=table_configs(fuzz=True))
+    def test_fuzz_exit_codes(self, command, text):
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.ini"
@@ -465,8 +573,37 @@ class TestSectionValues:
         assert "Traceback" not in err.getvalue()
 
 
-_COMMANDS = ("simulate", "steady", "verify-contraction", "verify-comparison",
-             "verify-convergence", "oracle-compare")
+def _assert_same_config(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "problem":
+            assert np.array_equal(a.coupling.lam, b.coupling.lam)
+            assert (a.grid, a.species, a.initial) == (b.grid, b.species, b.initial)
+        else:
+            assert a == b, field.name
+
+
+class TestConfigTable:
+    @settings(max_examples=100, deadline=None)
+    @given(text=table_configs())
+    def test_echo_parses_back(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(text)
+            cfg = parse_config(path)
+            echo = format_effective_config(cfg)
+            path.write_text(echo)
+            again = parse_config(path)
+        _assert_same_config(again, cfg)
+        assert format_effective_config(again) == echo
+
+    def test_readme_example_parses_back(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = parse_config(write_config(tmp_path, readme.split("```ini\n")[1].split("```")[0]))
+        echo = format_effective_config(cfg)
+        again = parse_config(write_config(tmp_path, echo, "echo.ini"))
+        _assert_same_config(again, cfg)
+        assert format_effective_config(again) == echo
 
 
 class TestUnusableArguments:
@@ -639,6 +776,19 @@ class TestSteady:
         assert "not irreducible" in err
         assert "Traceback" not in err
         assert not (tmp_path / "s" / "stationary.csv").exists()
+
+    @pytest.mark.parametrize("command", ["steady", "verify-convergence"])
+    def test_badly_scaled_domain_exits_2(self, tmp_path, capsys, command):
+        # sigma/h^2 is about 5e-38 here, lost in rounding beside the unit coupling rates
+        text = (MOTOR_CONFIG.replace("lo = 0.0", "lo = -3e20").replace("hi = 1.0", "hi = 1e21")
+                .replace("cells = 64", "cells = 300"))
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "coupling graph is strongly connected" in err
+        assert "sigma/h^2 = 5.325e-38" in err and "alpha_i*|lam_ii| = 1.000e+00" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("domain", [
         ("0.0", "1.0", "4096"),
@@ -818,6 +968,35 @@ class TestEdgeCases:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("changes,code", [
+        # the Lipschitz bound 3*u**2 of u**3 overflows at u = 1e200, so dt_max = 0
+        ({"exponent=2.0": "exponent=3.0", "amplitude=0.5, offset=1.0": "offset=1e200"}, 2),
+        # alpha*|lam_11|*L underflows to a subnormal, whose inverse overflows
+        ({"row.1 = -1.0, 1.0": "row.1 = -1e-320, 1.0",
+          "row.2 = 1.0, -1.0": "row.2 = 1e-320, -1.0"}, 0),
+    ])
+    def test_extreme_imex_step_bounds(self, tmp_path, capsys, changes, code):
+        text = REVERSIBLE_CONFIG.replace("t_end = 50.0", "t_end = 0.5")
+        for old, new in changes.items():
+            text = text.replace(old, new, 1)
+        assert main(["simulate", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo,hi,message", [
+        ("0.0", "inf", "the domain volume must be finite"),
+        ("-1e308", "1e308", "the domain volume must be finite"),
+        # sigma/h^2 is about 1e222, so I - dt*M rounds to a singular matrix
+        ("-1e-110", "0.0", "K = I - dt*M is singular in double precision"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "verify-contraction"])
+    def test_extreme_domains_exit_2(self, tmp_path, capsys, command, lo, hi, message):
+        text = MINIMAL_CONFIG.replace("lo = 0.0", f"lo = {lo}").replace("hi = 1.0", f"hi = {hi}")
+        assert main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_oracle_scope_error_maps_to_config_exit(self, tmp_path):
         big = MOTOR_CONFIG.replace("cells = 64", "cells = 512")
         code = main(["oracle-compare", "--config", write_config(tmp_path, big),
@@ -947,6 +1126,10 @@ class TestMessages:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
+        if command == "steady":
+            # nonlinear reactions route steady to the reversible pair, which names its needs
+            assert "steady with nonlinear reactions needs exactly two species, got 3" in err
+            return
         assert "assemble_system requires linear reactions" in err
         assert "per-species transport operators" in err
         assert "matrix-free" not in err
