@@ -8,7 +8,7 @@ the effective config that every command prints parses back to the same run.
 All emitted files are byte-deterministic: floats are written with their
 shortest round-trip decimal representation, exactly as Python's ``repr``
 writes them, and JSON keys are sorted.  The snapshot CSVs get that text from
-orjson's C float writer, one call per chunk of rows (``_texts``).
+orjson's C float writer, one call per chunk of rows (``_csv_rows``).
 
 Exit codes: 0 pass, 2 config error, 3 invariant failure, 4 solver failure.
 """
@@ -421,52 +421,45 @@ def format_effective_config(cfg: RunConfig) -> str:
 _CSV_CHUNK_ROWS = 4096
 
 
-def _texts(values: np.ndarray) -> list[str]:
-    """``repr`` of each float of a C-contiguous 1-D float64 array, formatted in C.
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a C-contiguous 2-D float64 block, each float as ``repr`` writes it.
 
-    orjson writes the same shortest round-trip digits as ``repr``, and the
-    same positional notation for 0.0, -0.0 and 1e-4 <= |x| < 1e16.  It writes
-    other magnitudes in another exponent style and non-finite values as
-    ``null``, so those keep ``repr``.
+    One orjson call formats the whole block as a flat JSON list; every
+    row's last comma and the closing bracket become newlines.  orjson writes
+    the same shortest round-trip digits as ``repr``, and the same positional
+    notation for 0.0, -0.0 and 1e-4 <= |x| < 1e16.  It writes other
+    magnitudes in another exponent style and non-finite values as ``null``,
+    so those are spliced in from ``repr``.
     """
     import orjson
 
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode("ascii")
-    texts = text[1:-1].split(",")
+    values = block.ravel()
+    text = np.frombuffer(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY),
+                         dtype=np.uint8).copy()
+    text[-1] = ord(",")  # the closing bracket ends the last row, like a comma
+    ends = np.flatnonzero(text == ord(","))
+    text[ends[block.shape[1] - 1::block.shape[1]]] = ord("\n")
     mag = np.abs(values)
-    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0)).tolist():
-        texts[i] = repr(float(values[i]))
-    return texts
+    odd = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0.0))
+    pieces, start = [], 1
+    for i in odd.tolist():
+        begin = ends[i - 1] + 1 if i else 1  # value i is text[begin:ends[i]]
+        pieces += [text[start:begin].tobytes(), repr(float(values[i])).encode("ascii")]
+        start = ends[i]
+    pieces.append(text[start:].tobytes())
+    return b"".join(pieces)
 
 
-def _row_templates(grid: Grid, n_species: int) -> list[str]:
-    """The rows of each CSV chunk with the cell centres written in.
-
-    Every row holds its coordinates and one ``%s`` slot per species, so a
-    chunk of a state is ``template % tuple(_texts(values))``.  A float's text
-    never contains ``%``.  The states of one run share the templates: a few
-    large strings, not one string per row, which would fragment the
-    small-object heap.
-    """
+def _write_state_csv(path, state: State) -> None:
+    """Write one row per cell: its centre, then the value of each species."""
+    grid = state.grid
+    names = ["x", "y"][:grid.dim] + [f"u{i + 1}" for i in range(state.n_species)]
     pts = grid.centers().reshape(grid.size, grid.dim)
-    row = "%s," * grid.dim + ",".join(["%%s"] * n_species) + "\n"
-    return [(row * len(chunk)) % tuple(_texts(chunk.ravel()))
-            for chunk in (pts[k:k + _CSV_CHUNK_ROWS]
-                          for k in range(0, grid.size, _CSV_CHUNK_ROWS))]
-
-
-def _write_state_csv(path, state: State, templates: list[str] | None = None) -> None:
-    """Write one row per cell; ``templates`` are ``_row_templates`` of the
-    state's grid and species count, built here when not given."""
-    if templates is None:
-        templates = _row_templates(state.grid, state.n_species)
-    names = [f"u{i + 1}" for i in range(state.n_species)]
-    coords = ["x", "y"][:state.grid.dim]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(coords + names) + "\n")
-        for k, template in zip(range(0, state.grid.size, _CSV_CHUNK_ROWS), templates):
-            values = state.fields[:, k:k + _CSV_CHUNK_ROWS].T.ravel()
-            fh.write(template % tuple(_texts(values)))
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode("ascii"))
+        for k in range(0, grid.size, _CSV_CHUNK_ROWS):
+            rows = slice(k, k + _CSV_CHUNK_ROWS)
+            fh.write(_csv_rows(np.hstack((pts[rows], state.fields[:, rows].T))))
 
 
 def _json_line(obj: dict) -> str:
@@ -491,11 +484,9 @@ def _output_dir(cfg: RunConfig) -> Path:
 def cmd_simulate(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     traj = run(cfg.problem, cfg.step)
-    # after run() returns, so the templates stay out of the solver's peak memory
-    templates = _row_templates(cfg.problem.grid, cfg.problem.n_species)
     with open(out / "manifest.ndjson", "w", encoding="ascii") as fh:
         for k, (state, diag) in enumerate(zip(traj.states, traj.diagnostics)):
-            _write_state_csv(out / f"snapshot_{k}_t{state.t!r}.csv", state, templates)
+            _write_state_csv(out / f"snapshot_{k}_t{state.t!r}.csv", state)
             fh.write(_json_line({
                 "index": k,
                 "time": diag.time,

@@ -15,10 +15,13 @@ The assembled matrices are Metzler (nonnegative off-diagonal) and their
 volume-weighted column sums vanish, so implicit steps are positivity
 preserving and the weighted total mass is conserved by construction.
 2-D operators are tensor sums of the per-axis 1-D stencils.
+Every operator is a DIA matrix from assembly to the solver: a few full
+diagonals, written with slices and read by a matvec without indices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,7 +75,7 @@ class TransportOperator:
     """Sparse generator of one species' drift-diffusion flow with no-flux walls."""
 
     species: int
-    matrix: sparse.csr_array
+    matrix: sparse.dia_array
     grid: Grid
     gauge: str = "physical"
 
@@ -91,7 +94,7 @@ class SystemOperator:
     """
 
     transports: tuple[TransportOperator, ...]
-    matrix: sparse.csr_array
+    matrix: sparse.dia_array
     spec: ProblemSpec
     gauge: str = "physical"
 
@@ -120,58 +123,54 @@ def assemble_transport(grid: Grid, sigma: float, psi: PotentialSpec,
     psi_vals = np.asarray(eval_potential(psi, grid.centers(), grid), dtype=float).ravel()
     shape = grid.cells
     pot = psi_vals.reshape(shape)
-    idx = np.arange(grid.size).reshape(shape)
-
-    rows, cols, vals = [], [], []
-    colsum = np.zeros(grid.size)
+    # a step along axis a moves the flat index (axis 0 outermost) by strides[a]
+    strides = [math.prod(shape[ax + 1:]) for ax in range(grid.dim)]
+    offsets = [-s for s in strides] + [0] + strides[::-1]
+    data = np.zeros((len(offsets), grid.size))
+    rows = {off: row.reshape(shape) for off, row in zip(offsets, data)}
+    colsum = rows[0]  # negated into the diagonal below
+    # (offset, cells) in the order in which a non-finite weight is reported
+    checked = []
     # a potential jump too steep for double precision gives an inf or nan
     # weight, which the check below reports instead of a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for ax in range(grid.dim):
+        for ax, stride in enumerate(strides):
             h = grid.h[ax]
             w = sigma / (h * h)
-            take_lo = tuple(slice(None, -1) if a == ax else slice(None) for a in range(grid.dim))
-            take_hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(grid.dim))
-            s = (pot[take_hi] - pot[take_lo]).ravel() / sigma
-            left = idx[take_lo].ravel()
-            right = idx[take_hi].ravel()
-            c_left = w * bernoulli(s)     # weight of u_left in the face flux
-            c_right = w * bernoulli(-s)   # weight of u_right
-            rows.append(left)
-            cols.append(right)
-            vals.append(c_right)
-            rows.append(right)
-            cols.append(left)
-            vals.append(c_left)
-            np.add.at(colsum, left, c_left)
-            np.add.at(colsum, right, c_right)
-
-    diag = np.arange(grid.size)
-    rows.append(diag)
-    cols.append(diag)
-    vals.append(-colsum)
-    data = np.concatenate(vals)
-    finite = np.isfinite(data)
-    if not finite.all():
-        cell = int(np.concatenate(cols)[np.argmin(finite)])
+            lo = tuple(slice(None, -1) if a == ax else slice(None) for a in range(grid.dim))
+            hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(grid.dim))
+            s = (pot[hi] - pot[lo]) / sigma
+            c_lo = w * bernoulli(s)     # weight of u_lo in the face flux
+            c_hi = w * bernoulli(-s)    # weight of u_hi
+            # DIA keeps entry (i, i + off) in column i + off
+            rows[stride][hi] = c_hi     # entry (lo, hi)
+            rows[-stride][lo] = c_lo    # entry (hi, lo)
+            colsum[lo] += c_lo
+            colsum[hi] += c_hi
+            checked += [(stride, hi), (-stride, lo)]
+    np.negative(colsum, out=colsum)
+    if not np.isfinite(data).all():
+        cells = np.arange(grid.size).reshape(shape)
+        cell = next(int(cells[where][~np.isfinite(rows[off][where])][0])
+                    for off, where in checked + [(0, ...)]
+                    if not np.isfinite(rows[off][where]).all())
         raise ScalingError(
             f"species {species + 1}: the Scharfetter-Gummel weight of cell {cell} is not "
             "finite; the potential jump between neighbouring cells divided by sigma "
             "is too large for double precision"
         )
-    matrix = sparse.coo_array(
-        (data, (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.size, grid.size),
-    ).tocsr()
+    matrix = sparse.dia_array((data, offsets), shape=(grid.size, grid.size))
     return TransportOperator(species=species, matrix=matrix, grid=grid)
 
 
 def assemble_system(spec: ProblemSpec) -> SystemOperator:
     """Assemble the block operator for a fully linear problem.
 
-    A nonlinear reaction has no block-operator matrix.  The evolver steps such
-    problems by IMEX: it assembles and factors each species' transport
-    operator and takes the reactions explicitly.
+    Coupling block (i, j), alpha_i * lam[i, j] times the identity, is the
+    diagonal at offset (j - i) * cells.  A nonlinear reaction has no
+    block-operator matrix.  The evolver steps such problems by IMEX: it
+    assembles and factors each species' transport operator and takes the
+    reactions explicitly.
     """
     if not spec.is_linear:
         raise UnsupportedConfigurationError(
@@ -183,14 +182,20 @@ def assemble_system(spec: ProblemSpec) -> SystemOperator:
         assemble_transport(spec.grid, sp.sigma, sp.potential, species=i)
         for i, sp in enumerate(spec.species)
     )
-    block = sparse.block_diag([t.matrix for t in transports], format="csr")
+    size = spec.grid.size
     weighted = spec.alphas[:, None] * spec.coupling.lam
-    coupling = sparse.kron(sparse.csr_array(weighted),
-                           sparse.eye_array(spec.grid.size, format="csr"),
-                           format="csr")
-    return SystemOperator(transports=transports,
-                          matrix=sparse.csr_array(block + coupling),
-                          spec=spec)
+    pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(weighted))]
+    inner = transports[0].matrix.offsets.tolist()
+    offsets = sorted({*inner, *((j - i) * size for i, j in pairs)})
+    data = np.zeros((len(offsets), spec.n_species * size))
+    rows = {off: k for k, off in enumerate(offsets)}
+    for i, t in enumerate(transports):
+        for off, diagonal in zip(inner, t.matrix.data):
+            data[rows[off], i * size:(i + 1) * size] = diagonal
+    for i, j in pairs:
+        data[rows[(j - i) * size], j * size:(j + 1) * size] += weighted[i, j]
+    matrix = sparse.dia_array((data, offsets), shape=(data.shape[1], data.shape[1]))
+    return SystemOperator(transports=transports, matrix=matrix, spec=spec)
 
 
 def _gauge_factors(spec: ProblemSpec) -> np.ndarray:
@@ -215,25 +220,17 @@ def conjugate_to_neumann(op, spec: ProblemSpec):
     D is the diagonal matrix of exp(psi_i/sigma_i) cell samples.  The result
     generates the dynamics of w = u * exp(psi/sigma) and shares A's spectrum.
     """
+    if not isinstance(op, (TransportOperator, SystemOperator)):
+        raise TypeError(f"cannot conjugate object of type {type(op).__name__}")
+    if op.gauge != "physical":
+        raise ValueError("operator is already in the Neumann gauge")
     factors = _gauge_factors(spec)
+    d = factors[op.species] if isinstance(op, TransportOperator) else factors.ravel()
+    mat = sparse.dia_array(sparse.diags_array(d) @ op.matrix @ sparse.diags_array(1.0 / d))
     if isinstance(op, TransportOperator):
-        if op.gauge != "physical":
-            raise ValueError("operator is already in the Neumann gauge")
-        d = factors[op.species]
-        mat = sparse.csr_array(
-            sparse.diags_array(d) @ op.matrix @ sparse.diags_array(1.0 / d)
-        )
         return replace(op, matrix=mat, gauge="neumann")
-    if isinstance(op, SystemOperator):
-        if op.gauge != "physical":
-            raise ValueError("operator is already in the Neumann gauge")
-        d = factors.ravel()
-        mat = sparse.csr_array(
-            sparse.diags_array(d) @ op.matrix @ sparse.diags_array(1.0 / d)
-        )
-        transports = tuple(conjugate_to_neumann(t, spec) for t in op.transports)
-        return replace(op, matrix=mat, transports=transports, gauge="neumann")
-    raise TypeError(f"cannot conjugate object of type {type(op).__name__}")
+    transports = tuple(conjugate_to_neumann(t, spec) for t in op.transports)
+    return replace(op, matrix=mat, transports=transports, gauge="neumann")
 
 
 def gauge_transform(state: State, spec: ProblemSpec, direction: str) -> State:

@@ -25,7 +25,10 @@ of lam sum to zero; stage 2 conserves it like any implicit transport step.
 Every implicit solve goes through one stepper per step size: it factors
 K = I - dt*M once and reuses the factors for every step of that size.  M is
 the assembled block operator of a linear problem, or one species' transport
-operator under IMEX.
+operator under IMEX.  K is formed on the DIA diagonals of M: -dt*m off the
+main diagonal and 1 - dt*m on it, the roundings of a CSR difference
+eye - dt*M.  The tridiagonal factorization reads its bands from those
+diagonals, SuperLU gets a CSC copy, and the residual matvec reads K itself.
 
 How K is factored depends only on K.  The Scharfetter-Gummel fluxes satisfy
 detailed balance, K[i+1,i]/K[i,i+1] = exp(-s) on every face, so a 1-D
@@ -75,6 +78,8 @@ w.b - w.x = w.(b - Kx) + (w^T K - w^T).x, a correct solve has
 
 with ``bound`` the column's own backward-error bound and |w^T K - w^T| the
 rounding defect of K's weighted column sums, taken once per factorization.
+A defect as large as w itself means that the identity of K is lost in
+rounding beside dt*M; such a K raises ScalingError when it is formed.
 The guard, too, tries ||w||_1 times the lazy bound first and takes the full
 bound and the defect term before it raises.
 A column beyond that, or one whose factor is not positive and finite (w.x = 0
@@ -213,38 +218,6 @@ def _diagnose(state: State, spec: ProblemSpec) -> SnapshotDiagnostics:
 # the implicit stepper
 
 
-#: columns per chunk when collecting the diagonals of K
-_DIA_CHUNK = 16384
-
-
-def _offsets(k: sparse.csc_array) -> np.ndarray:
-    """The offsets j - i of the diagonals that hold stored entries of ``k``, ascending."""
-    n = k.shape[1]
-    seen = np.zeros(2 * n - 1, dtype=bool)  # offset + n - 1 for offsets in (-n, n)
-    for start in range(0, n, _DIA_CHUNK):
-        stop = min(start + _DIA_CHUNK, n)
-        cols = np.repeat(np.arange(start, stop), np.diff(k.indptr[start:stop + 1]))
-        seen[cols - k.indices[k.indptr[start]:k.indptr[stop]] + (n - 1)] = True
-    return np.flatnonzero(seen) - (n - 1)
-
-
-def _diagonals(k: sparse.csc_array) -> sparse.dia_array:
-    """``k`` in DIA format, one diagonal at a time.
-
-    The assembled operators have a few full diagonals (3 per species in 1-D,
-    5 in 2-D, plus the coupling blocks), so a DIA matvec reads no indices.
-    scipy's own conversion holds about five times the result in temporaries;
-    marking the offsets chunk by chunk holds about one and sorts nothing.
-    """
-    n = k.shape[1]
-    offsets = _offsets(k)
-    data = np.zeros((len(offsets), n))
-    for row, off in zip(data, offsets):
-        # DIA keeps entry (i, i + off) in column i + off
-        row[max(off, 0):n + min(off, 0)] = k.diagonal(off)
-    return sparse.dia_array((data, offsets), shape=k.shape)
-
-
 #: log s is centred and capped at 256*ln 2, so s and 1/s stay within 2^(+-256):
 #: b/s and s*y cannot overflow for any |b| below 1e231, and the rounding of the
 #: neighbour ratios s_{i+1}/s_i (a few ulps times |log s|) stays below 1e-13
@@ -268,8 +241,8 @@ class _SymmetrizedTridiagonal:
         self._inverse_scale = 1.0 / scale
 
     @classmethod
-    def factor(cls, k: sparse.csc_array) -> _SymmetrizedTridiagonal | None:
-        if _offsets(k).tolist() != [-1, 0, 1]:
+    def factor(cls, k: sparse.dia_array) -> _SymmetrizedTridiagonal | None:
+        if k.offsets.tolist() != [-1, 0, 1]:
             return None
         lower, upper = k.diagonal(-1), k.diagonal(1)
         with np.errstate(over="ignore"):  # an infinite product is rejected below
@@ -305,25 +278,46 @@ class _Factored:
     """K = I - dt*M factored once; every solve is checked against ``tol``
     and projected onto the conservation weights ``w`` (w^T M = 0)."""
 
-    def __init__(self, matrix: sparse.csr_array, w: np.ndarray, dt: float, tol: float):
-        k = sparse.csc_array(sparse.eye_array(matrix.shape[0], format="csr") - dt * matrix)
+    def __init__(self, matrix: sparse.sparray, w: np.ndarray, dt: float, tol: float):
+        # K = I - dt*M on the diagonals of M, as the module docstring says
+        m = sparse.dia_array(matrix)
+        offsets = np.union1d(m.offsets, 0)
+        data = np.zeros((len(offsets), m.shape[0]))
+        data[np.searchsorted(offsets, m.offsets), :m.data.shape[1]] = m.data
+        data *= -dt
+        data[np.searchsorted(offsets, 0)] += 1.0
+        k = sparse.dia_array((data, offsets), shape=m.shape)
         self._k_norm = float(abs(k).sum(axis=1).max())
         self._tol = tol
         self._w_norm = float(np.abs(w).sum())
         self._segments = _segments(w)
-        self._defect = np.abs(k.T @ w - w)
+        # w^T K one diagonal at a time, each column's rows added in ascending order
+        wk = np.zeros(len(w))
+        for off, row in zip(offsets[::-1].tolist(), data[::-1]):
+            cols = slice(max(off, 0), len(w) + min(off, 0))
+            wk[cols] += w[cols.start - off:cols.stop - off] * row[cols]
+        self._defect = np.abs(wk - w)
         # minimum-degree ordering on K^T+K and no supernodes keep SuperLU's
         # factors near band size; its defaults cost +23-43 MB at 131,072 unknowns
         try:
             self._solver = (_SymmetrizedTridiagonal.factor(k)
-                            or splu(k, permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1))
+                            or splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1,
+                                    relax=1))
         except RuntimeError as err:  # a nonsingular M-matrix in exact arithmetic
             raise ScalingError(f"K = I - dt*M is singular in double precision ({err}): the "
                                f"identity is lost in rounding at ||K||_inf = {self._k_norm:.3e}"
                                ) from err
-        # the residual matvec runs on DIA, which halves its time.  The copy is
-        # made after SuperLU's factorization, so it adds nothing to its peak memory
-        self._k = _diagonals(k)
+        # w^T K = w^T in exact arithmetic; a column sum off by w itself has lost
+        # the identity, and the projection would then scale by a meaningless factor
+        lost = np.flatnonzero(self._defect >= w)
+        if lost.size:
+            c = int(lost[0])
+            raise ScalingError(
+                f"K = I - dt*M loses the identity in rounding: the weighted sum of column {c} "
+                f"of K is off by {self._defect[c]:.3e}, as much as its weight {w[c]:.3e} "
+                f"(dt = {dt!r}, ||K||_inf = {self._k_norm:.3e})")
+        # the residual matvec runs on the same DIA matrix, which reads no indices
+        self._k = k
 
     def solve(self, b: np.ndarray, out: np.ndarray) -> bool:
         """Solve K x = b_j for every row b_j of the C-contiguous ``b`` into the rows of ``out``.

@@ -452,13 +452,21 @@ def _strongly_connected(lam: np.ndarray) -> bool:
     return bool(reachable(adj).all() and reachable(adj.T).all())
 
 
-# a profile that overflows or divides by zero is reported as not finite, not warned about
-@np.errstate(all="ignore")
 def validate(spec: ProblemSpec) -> ValidationReport:
     """Check H1-H4, structural consistency and the MAX_UNKNOWNS cap; violations are data.
 
-    Idempotent and side-effect free: validating twice yields the same report.
+    Idempotent and side-effect free: validating twice yields the same report,
+    so the frozen ``spec`` keeps the report of its first call (a replaced copy
+    is a new instance and is checked anew).
     """
+    if "_report" not in spec.__dict__:
+        object.__setattr__(spec, "_report", _check(spec))
+    return spec._report
+
+
+# a profile that overflows or divides by zero is reported as not finite, not warned about
+@np.errstate(all="ignore")
+def _check(spec: ProblemSpec) -> ValidationReport:
     violations: list[str] = []
     warnings: list[str] = []
     grid = spec.grid

@@ -101,7 +101,8 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
     ||A v||_inf <= tol * ||A||_inf, or NonConvergenceError is raised.  A
     coupling graph that is not strongly connected, a singular reduced matrix
     or a result that is not strictly positive raise IrreducibilityError;
-    ScalingError when transport weights are lost in rounding beside the rates.
+    ScalingError when transport weights are lost in rounding beside the rates,
+    or the reverse.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -118,13 +119,21 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
         lu = splu(matrix[1:, 1:])
     except RuntimeError as err:
         # nonsingular in exact arithmetic, since the coupling is strongly connected
+        eps = np.finfo(float).eps
         weight = min(sp.sigma for sp in spec.species) / max(spec.grid.h) ** 2
-        rate = float(np.max(spec.alphas * np.abs(np.diag(spec.coupling.lam))))
-        if weight <= np.finfo(float).eps * rate:
+        rates = spec.alphas * np.abs(np.diag(spec.coupling.lam))
+        diagonals = [float(np.abs(t.matrix.diagonal()).max()) for t in A.transports]
+        lost = [f"the coupling rate alpha_{i}*|lam_{i}{i}| = {r:.3e} of species {i} is lost in "
+                f"rounding beside its transport diagonal {d:.3e}"
+                for i, (r, d) in enumerate(zip(rates, diagonals), start=1) if 0 < r <= eps * d]
+        if weight <= eps * rates.max():
+            lost.insert(0, f"the smallest transport weight sigma/h^2 = {weight:.3e} is lost in "
+                           f"rounding beside the largest coupling rate alpha_i*|lam_ii| = "
+                           f"{rates.max():.3e}")
+        if lost:
             raise ScalingError(
                 f"reduced stationary system is singular ({err}) although the coupling graph is "
-                f"strongly connected: the smallest transport weight sigma/h^2 = {weight:.3e} is "
-                f"lost in rounding beside the largest coupling rate alpha_i*|lam_ii| = {rate:.3e}"
+                f"strongly connected: {lost[0]}"
             ) from err
         raise IrreducibilityError(
             f"reduced stationary system is singular ({err}); the configuration "

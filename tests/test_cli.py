@@ -644,13 +644,16 @@ def _per_cell_csv(state) -> str:
 
 
 class TestTexts:
-    """``_texts`` must give ``repr`` of every float, so that a change in orjson's
-    float writer fails here instead of changing the snapshot files."""
+    """``_csv_rows`` must write ``repr`` of every float, so that a change in
+    orjson's float writer fails here instead of changing the snapshot files."""
 
     @staticmethod
     def check(values):
         values = np.ascontiguousarray(values, dtype=np.float64)
-        assert motorflux.cli._texts(values) == [repr(v) for v in values.tolist()]
+        for cols in (1, 2, 5):  # every length below is a multiple of 10
+            block = values.reshape(-1, cols)
+            expected = "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+            assert bytes(motorflux.cli._csv_rows(block)) == expected.encode("ascii")
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(11)
@@ -684,7 +687,6 @@ class TestStateCsv:
     def test_bytes_match_per_cell_writer(self, tmp_path, grid):
         rng = np.random.default_rng(7)
         for n in (1, 3):
-            templates = motorflux.cli._row_templates(grid, n)
             for k in range(3):
                 fields = rng.uniform(0.0, 2.0, (n, grid.size)) ** 7
                 fields[0, :5] = [0.0, -0.0, 1.0, 1e-300, 1e300]
@@ -692,32 +694,27 @@ class TestStateCsv:
                                    2.0**53 + 2, 1e-5, np.finfo(float).max]
                 fields[-1, -3:] = [5e-324, 0.1, 123456789.0]
                 state = State(grid, fields, t=0.1 * k)
-                expected = _per_cell_csv(state).encode("ascii")
-                _write_state_csv(tmp_path / "shared.csv", state, templates)
-                assert (tmp_path / "shared.csv").read_bytes() == expected
-                _write_state_csv(tmp_path / "own.csv", state)
-                assert (tmp_path / "own.csv").read_bytes() == expected
+                _write_state_csv(tmp_path / "state.csv", state)
+                assert (tmp_path / "state.csv").read_bytes() == _per_cell_csv(state).encode()
 
-    def test_simulate_formats_coordinates_once(self, tmp_path, monkeypatch):
-        calls = {"templates": 0, "writes": 0}
-        row_templates, write_state_csv = motorflux.cli._row_templates, _write_state_csv
+    def test_each_snapshot_costs_one_dumps_call_per_chunk(self, tmp_path, monkeypatch):
+        import orjson
 
-        def counted_templates(*args):
-            calls["templates"] += 1
-            return row_templates(*args)
+        sizes = []
+        dumps = orjson.dumps
 
-        def counted_write(*args):
-            calls["writes"] += 1
-            return write_state_csv(*args)
+        def counted_dumps(values, *args, **kwargs):
+            sizes.append(values.size)
+            return dumps(values, *args, **kwargs)
 
-        monkeypatch.setattr(motorflux.cli, "_row_templates", counted_templates)
-        monkeypatch.setattr(motorflux.cli, "_write_state_csv", counted_write)
-        text = MOTOR_CONFIG.replace("t_end = 1.0", "t_end = 0.5")
+        monkeypatch.setattr(orjson, "dumps", counted_dumps)
+        text = MOTOR_CONFIG.replace("cells = 64", "cells = 10000").replace("t_end = 1.0", "t_end = 0.5")
         code = main(["simulate", "--config", write_config(tmp_path, text),
                      "--out", str(tmp_path / "o")])
         assert code == 0
         assert len(list((tmp_path / "o").glob("snapshot_*.csv"))) == 6
-        assert calls == {"templates": 1, "writes": 6}
+        # x, u1 and u2 of 10,000 cells, in chunks of 4,096 rows
+        assert sizes == [3 * 4096, 3 * 4096, 3 * 1808] * 6
 
 
 class TestSteady:
@@ -788,6 +785,20 @@ class TestSteady:
         err = capsys.readouterr().err
         assert "coupling graph is strongly connected" in err
         assert "sigma/h^2 = 5.325e-38" in err and "alpha_i*|lam_ii| = 1.000e+00" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["steady", "verify-convergence"])
+    def test_coupling_rate_lost_beside_transport_exits_2(self, tmp_path, capsys, command):
+        # species 2's rate 1e-60 vanishes beside its diagonal 2*sigma/h^2 = 128
+        text = (MOTOR_8.replace("row.1 = -1.0, 1.0", "row.1 = -1.0, 1e-60")
+                .replace("row.2 = 1.0, -1.0", "row.2 = 1.0, -1e-60"))
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "coupling graph is strongly connected" in err
+        assert "alpha_2*|lam_22| = 1.000e-60 of species 2" in err
+        assert "transport diagonal 1.280e+02" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("domain", [
@@ -996,6 +1007,30 @@ class TestEdgeCases:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-contraction"])
+    def test_identity_lost_in_rounding_exits_2(self, tmp_path, capsys, command):
+        # dt*M reaches 1e37 on this domain, where the 1 of I - dt*M is lost
+        text = (MOTOR_CONFIG.replace("lo = 0.0", "lo = -3e20").replace("hi = 1.0", "hi = 1e21")
+                .replace("cells = 64", "cells = 300").replace("dt = 0.01", "dt = 1e37")
+                .replace("t_end = 1.0", "t_end = 1e38"))
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "K = I - dt*M loses the identity in rounding" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle-compare"])
+    def test_problem_is_validated_once(self, tmp_path, monkeypatch, command):
+        checked = []
+        check = motorflux.model._check
+        monkeypatch.setattr(motorflux.model, "_check",
+                            lambda spec: checked.append(spec) or check(spec))
+        code = main([command, "--config", write_config(tmp_path, MOTOR_8),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert len(checked) == 1
 
     def test_oracle_scope_error_maps_to_config_exit(self, tmp_path):
         big = MOTOR_CONFIG.replace("cells = 64", "cells = 512")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from motorflux import (
 from motorflux.errors import ScalingError, UnsupportedConfigurationError
 
 from conftest import ZERO, random_problem, symmetric_motor
+from coo_assembly import coo_system, coo_transport
 
 #: frozen reference: 1/(e-1) evaluated at 50 digits
 B_AT_ONE = 0.5819767068693264
@@ -181,6 +184,21 @@ class TestSystemAssembly:
             u = rng.uniform(0.0, 2.0, A.matrix.shape[0])
             au = A.matrix @ u
             assert abs(weights @ au) <= 1e-12 * np.abs(au).sum()
+
+    def test_matches_coo_assembly(self, rng):
+        # the DIA operators equal the COO assembly entry for entry
+        for dim, cells in ((1, 37), (2, 6)):
+            for n in (1, 2, 3):
+                spec = random_problem(rng, n=n, cells=cells, dim=dim)
+                if dim == 2:  # unequal axes, so the two strides differ
+                    spec = replace(spec, grid=Grid.box((0.0, -1.0), (1.0, 2.0), (7, 5)))
+                A = assemble_system(spec)
+                assert A.matrix.format == "dia"
+                assert np.array_equal(A.matrix.toarray(), coo_system(spec).toarray())
+                for sp, T in zip(spec.species, A.transports):
+                    assert T.matrix.format == "dia"
+                    expected = coo_transport(spec.grid, sp.sigma, sp.potential).toarray()
+                    assert np.array_equal(T.matrix.toarray(), expected)
 
     def test_nonlinear_rejected(self):
         spec = symmetric_motor(8)

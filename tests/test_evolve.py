@@ -38,6 +38,7 @@ from conftest import (
     smooth_state,
     symmetric_motor,
 )
+from coo_assembly import coo_system
 
 
 def transports_for(spec):
@@ -451,13 +452,21 @@ class TestConservativeProjection:
         with pytest.raises(SolverError, match="projection"):
             factored._project(b, np.full(n, 1.0 + 1e-3), 1e-4, out)
 
-    def test_diagonals_match_scipy_conversion(self, rng, monkeypatch):
-        monkeypatch.setattr(motorflux.evolve, "_DIA_CHUNK", 7)  # cross chunk borders
-        spec = random_problem(rng, n=3, cells=9, dim=2)
-        k = sparse.csc_array(sparse.eye_array(3 * 81) - 0.1 * assemble_system(spec).matrix)
-        ours, theirs = motorflux.evolve._diagonals(k), sparse.dia_array(k)
-        assert np.array_equal(ours.offsets, theirs.offsets)
-        assert ours.data.tobytes() == theirs.data.tobytes()
+    def test_k_matches_csr_difference(self, rng):
+        # K = I - dt*M on the DIA data rounds like the CSR eye - dt*M of the
+        # COO assembly, and SuperLU gets the same CSC arrays
+        for dim, cells in ((1, 30), (2, 7)):
+            spec = random_problem(rng, n=3, cells=cells, dim=dim)
+            matrix = assemble_system(spec).matrix
+            w = np.repeat(spec.grid.cell_volume / spec.alphas, spec.grid.size)
+            for dt in (1e-3, 0.1, 10.0):
+                factored = _Factored(matrix, w, dt, 1e-12)
+                expected = sparse.csc_array(sparse.eye_array(matrix.shape[0], format="csr")
+                                            - dt * coo_system(spec))
+                ours = factored._k.tocsc()
+                assert np.array_equal(ours.indptr, expected.indptr)
+                assert np.array_equal(ours.indices, expected.indices)
+                assert ours.data.tobytes() == expected.data.tobytes()
 
     def test_all_zero_block_is_left_alone(self):
         spec = reversible_problem(cells=8, p=2.0)
@@ -608,9 +617,9 @@ class TestTridiagonalSolve:
 
     def test_factor_refuses_other_tridiagonals(self):
         def tridiagonal(lower, diag, upper, n=8):
-            return sparse.csc_array(sparse.diags_array(
+            return sparse.diags_array(
                 [np.full(n - 1, lower), np.full(n, diag), np.full(n - 1, upper)],
-                offsets=[-1, 0, 1]))
+                offsets=[-1, 0, 1])
 
         # off-diagonal products of mixed sign, zero, and a K that is not positive definite
         assert _SymmetrizedTridiagonal.factor(tridiagonal(1.0, 3.0, -1.0)) is None

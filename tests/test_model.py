@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +259,20 @@ class TestValidate:
     def test_idempotent(self):
         spec = symmetric_motor(16)
         assert validate(spec) == validate(spec)
+
+    def test_report_is_kept_per_instance(self, monkeypatch):
+        checked = []
+        check = motorflux.model._check
+        monkeypatch.setattr(motorflux.model, "_check",
+                            lambda spec: checked.append(spec) or check(spec))
+        spec = symmetric_motor(16)
+        assert validate(spec) is validate(spec)
+        assert checked == [spec]
+        # a replaced copy is a new problem and is checked anew
+        bad = replace(spec, coupling=CouplingMatrix([[-1.0, 0.0], [1.0, -1.0]]))
+        assert any("column 2" in v for v in validate(bad).violations)
+        assert validate(spec).ok
+        assert len(checked) == 2
 
     @pytest.mark.parametrize("cells,ok", [
         ((MAX_UNKNOWNS // 2,), True),
