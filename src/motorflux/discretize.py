@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ScalingError, UnsupportedConfigurationError
-from .model import Grid, PotentialSpec, ProblemSpec, State, eval_potential
+from .model import Grid, PotentialSpec, ProblemSpec, State, _samples, eval_potential
 
 __all__ = [
     "bernoulli",
@@ -118,9 +118,22 @@ def assemble_transport(grid: Grid, sigma: float, psi: PotentialSpec,
     The diagonal is set to the exact negative of each column's off-diagonal
     sum, which pins the discrete conservation property down to round-off.
     """
+    psi_vals = np.asarray(eval_potential(psi, grid.centers(), grid), dtype=float).ravel()
+    return _transport(grid, sigma, psi_vals, species)
+
+
+def _transports(spec: ProblemSpec):
+    """Each species' transport operator, from the potential samples ``spec`` keeps."""
+    potentials = _samples(spec)[0]
+    return (_transport(spec.grid, sp.sigma, psi, i)
+            for i, (sp, psi) in enumerate(zip(spec.species, potentials)))
+
+
+def _transport(grid: Grid, sigma: float, psi_vals: np.ndarray,
+               species: int) -> TransportOperator:
+    """`assemble_transport` from the flat cell-centre samples ``psi_vals``."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    psi_vals = np.asarray(eval_potential(psi, grid.centers(), grid), dtype=float).ravel()
     shape = grid.cells
     pot = psi_vals.reshape(shape)
     # a step along axis a moves the flat index (axis 0 outermost) by strides[a]
@@ -178,10 +191,7 @@ def assemble_system(spec: ProblemSpec) -> SystemOperator:
             "no block-operator matrix (the evolver factors only the per-species "
             "transport operators and takes the reactions explicitly)"
         )
-    transports = tuple(
-        assemble_transport(spec.grid, sp.sigma, sp.potential, species=i)
-        for i, sp in enumerate(spec.species)
-    )
+    transports = tuple(_transports(spec))
     size = spec.grid.size
     weighted = spec.alphas[:, None] * spec.coupling.lam
     pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(weighted))]
@@ -200,11 +210,9 @@ def assemble_system(spec: ProblemSpec) -> SystemOperator:
 
 def _gauge_factors(spec: ProblemSpec) -> np.ndarray:
     """exp(psi_i/sigma_i) sampled at cell centers, shape (n, cells)."""
-    pts = spec.grid.centers()
     rows = []
-    for sp in spec.species:
-        z = np.asarray(eval_potential(sp.potential, pts, spec.grid), dtype=float).ravel()
-        z = z / sp.sigma
+    for sp, psi in zip(spec.species, _samples(spec)[0]):
+        z = psi / sp.sigma
         if np.abs(z).max() > _GAUGE_EXP_CAP:
             raise ScalingError(
                 f"|psi/sigma| reaches {np.abs(z).max():.3g} > {_GAUGE_EXP_CAP:g}; "

@@ -31,8 +31,8 @@ from .errors import DegenerateDataError, IrreducibilityError, NonConvergenceErro
 from .model import (
     ReactionSpec,
     State,
+    _samples,
     _strongly_connected,
-    eval_potential,
     eval_reaction,
     reaction_inverse,
 )
@@ -119,21 +119,11 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
         lu = splu(matrix[1:, 1:])
     except RuntimeError as err:
         # nonsingular in exact arithmetic, since the coupling is strongly connected
-        eps = np.finfo(float).eps
-        weight = min(sp.sigma for sp in spec.species) / max(spec.grid.h) ** 2
-        rates = spec.alphas * np.abs(np.diag(spec.coupling.lam))
-        diagonals = [float(np.abs(t.matrix.diagonal()).max()) for t in A.transports]
-        lost = [f"the coupling rate alpha_{i}*|lam_{i}{i}| = {r:.3e} of species {i} is lost in "
-                f"rounding beside its transport diagonal {d:.3e}"
-                for i, (r, d) in enumerate(zip(rates, diagonals), start=1) if 0 < r <= eps * d]
-        if weight <= eps * rates.max():
-            lost.insert(0, f"the smallest transport weight sigma/h^2 = {weight:.3e} is lost in "
-                           f"rounding beside the largest coupling rate alpha_i*|lam_ii| = "
-                           f"{rates.max():.3e}")
+        lost = _lost_scale(A)
         if lost:
             raise ScalingError(
                 f"reduced stationary system is singular ({err}) although the coupling graph is "
-                f"strongly connected: {lost[0]}"
+                f"strongly connected: {lost}"
             ) from err
         raise IrreducibilityError(
             f"reduced stationary system is singular ({err}); the configuration "
@@ -154,6 +144,13 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
         scale = float(_weights(A) @ x)
     v = x / scale
     if not v.min() > 0.0:
+        # strictly positive in exact arithmetic, since the coupling is strongly connected
+        lost = _lost_scale(A)
+        if lost:
+            raise ScalingError(
+                "computed null vector is not strictly positive although the coupling graph is "
+                f"strongly connected: {lost}"
+            )
         raise IrreducibilityError(
             "computed null vector is not strictly positive; the configuration "
             "is not irreducible"
@@ -167,6 +164,27 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
     state = State(spec.grid, v.reshape(A.n, A.cells), t=0.0, gauge="physical")
     return StationaryState(state=state, residual=residual,
                            normalization=normalization, constraint_value=1.0)
+
+
+def _lost_scale(A: SystemOperator) -> str | None:
+    """Why A's transport weights or coupling rates are lost in rounding, or None.
+
+    Either the smallest transport weight sigma/h^2 vanishes beside the
+    largest coupling rate, or a species' rate alpha_i*|lam_ii| vanishes
+    beside its own transport diagonal; the first is named first.
+    """
+    spec = A.spec
+    eps = np.finfo(float).eps
+    weight = min(sp.sigma for sp in spec.species) / max(spec.grid.h) ** 2
+    rates = spec.alphas * np.abs(np.diag(spec.coupling.lam))
+    if weight <= eps * rates.max():
+        return (f"the smallest transport weight sigma/h^2 = {weight:.3e} is lost in rounding "
+                f"beside the largest coupling rate alpha_i*|lam_ii| = {rates.max():.3e}")
+    diagonals = [float(np.abs(t.matrix.diagonal()).max()) for t in A.transports]
+    return next((f"the coupling rate alpha_{i}*|lam_{i}{i}| = {r:.3e} of species {i} is lost "
+                 f"in rounding beside its transport diagonal {d:.3e}"
+                 for i, (r, d) in enumerate(zip(rates, diagonals), start=1)
+                 if 0 < r <= eps * d), None)
 
 
 def adjoint_null_check(A: SystemOperator) -> float:
@@ -257,8 +275,5 @@ def boltzmann_profile(spec, species: int = 0) -> np.ndarray:
     This is the exact single-species stationary density: the flux vanishes on
     it face by face, and here it is normalized to unit discrete integral.
     """
-    sp = spec.species[species]
-    pts = spec.grid.centers()
-    psi = np.asarray(eval_potential(sp.potential, pts, spec.grid), dtype=float).ravel()
-    prof = np.exp(-psi / sp.sigma)
+    prof = np.exp(-_samples(spec)[0][species] / spec.species[species].sigma)
     return prof / (spec.grid.cell_volume * prof.sum())

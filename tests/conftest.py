@@ -1,7 +1,11 @@
 """Shared fixture builders for the test suite."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+
+import motorflux.model
 
 from motorflux import (
     CouplingMatrix,
@@ -138,3 +142,17 @@ def smooth_state(spec: ProblemSpec, rng, floor: float = 0.1) -> State:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250811)
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Count the calls of `motorflux.model._profile`, keyed by (profile kind, point count)."""
+    calls = Counter()
+    profile = motorflux.model._profile
+
+    def counted(pot, s):
+        calls[pot.kind, s.size] += 1
+        return profile(pot, s)
+
+    monkeypatch.setattr(motorflux.model, "_profile", counted)
+    return calls

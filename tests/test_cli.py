@@ -801,6 +801,25 @@ class TestSteady:
         assert "transport diagonal 1.280e+02" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["steady", "verify-convergence"])
+    def test_lost_coupling_rate_with_a_nonpositive_null_vector_exits_2(self, tmp_path, capsys,
+                                                                       command):
+        # SuperLU factors the reduced system, but the rate 1e-12 of species 2 is
+        # lost beside its diagonal 2*sigma/h^2 = 131072, and the null vector has
+        # a nonpositive entry
+        text = (MOTOR_CONFIG.replace("cells = 64", "cells = 256")
+                .replace("row.1 = -1.0, 1.0", "row.1 = -1.0, 1e-12")
+                .replace("row.2 = 1.0, -1.0", "row.2 = 1.0, -1e-12"))
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "computed null vector is not strictly positive" in err
+        assert "coupling graph is strongly connected" in err
+        assert "alpha_2*|lam_22| = 1.000e-12 of species 2" in err
+        assert "transport diagonal 1.311e+05" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("domain", [
         ("0.0", "1.0", "4096"),
         ("0.0", "1.0", "65536"),
@@ -1031,6 +1050,26 @@ class TestEdgeCases:
                      "--out", str(tmp_path / "o")])
         assert code == 0
         assert len(checked) == 1
+
+    def test_simulate_samples_each_profile_once(self, tmp_path, profile_calls):
+        # each potential at the 64 centres and the 65 faces, each initial profile
+        # at the centres; a second command samples anew
+        config = write_config(tmp_path, SAWTOOTH_MOTOR_CONFIG)
+        for runs in (1, 2):
+            assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 0
+            assert profile_calls == {("sawtooth_smoothed", 64): 2 * runs,
+                                     ("sawtooth_smoothed", 65): 2 * runs,
+                                     ("linear", 64): 2 * runs}
+
+    def test_pair_check_samples_each_profile_once(self, tmp_path, profile_calls):
+        text = IMEX3_CONFIG.replace("alpha = 1.0\n", "alpha = 1.0\n"
+                                    "potential.kind = sawtooth_smoothed\n"
+                                    "potential.params = amplitude=0.5, period=1.0\n")
+        code = main(["verify-contraction", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert profile_calls == {("sawtooth_smoothed", 32): 3, ("sawtooth_smoothed", 33): 3,
+                                 ("cosine", 32): 3}
 
     def test_oracle_scope_error_maps_to_config_exit(self, tmp_path):
         big = MOTOR_CONFIG.replace("cells = 64", "cells = 512")

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -27,7 +29,7 @@ from motorflux import (
 )
 import motorflux.evolve
 from motorflux.cli import MASS_DRIFT_TOL
-from motorflux.evolve import MAX_STEPS, _Factored, _SymmetrizedTridiagonal
+from motorflux.evolve import MAX_STEPS, _Factored, _implicit_matrix, _SymmetrizedTridiagonal
 from motorflux.errors import ConfigError, SolverError, StepSizeError
 
 from conftest import (
@@ -46,6 +48,11 @@ def transports_for(spec):
         assemble_transport(spec.grid, sp.sigma, sp.potential, species=i)
         for i, sp in enumerate(spec.species)
     )
+
+
+def _factor(matrix, w, dt, tol):
+    """The stepper's factorization of K = I - dt*M for one block M."""
+    return _Factored(_implicit_matrix(matrix, dt), w, dt, tol)
 
 
 class TestStepConfig:
@@ -408,6 +415,28 @@ class TestRunBatch:
             run_batch(spec, StepConfig(dt=0.1, t_end=0.1), (small, large))
 
 
+class TestOperatorRelease:
+    def test_m_is_dead_when_superlu_factors(self, monkeypatch):
+        # K = I - dt*M is formed first; M is assembled anew for the remainder step
+        refs, dead = [], []
+        assemble = motorflux.evolve.assemble_system
+        factorize = motorflux.evolve.splu
+
+        def recorded(spec):
+            op = assemble(spec)
+            refs.extend((weakref.ref(op.matrix), weakref.ref(op.matrix.data)))
+            return op
+
+        def checked(*args, **kwargs):
+            dead.append([ref() is None for ref in refs])
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(motorflux.evolve, "assemble_system", recorded)
+        monkeypatch.setattr(motorflux.evolve, "splu", checked)
+        run(symmetric_motor(16), StepConfig(dt=0.1, t_end=0.25))  # two full steps, a remainder
+        assert dead == [[True] * 2, [True] * 4]
+
+
 class TestConservativeProjection:
     def test_mass_drift_at_65536_cells(self):
         # the rounding of K = I - dt*M and of the LU solve drift this run's
@@ -443,8 +472,7 @@ class TestConservativeProjection:
     def test_guard_rejects_mass_change_beyond_bound(self):
         # K = I has no rounding defect, so the guard allows ||w||_1 * bound
         n = 4
-        factored = motorflux.evolve._Factored(
-            sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, 0.0)
+        factored = _factor(sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, 0.0)
         b = np.ones(n)
         out = np.empty(n)
         factored._project(b, np.full(n, 1.0 + 1e-3), 1e-3, out)
@@ -460,7 +488,7 @@ class TestConservativeProjection:
             matrix = assemble_system(spec).matrix
             w = np.repeat(spec.grid.cell_volume / spec.alphas, spec.grid.size)
             for dt in (1e-3, 0.1, 10.0):
-                factored = _Factored(matrix, w, dt, 1e-12)
+                factored = _factor(matrix, w, dt, 1e-12)
                 expected = sparse.csc_array(sparse.eye_array(matrix.shape[0], format="csr")
                                             - dt * coo_system(spec))
                 ours = factored._k.tocsc()
@@ -486,7 +514,7 @@ class TestLazyBound:
 
     def identity(self, x=None):
         """K = I on 4 cells (||K|| = 1, no rounding defect), whose solve returns ``x``."""
-        factored = _Factored(sparse.csr_array((4, 4)), np.full(4, 0.25), 0.1, self.TOL)
+        factored = _factor(sparse.csr_array((4, 4)), np.full(4, 0.25), 0.1, self.TOL)
         if x is not None:
             class Fixed:
                 def solve(self, b):
@@ -581,7 +609,7 @@ class TestTridiagonalSolve:
             sigma = float(rng.uniform(0.5, 1.5))
             matrix = assemble_transport(grid, sigma, _potential_with_span(rng, span, sigma)).matrix
             dt = float(10.0 ** rng.uniform(-5.0, -1.0))
-            factored = _Factored(matrix, np.full(cells, grid.cell_volume), dt, 1e-12)
+            factored = _factor(matrix, np.full(cells, grid.cell_volume), dt, 1e-12)
             assert isinstance(factored._solver, _SymmetrizedTridiagonal)
 
             k = sparse.csc_array(sparse.eye_array(cells) - dt * matrix)
@@ -609,7 +637,7 @@ class TestTridiagonalSolve:
             (steep, np.ones(64)),
         ]
         for matrix, w in blocks:
-            factored = _Factored(matrix, w, 0.01, 1e-12)
+            factored = _factor(matrix, w, 0.01, 1e-12)
             assert isinstance(factored._solver, SuperLU)
             b = rng.random((1, len(w)))
             out = np.empty_like(b)

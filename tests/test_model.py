@@ -1,9 +1,10 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from motorflux import (
     CouplingMatrix,
@@ -91,6 +92,25 @@ class TestPotentials:
         assert np.all(np.isfinite(vals))
         assert eval_potential(pot, 0.25, g) == pytest.approx(
             eval_potential(pot, 1.25, g), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms=st.integers(1, 1024),
+           amplitude=st.floats(-5.0, 5.0).filter(lambda a: a == 0.0 or abs(a) >= 1e-3),
+           period=st.floats(0.5, 4.0),
+           phase=st.floats(-1.0, 1.0),
+           points=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=16))
+    def test_sawtooth_kernel_matches_term_by_term_sum(self, terms, amplitude, period, phase,
+                                                      points):
+        # the power recurrence against one np.sin per term; the reference
+        # rounds k*arg before each sine, so the bound grows with the terms
+        s = np.array(points)
+        pot = PotentialSpec("sawtooth_smoothed", amplitude=amplitude, period=period,
+                            phase=phase, terms=terms)
+        arg = 2.0 * np.pi * (s - phase) / period
+        series = sum((-1.0) ** (k + 1) * np.sin(k * arg) / k for k in range(1, terms + 1))
+        reference = amplitude * (2.0 / np.pi) * series
+        error = np.abs(motorflux.model._profile(pot, s) - reference).max()
+        assert error <= 1e-14 * terms * abs(amplitude)
 
     def test_out_of_domain_rejected(self):
         g = Grid.interval(0.0, 1.0, 4)
@@ -305,6 +325,28 @@ class TestValidate:
         for n in (2, 3, 5):
             c = random_coupling(rng, n)
             assert np.abs(c.column_sums()).max() <= 1e-14
+
+
+class TestCouplingMatrix:
+    def test_pickled_spec_equals_and_hashes_like_the_original(self):
+        spec = symmetric_motor(8)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        assert hash(copy) == hash(spec)
+
+    def test_signed_zeros_compare_and_hash_equal(self):
+        plus = CouplingMatrix([[0.0, 0.0], [0.0, 0.0]])
+        minus = CouplingMatrix([[-0.0, 0.0], [0.0, -0.0]])
+        assert plus == minus
+        assert hash(plus) == hash(minus)
+
+    def test_shape_and_entries_decide(self):
+        lam = [[-1.0, 1.0], [1.0, -1.0]]
+        assert CouplingMatrix(lam) == CouplingMatrix(np.array(lam))
+        assert CouplingMatrix(lam) != CouplingMatrix([[-1.0, 2.0], [1.0, -2.0]])
+        assert CouplingMatrix([[0.0]]) != CouplingMatrix(np.zeros((2, 2)))
+        assert CouplingMatrix([[np.nan]]) != CouplingMatrix([[np.nan]])
+        assert CouplingMatrix(lam) != lam
 
 
 class TestState:
