@@ -20,7 +20,6 @@ from .discretize import (
     write_matrix_market,
 )
 from .evolve import (
-    SnapshotDiagnostics,
     StepConfig,
     Trajectory,
     imex_dt_max,
@@ -78,7 +77,7 @@ __all__ = [
     "bernoulli", "TransportOperator", "SystemOperator",
     "assemble_transport", "assemble_system", "conjugate_to_neumann",
     "gauge_transform", "write_matrix_market",
-    "StepConfig", "SnapshotDiagnostics", "Trajectory",
+    "StepConfig", "Trajectory",
     "step_linear_implicit", "step_imex", "imex_dt_max", "run",
     "run_batch",
     "StationaryState", "StationaryRay", "solve_null_vector",

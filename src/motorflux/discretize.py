@@ -57,16 +57,16 @@ def bernoulli(x):
     B(x) -> -x as x -> -inf; both limits are reached without overflow.
     """
     arr = np.asarray(x, dtype=float)
-    out = np.empty_like(arr)
+    # x/expm1(x) over the whole array, the Taylor and overflow entries then
+    # overwritten, is about twice as fast as gathering the entries in between
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.divide(arr, np.expm1(arr), out=np.empty_like(arr))
     small = np.abs(arr) <= _TAYLOR_CUTOFF
-    big = arr > _OVERFLOW_CUTOFF
-    mid = ~(small | big)
     xs = arr[small]
     out[small] = 1.0 - xs / 2.0 + xs * xs / 12.0 - xs ** 4 / 720.0
+    big = arr > _OVERFLOW_CUTOFF
     xb = arr[big]
     out[big] = xb * np.exp(-xb)
-    xm = arr[mid]
-    out[mid] = xm / np.expm1(xm)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

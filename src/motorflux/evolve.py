@@ -91,17 +91,21 @@ A column beyond that, or one whose factor is not positive and finite (w.x = 0
 while w.b != 0), raises SolverError.  Columns with w.b = w.x, such as
 all-zero blocks, are left as they are.
 
-`run_batch` advances any number of trajectories of one (problem, dt) in
-lockstep: every factorization solves all of them in one multi-RHS call, one
-column per trajectory, and each column is checked against its own bound.
-`run` is its batch of one.  The pair checks in `verify` step both of their
-trajectories this way, so a failure in either one raises at the first failing
-step of the pair, with ``.time`` set to that step.
+`run_batch` is the one stepping loop.  It advances any number of
+trajectories of one (problem, dt) in lockstep: every factorization solves all
+of them in one multi-RHS call, one column per trajectory, and each column is
+checked against its own bound.  It is a generator that yields each snapshot
+as it is reached, one State per trajectory, so a caller reduces it and drops
+it, and no command holds a whole trajectory: `simulate` writes each snapshot
+at once, the checks in `verify` keep scalar series.  A failure in any
+trajectory raises at the first failing step, with ``.time`` set to that step.
+`run` collects the snapshots of one trajectory into a `Trajectory`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +134,6 @@ from .model import (
 __all__ = [
     "MAX_STEPS",
     "StepConfig",
-    "SnapshotDiagnostics",
     "Trajectory",
     "step_linear_implicit",
     "step_imex",
@@ -177,23 +180,12 @@ class StepConfig:
 
 
 @dataclass(frozen=True)
-class SnapshotDiagnostics:
-    time: float
-    weighted_mass: float
-    species_min: tuple[float, ...]
-    species_l1: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Recorded snapshots of one run, with per-snapshot diagnostics."""
+    """Recorded snapshots of one run."""
 
     states: tuple[State, ...]
-    diagnostics: tuple[SnapshotDiagnostics, ...]
 
     def __post_init__(self):
-        if len(self.states) != len(self.diagnostics):
-            raise ValueError("one diagnostics record per snapshot required")
         times = [s.t for s in self.states]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be strictly increasing")
@@ -205,18 +197,6 @@ class Trajectory:
     @property
     def final(self) -> State:
         return self.states[-1]
-
-
-def _diagnose(state: State, spec: ProblemSpec) -> SnapshotDiagnostics:
-    vol = state.grid.cell_volume
-    l1 = vol * np.abs(state.fields).sum(axis=1)
-    mass = float(np.sum(vol * state.fields.sum(axis=1) / spec.alphas))
-    return SnapshotDiagnostics(
-        time=state.t,
-        weighted_mass=mass,
-        species_min=tuple(float(v) for v in state.fields.min(axis=1)),
-        species_l1=tuple(float(v) for v in l1),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +577,10 @@ def run(spec: ProblemSpec, cfg: StepConfig, initial: State | None = None) -> Tra
 
     Linear problems use the assembled block operator; any nonlinear reaction
     switches the run to IMEX splitting.  ``initial`` overrides the sampled
-    initial data (used by the verification checks).  This is `run_batch`
-    with one trajectory.
+    initial data (used by the verification checks).  This collects the
+    snapshots that `run_batch` yields for one trajectory.
     """
-    return run_batch(spec, cfg, (initial,))[0]
+    return Trajectory(tuple(state for (state,) in run_batch(spec, cfg, (initial,))))
 
 
 def _operators(spec: ProblemSpec):
@@ -613,12 +593,22 @@ def _operators(spec: ProblemSpec):
             yield op.matrix
 
 
-def run_batch(spec: ProblemSpec, cfg: StepConfig, initials) -> tuple[Trajectory, ...]:
+def _step_count(cfg: StepConfig) -> tuple[int, int]:
+    """(steps of cfg.dt, all steps): a last, shorter step reaches t_end when
+    cfg.dt does not divide it."""
+    n_full = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
+    return n_full, n_full + (cfg.t_end - n_full * cfg.dt > 1e-12 * cfg.dt)
+
+
+def run_batch(spec: ProblemSpec, cfg: StepConfig,
+              initials) -> Iterator[tuple[State, ...]]:
     """Advance one trajectory per entry of ``initials`` in lockstep, as `run` does.
 
-    An entry of None stands for the sampled initial data.  All trajectories
-    share each factorization and each solve call.  A failure in any of them
-    raises at the first failing step, with ``.time`` set to that step.
+    A generator: it yields a tuple with one State per trajectory at t = 0,
+    after every ``stride``-th step and after the last step.  An entry of None
+    stands for the sampled initial data.  All trajectories share each
+    factorization and each solve call.  A failure in any of them raises at
+    the first failing step, with ``.time`` set to that step.
     """
     report = validate(spec)
     if not report.ok:
@@ -630,16 +620,9 @@ def run_batch(spec: ProblemSpec, cfg: StepConfig, initials) -> tuple[Trajectory,
         _require_physical(state, "run")
         if state.fields.shape != (spec.n_species, spec.grid.size):
             raise ValueError("initial state does not match the problem layout")
+    yield states
 
-    snapshots = [[s] for s in states]
-    diags = [[_diagnose(s, spec)] for s in states]
-    if cfg.t_end <= 0.0:
-        return tuple(Trajectory(tuple(s), tuple(d)) for s, d in zip(snapshots, diags))
-
-    n_full = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
-    remainder = cfg.t_end - n_full * cfg.dt
-    n_steps = n_full + (remainder > 1e-12 * cfg.dt)
-
+    n_full, n_steps = _step_count(cfg)
     blocks = 1 if spec.is_linear else spec.n_species
     reactions = None if spec.is_linear else spec
     weights = _block_weights(spec, blocks)
@@ -649,7 +632,8 @@ def run_batch(spec: ProblemSpec, cfg: StepConfig, initials) -> tuple[Trajectory,
         full = k <= n_full
         if k in (1, n_full + 1):  # factor for cfg.dt, and again for a remainder step
             stepper = None  # release the previous factors first
-            stepper = _Stepper(_operators(spec), weights, cfg.dt if full else remainder,
+            stepper = _Stepper(_operators(spec), weights,
+                               cfg.dt if full else cfg.t_end - n_full * cfg.dt,
                                cfg.lin_tol, reactions)
         t_next = k * cfg.dt if full else cfg.t_end
         try:
@@ -658,8 +642,5 @@ def run_batch(spec: ProblemSpec, cfg: StepConfig, initials) -> tuple[Trajectory,
             err.time = t_next
             raise
         if k % cfg.stride == 0 or k == n_steps:
-            for j, state in enumerate(states):
-                snap = state.with_fields(u[:, j].reshape(state.fields.shape), t=t_next)
-                snapshots[j].append(snap)
-                diags[j].append(_diagnose(snap, spec))
-    return tuple(Trajectory(tuple(s), tuple(d)) for s, d in zip(snapshots, diags))
+            yield tuple(state.with_fields(u[:, j].reshape(state.fields.shape), t=t_next)
+                        for j, state in enumerate(states))

@@ -30,7 +30,9 @@ from scipy.linalg import expm
 
 from .discretize import SystemOperator, assemble_system
 from .errors import OracleScopeError
-from .evolve import StepConfig, Trajectory, run, run_batch
+# `run` here is the stepping generator, the name that perfbench/spans.py
+# traces; `motorflux.run` is the library call that collects it into a Trajectory
+from .evolve import StepConfig, run_batch as run
 from .model import ProblemSpec, State, initial_state
 
 __all__ = [
@@ -115,30 +117,28 @@ def _sign_flags(diff: np.ndarray) -> tuple[bool, ...]:
     )
 
 
-def _pair_trajectories(spec, cfg, u0_a, u0_b) -> tuple[Trajectory, Trajectory]:
-    """Both runs of a pair check, stepped together on shared factorizations."""
-    return run_batch(spec, cfg, (u0_a, u0_b))
+def _largest_increase(times, values) -> tuple[float, float]:
+    """The largest rise of ``values`` from one snapshot to the next, and the
+    time at which it ends: (0.0, times[0]) when the series never rises."""
+    worst, argmax = 0.0, times[0]
+    for t, before, after in zip(times[1:], values, values[1:]):
+        if after - before > worst:
+            worst, argmax = after - before, t
+    return worst, argmax
 
 
 def check_contraction(spec: ProblemSpec, u0_a: State, u0_b: State,
                       cfg: StepConfig) -> tuple[CheckReport, DifferenceSeries]:
     """Assert the weighted L1 distance of two runs never increases."""
-    traj_a, traj_b = _pair_trajectories(spec, cfg, u0_a, u0_b)
-    times = traj_a.times
-    norms = [weighted_l1_distance(a, b, spec)
-             for a, b in zip(traj_a.states, traj_b.states)]
-    flags = [_sign_flags(a.fields - b.fields)
-             for a, b in zip(traj_a.states, traj_b.states)]
+    times, norms, flags = [], [], []
+    for a, b in run(spec, cfg, (u0_a, u0_b)):
+        times.append(a.t)
+        norms.append(weighted_l1_distance(a, b, spec))
+        flags.append(_sign_flags(a.fields - b.fields))
     series = DifferenceSeries(tuple(times), tuple(norms), tuple(flags))
 
     slack = MONOTONE_SLACK * (1.0 + norms[0])
-    worst = 0.0
-    argmax = times[0]
-    for k in range(1, len(norms)):
-        inc = norms[k] - norms[k - 1]
-        if inc > worst:
-            worst = inc
-            argmax = times[k]
+    worst, argmax = _largest_increase(times, norms)
     report = CheckReport(
         name="contraction",
         passed=worst <= slack,
@@ -159,10 +159,11 @@ def check_comparison(spec: ProblemSpec, u0_low: State, u0_high: State,
     """
     if np.any(u0_low.fields > u0_high.fields):
         raise ValueError("u0_low must be cellwise <= u0_high")
-    traj_low, traj_high = _pair_trajectories(spec, cfg, u0_low, u0_high)
+    times = []
     worst = 0.0
-    argmax = traj_low.times[0]
-    for lo, hi in zip(traj_low.states, traj_high.states):
+    argmax = u0_low.t
+    for lo, hi in run(spec, cfg, (u0_low, u0_high)):
+        times.append(lo.t)
         order_gap = float((lo.fields - hi.fields).max())
         neg = -min(float(lo.fields.min()), float(hi.fields.min()))
         bad = max(order_gap, neg, 0.0)
@@ -175,7 +176,7 @@ def check_comparison(spec: ProblemSpec, u0_low: State, u0_high: State,
         worst=worst,
         argmax_time=argmax,
         tolerance=tol,
-        series={"times": traj_low.times},
+        series={"times": tuple(times)},
     )
 
 
@@ -188,18 +189,13 @@ def check_convergence(spec: ProblemSpec, u0: State, cfg: StepConfig,
     ``target`` is a stationary-state record; its ``state`` field is used.
     """
     target_state = target.state if hasattr(target, "state") else target
-    traj = run(spec, cfg, initial=u0)
-    dists = [weighted_l1_distance(s, target_state, spec) for s in traj.states]
-    times = traj.times
+    times, dists = [], []
+    for (state,) in run(spec, cfg, (u0,)):
+        times.append(state.t)
+        dists.append(weighted_l1_distance(state, target_state, spec))
 
     slack = MONOTONE_SLACK * (1.0 + dists[0])
-    worst_inc = 0.0
-    argmax = times[0]
-    for k in range(1, len(dists)):
-        inc = dists[k] - dists[k - 1]
-        if inc > worst_inc:
-            worst_inc = inc
-            argmax = times[k]
+    worst_inc, argmax = _largest_increase(times, dists)
     final = dists[-1]
     passed = worst_inc <= slack and final <= threshold
     worst = max(worst_inc, final - threshold if final > threshold else 0.0)
@@ -259,8 +255,9 @@ def oracle_compare(spec: ProblemSpec, cfg: StepConfig, t: float,
             raise ValueError(f"dt={dt} does not divide t={t}")
         steps = round(t / dt)
         sub = replace(cfg, dt=dt, t_end=t, stride=max(steps, 1))
-        traj = run(spec, sub, initial=u0)
-        errors.append(weighted_l1_distance(traj.final, ref, spec))
+        for (final,) in run(spec, sub, (u0,)):
+            pass
+        errors.append(weighted_l1_distance(final, ref, spec))
 
     dts_sorted = tuple(sorted(dts, reverse=True))
     if max(errors) <= 1e-13 * max(ref_norm, 1.0):

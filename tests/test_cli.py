@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motorflux import Grid, State
+from motorflux import Grid, State, weighted_mass
 import motorflux.cli
 from motorflux.cli import _write_state_csv, format_effective_config, main, parse_config
-from motorflux.evolve import Trajectory, _diagnose, run
+import motorflux.evolve
+from motorflux.evolve import run_batch
 from motorflux.model import MAX_UNKNOWNS
-from motorflux.errors import ConfigError
+from motorflux.errors import ConfigError, SolverError
 
 MOTOR_CONFIG = """\
 [domain]
@@ -249,6 +251,24 @@ class TestSimulate:
         masses = [r["mass"] for r in records]
         assert max(abs(m - masses[0]) for m in masses) <= 1e-11 * abs(masses[0])
 
+    def test_manifest_describes_each_snapshot(self, tmp_path):
+        # the CSV floats round-trip, so the manifest is recomputed from them
+        main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
+              "--out", str(tmp_path / "o")])
+        spec = parse_config(write_config(tmp_path, MOTOR_CONFIG)).problem
+        records = [json.loads(line) for line in
+                   (tmp_path / "o" / "manifest.ndjson").read_text().splitlines()]
+        assert [r["index"] for r in records] == list(range(11))
+        for r in records:
+            table = np.loadtxt(tmp_path / "o" / f"snapshot_{r['index']}_t{r['time']!r}.csv",
+                               delimiter=",", skiprows=1)
+            state = State(spec.grid, table[:, 1:].T, t=r["time"])
+            mass = weighted_mass(state, spec)
+            assert abs(r["mass"] - mass) <= 1e-13 * max(1.0, abs(mass))
+            l1 = spec.grid.cell_volume * np.abs(state.fields).sum(axis=1)
+            assert r["l1"] == pytest.approx(l1.tolist(), rel=1e-13)
+            assert r["min"] == state.fields.min(axis=1).tolist()
+
     def test_csv_schema(self, tmp_path):
         main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
               "--out", str(tmp_path / "o")])
@@ -319,12 +339,9 @@ class TestSimulate:
         assert not (tmp_path / "o").exists()
 
     def test_mass_failure_names_snapshot(self, tmp_path, capsys, monkeypatch):
-        def leaky_run(spec, cfg):
-            traj = run(spec, cfg)
-            states = list(traj.states)
-            states[4] = states[4].with_fields(states[4].fields * (1.0 + 1e-9))
-            diags = [_diagnose(state, spec) for state in states]
-            return Trajectory(tuple(states), tuple(diags))
+        def leaky_run(spec, cfg, initials):
+            for k, (state,) in enumerate(run_batch(spec, cfg, initials)):
+                yield (state.with_fields(state.fields * (1.0 + 1e-9)) if k == 4 else state,)
 
         monkeypatch.setattr(motorflux.cli, "run", leaky_run)
         code = main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
@@ -332,6 +349,70 @@ class TestSimulate:
         assert code == 3
         err = capsys.readouterr().err
         assert "exceeds 1e-11 at snapshot 4 (t=0.4)" in err
+
+    def test_output_cap_reproducer_exits_2(self, tmp_path, capsys):
+        # 1,000,001 snapshots of 65,536 values: terabytes of CSV
+        text = (SAWTOOTH_SINGLE.replace("cells = 64", "cells = 65536")
+                .replace("dt = 0.05", "dt = 1e-6").replace("t_end = 0.5", "t_end = 1.0"))
+        code = main(["simulate", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "65536065536 values" in err
+        assert f"the cap of {motorflux.cli.MAX_OUTPUT_VALUES}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cap,code", [(11 * 128, 0), (11 * 128 - 1, 2)])
+    def test_output_cap_counts_snapshots_times_unknowns(self, tmp_path, monkeypatch, cap, code):
+        # 100 steps at stride 10 are 11 snapshots of 2 species x 64 cells
+        monkeypatch.setattr(motorflux.cli, "MAX_OUTPUT_VALUES", cap)
+        assert main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
+                     "--out", str(tmp_path / "o")]) == code
+        assert (tmp_path / "o").exists() == (code == 0)
+
+    def test_each_snapshot_is_on_disk_before_the_next_step(self, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        seen = []
+        step = motorflux.evolve._Stepper.step
+
+        def observed(stepper, u):
+            lines = (out / "manifest.ndjson").read_text().splitlines()
+            last = json.loads(lines[-1])
+            csv = out / f"snapshot_{last['index']}_t{last['time']!r}.csv"
+            seen.append((len(lines), last["index"], len(csv.read_text().splitlines()),
+                         len(list(out.glob("snapshot_*.csv")))))
+            return step(stepper, u)
+
+        monkeypatch.setattr(motorflux.evolve._Stepper, "step", observed)
+        assert main(["simulate", "--config", write_config(tmp_path, SAWTOOTH_SINGLE),
+                     "--out", str(out)]) == 0
+        # step k+1 starts after snapshot k, its 64 rows and its manifest line are written
+        assert seen == [(k + 1, k, 65, k + 1) for k in range(10)]
+
+    def test_failure_keeps_the_snapshots_before_it(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path, SAWTOOTH_SINGLE)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "whole")]) == 0
+        capsys.readouterr()
+        calls = []
+        step = motorflux.evolve._Stepper.step
+
+        def failing(stepper, u):
+            calls.append(None)
+            if len(calls) == 4:
+                raise SolverError("injected failure")
+            return step(stepper, u)
+
+        monkeypatch.setattr(motorflux.evolve._Stepper, "step", failing)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == "solver failure: injected failure\n"
+        # snapshots 0-3 and their manifest lines, as the whole run wrote them
+        whole = (tmp_path / "whole" / "manifest.ndjson").read_text().splitlines(keepends=True)
+        assert (tmp_path / "o" / "manifest.ndjson").read_text() == "".join(whole[:4])
+        kept = sorted(f.name for f in (tmp_path / "o").glob("snapshot_*.csv"))
+        assert len(kept) == 4
+        for name in kept:
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
     def test_non_finite_tol_flag_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
@@ -865,6 +946,25 @@ class TestVerifyCommands:
         rec = json.loads((tmp_path / "v" / "check_contraction.ndjson").read_text())
         assert rec["pass"] is True
         assert all(v == 0.0 for v in rec["series"]["distance"])
+
+    def test_pair_check_holds_a_bounded_number_of_states(self, tmp_path, monkeypatch):
+        # at stride 1 a check that kept its trajectories would hold two more
+        # States at every step
+        live = []
+        step = motorflux.evolve._Stepper.step
+
+        def counted(stepper, u):
+            live.append(sum(isinstance(obj, State) for obj in gc.get_objects()))
+            return step(stepper, u)
+
+        monkeypatch.setattr(motorflux.evolve._Stepper, "step", counted)
+        text = MOTOR_CONFIG.replace("t_end = 1.0", "t_end = 0.3").replace("stride = 10",
+                                                                          "stride = 1")
+        code = main(["verify-contraction", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "v")])
+        assert code == 0
+        assert len(live) == 30
+        assert max(live) - min(live) <= 2, live
 
     def test_partial_initial2_rejected(self, tmp_path):
         text = MOTOR_CONFIG.replace(

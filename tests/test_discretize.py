@@ -40,6 +40,19 @@ def weighted_colsum_rel(op) -> float:
     return float(np.abs(dense.sum(axis=0)).max() / np.abs(dense).max())
 
 
+def _branchwise(arr):
+    """B(x) on each of its three branches alone: the reference for `bernoulli`."""
+    out = np.empty_like(arr)
+    small = np.abs(arr) <= 1e-5
+    big = arr > 700.0
+    mid = ~(small | big)
+    xs = arr[small]
+    out[small] = 1.0 - xs / 2.0 + xs * xs / 12.0 - xs ** 4 / 720.0
+    out[big] = arr[big] * np.exp(-arr[big])
+    out[mid] = arr[mid] / np.expm1(arr[mid])
+    return out
+
+
 class TestBernoulli:
     def test_removable_singularity(self):
         assert bernoulli(0.0) == 1.0
@@ -63,6 +76,24 @@ class TestBernoulli:
         assert bernoulli(800.0) == 0.0
         assert bernoulli(-800.0) == pytest.approx(800.0, rel=1e-15)
         assert bernoulli(710.0) == pytest.approx(710.0 * np.exp(-710.0), rel=1e-12)
+
+    @pytest.mark.parametrize("x,expected", [
+        (0.0, 1.0), (-0.0, 1.0),
+        (1e-5, 1.0 - 5e-6 + 1e-10 / 12.0), (-1e-5, 1.0 + 5e-6 + 1e-10 / 12.0),
+        (np.nextafter(1e-5, 1.0), 1e-5 / np.expm1(1e-5)),  # the first x past the Taylor cutoff
+        (700.0, 700.0 * np.exp(-700.0)), (700.0001, 700.0001 * np.exp(-700.0001)),
+        (-745.0, 745.0), (1e300, 0.0), (-1e300, 1e300),
+    ])
+    def test_edges(self, x, expected):
+        assert bernoulli(x) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        # bit for bit the branchwise evaluation, alone and among other entries
+        xs = np.array([x, 1e-6, -3.0, 800.0, x])
+        assert bernoulli(xs).tobytes() == _branchwise(xs).tobytes()
+        assert bernoulli(x) == _branchwise(np.array([x]))[0]
+
+    def test_random_values_match_branchwise(self, rng):
+        xs = np.concatenate([rng.uniform(-s, s, 4096) for s in (1e-7, 1e-5, 1e-3, 1.0, 30.0, 800.0)])
+        assert bernoulli(xs).tobytes() == _branchwise(xs).tobytes()
 
     def test_vectorized(self):
         xs = np.array([0.0, 1.0, -1.0])

@@ -275,19 +275,9 @@ class TestRun:
     def test_zero_potential_motor_reaches_constant_state(self):
         spec = symmetric_motor(64)
         traj = run(spec, StepConfig(dt=0.05, t_end=50.0, stride=200))
-        m0 = traj.diagnostics[0].weighted_mass
+        m0 = weighted_mass(traj.states[0], spec)
         c = m0 / (2.0 * spec.grid.volume)
         assert np.abs(traj.final.fields - c).max() <= 1e-8
-
-    def test_diagnostics_consistent_with_states(self, rng):
-        spec = random_problem(rng, n=2, cells=16)
-        traj = run(spec, StepConfig(dt=0.05, t_end=0.5, stride=2))
-        vol = spec.grid.cell_volume
-        for state, diag in zip(traj.states, traj.diagnostics):
-            assert diag.time == state.t
-            mass = float(np.sum(vol * state.fields.sum(axis=1) / spec.alphas))
-            assert abs(diag.weighted_mass - mass) <= 1e-13 * max(1.0, abs(mass))
-            assert diag.species_min == tuple(state.fields.min(axis=1))
 
     def test_deterministic_and_composable(self, rng):
         spec = random_problem(rng, n=2, cells=32)
@@ -312,9 +302,9 @@ class TestRun:
     def test_imex_run_dispatch_and_positivity(self):
         spec = reversible_problem(cells=32, p=2.0)
         traj = run(spec, StepConfig(dt=0.05, t_end=2.0, stride=5))
-        for diag in traj.diagnostics:
-            assert min(diag.species_min) >= -1e-13
-        m = [d.weighted_mass for d in traj.diagnostics]
+        for state in traj.states:
+            assert state.fields.min() >= -1e-13
+        m = [weighted_mass(state, spec) for state in traj.states]
         assert max(abs(x - m[0]) for x in m) / m[0] <= 1e-11
 
     def test_step_error_carries_failing_time(self):
@@ -326,9 +316,9 @@ class TestRun:
     def test_2d_run_conserves_mass(self, rng):
         spec = random_problem(rng, n=2, cells=12, dim=2)
         traj = run(spec, StepConfig(dt=0.02, t_end=0.2, lin_tol=1e-13))
-        m = [d.weighted_mass for d in traj.diagnostics]
+        m = [weighted_mass(state, spec) for state in traj.states]
         assert max(abs(x - m[0]) for x in m) / m[0] <= 1e-10
-        assert min(min(d.species_min) for d in traj.diagnostics) >= -1e-11
+        assert min(state.fields.min() for state in traj.states) >= -1e-11
 
     def test_2d_solver_failure_raises(self, rng):
         # lin_tol = 0 accepts only an exact residual, which round-off never gives
@@ -355,20 +345,19 @@ class TestRunBatch:
             cfg = StepConfig(dt=0.05, t_end=0.37, stride=3)
         assert spec.is_linear == (kind != "imex_1d_3_species")
         initials = (None, smooth_state(spec, rng), smooth_state(spec, rng))
-        batch = run_batch(spec, cfg, initials)
-        assert len(batch) == 3
-        for traj, initial in zip(batch, initials):
+        snapshots = list(run_batch(spec, cfg, initials))
+        assert all(len(snap) == 3 for snap in snapshots)
+        for states, initial in zip(zip(*snapshots), initials):
             alone = run(spec, cfg, initial)
             # 7 full steps and a remainder step; snapshots after steps 3, 6 and 8
-            assert traj.times == alone.times
-            assert traj.times[-1] == cfg.t_end and len(traj.times) == 4
-            for a, b in zip(traj.states, alone.states):
+            assert tuple(s.t for s in states) == alone.times
+            assert alone.times[-1] == cfg.t_end and len(alone.times) == 4
+            for a, b in zip(states, alone.states):
                 assert a.fields.tobytes() == b.fields.tobytes()
-            assert traj.diagnostics == alone.diagnostics
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            run_batch(symmetric_motor(8), StepConfig(dt=0.1, t_end=0.2), ())
+            list(run_batch(symmetric_motor(8), StepConfig(dt=0.1, t_end=0.2), ()))
 
     def test_step_size_error_from_second_trajectory(self):
         spec = reversible_problem(cells=16, p=3.0)
@@ -377,7 +366,7 @@ class TestRunBatch:
         high = State(spec.grid, np.full((2, spec.grid.size), 2.0))
         run(spec, cfg, low)  # the first trajectory alone is admissible
         with pytest.raises(StepSizeError) as exc_info:
-            run_batch(spec, cfg, (low, high))
+            list(run_batch(spec, cfg, (low, high)))
         # L = p * max(u)^(p-1) = 3*4 = 12 with alpha = |lam_ii| = 1
         assert exc_info.value.dt_max == pytest.approx(1.0 / 12.0)
         assert exc_info.value.time == pytest.approx(0.1)
@@ -386,7 +375,7 @@ class TestRunBatch:
         spec = random_problem(rng, n=2, cells=32)
         cfg = StepConfig(dt=0.05, t_end=0.2, lin_tol=0.0)
         with pytest.raises(SolverError) as exc_info:
-            run_batch(spec, cfg, (None, smooth_state(spec, rng)))
+            list(run_batch(spec, cfg, (None, smooth_state(spec, rng))))
         assert exc_info.value.time == pytest.approx(0.05)
         assert exc_info.value.residual > 0.0
 
@@ -398,7 +387,7 @@ class TestRunBatch:
 
         _tamper_solves(monkeypatch, one_infinite_entry)
         with pytest.raises(SolverError, match="non-finite") as exc_info:
-            run_batch(symmetric_motor(8), StepConfig(dt=0.1, t_end=0.3), (None, None))
+            list(run_batch(symmetric_motor(8), StepConfig(dt=0.1, t_end=0.3), (None, None)))
         assert exc_info.value.time == pytest.approx(0.1)
 
     def test_each_trajectory_keeps_its_own_bound(self, monkeypatch):
@@ -412,7 +401,7 @@ class TestRunBatch:
         large = small.with_fields(1e8 * small.fields)
         _tamper_solves(monkeypatch, perturb_first_column)
         with pytest.raises(SolverError, match="lin_tol"):
-            run_batch(spec, StepConfig(dt=0.1, t_end=0.1), (small, large))
+            list(run_batch(spec, StepConfig(dt=0.1, t_end=0.1), (small, large)))
 
 
 class TestOperatorRelease:
@@ -443,10 +432,10 @@ class TestConservativeProjection:
         # weighted mass by about 1.7e-10 without the projection
         spec = sawtooth_motor(65536)
         traj = run(spec, StepConfig(dt=1e-3, t_end=0.04, stride=8))
-        masses = [d.weighted_mass for d in traj.diagnostics]
+        masses = [weighted_mass(state, spec) for state in traj.states]
         drift = max(abs(m - masses[0]) for m in masses) / masses[0]
         assert drift <= MASS_DRIFT_TOL
-        assert min(min(d.species_min) for d in traj.diagnostics) >= 0.0
+        assert min(state.fields.min() for state in traj.states) >= 0.0
 
     @pytest.mark.parametrize("spec", [symmetric_motor(8), reversible_problem(cells=8, p=2.0)],
                              ids=["linear", "imex"])
@@ -457,7 +446,7 @@ class TestConservativeProjection:
 
         _tamper_solves(monkeypatch, perturb_one_column)
         with pytest.raises(SolverError) as exc_info:
-            run_batch(spec, StepConfig(dt=0.05, t_end=0.1), (None, None))
+            list(run_batch(spec, StepConfig(dt=0.05, t_end=0.1), (None, None)))
         assert exc_info.value.time == pytest.approx(0.05)
 
     def test_zero_weighted_mass_solution_raises(self, monkeypatch):
@@ -663,7 +652,7 @@ class TestTridiagonalSolve:
         monkeypatch.setattr(motorflux.evolve, "splu", refuse)
         spec = random_problem(rng, n=3, cells=64, linear=False)
         cfg = StepConfig(dt=0.01, t_end=0.035, stride=2)  # full steps and a remainder
-        run_batch(spec, cfg, (None, smooth_state(spec, rng)))
+        list(run_batch(spec, cfg, (None, smooth_state(spec, rng))))
 
 
 def _tamper_solves(monkeypatch, tamper):
