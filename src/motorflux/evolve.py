@@ -27,29 +27,43 @@ K = I - dt*M once and reuses the factors for every step of that size.  M is
 the assembled block operator of a linear problem, or one species' transport
 operator under IMEX.  K is formed on the DIA diagonals of M: -dt*m off the
 main diagonal and 1 - dt*m on it, the roundings of a CSR difference
-eye - dt*M.  The tridiagonal factorization reads its bands from those
-diagonals, SuperLU gets a CSC copy, and the residual matvec reads K itself.
-`run_batch` hands the stepper a generator of freshly assembled operators,
-and the stepper forms every K before it factors any, so no M is held while
-SuperLU factors: only K, its CSC copy and the factors.  That is 5 MB less
-at the 131,072 unknowns of a 2-species, 65,536-cell problem.  A remainder
-step, with its own dt, assembles M again.
+eye - dt*M.  Every factorization reads K's diagonals (SuperLU gets CSC
+arrays built from them, one pass per offset), and the residual matvec reads
+K itself.  `run_batch` hands the stepper a generator of freshly assembled
+operators, and the stepper forms every K before it factors any, so no M is
+held while K is factored.  A remainder step, with its own dt, assembles M
+again.
 
-How K is factored depends only on K.  The Scharfetter-Gummel fluxes satisfy
-detailed balance, K[i+1,i]/K[i,i+1] = exp(-s) on every face, so a 1-D
-transport block is tridiagonal with positive products K[i+1,i]*K[i,i+1].
-The diagonal scale S with s_{i+1}/s_i = sqrt(K[i+1,i]/K[i,i+1]) (log s
-centred on its range) makes S^-1 K S symmetric positive definite: it is
-similar to K, whose eigenvalues are >= 1.  LAPACK pttrf factors it as
-L D L^T, and each solve is x = s * pttrs(b/s), without pivoting.  That takes
-about 0.17 ms per right-hand side at 16,384 cells against 0.45 ms for
-SuperLU (2-vCPU x86-64 host, one BLAS thread).  The scaling costs no
-stability however wide the span of psi/sigma: the error of the symmetric
-solve maps back through S, which turns the entries of S^-1 K S back into
-those of K, so only neighbour ratios of s enter.  Every other K goes to
-sparse LU (SuperLU): 2-D blocks, the coupled block operator of a linear
-problem, a scale beyond 2^(+-256), and a K that pttrf finds not positive
-definite.
+How K is factored depends only on K and on whether the grid is 1-D; there
+are three kinds.  The Scharfetter-Gummel fluxes satisfy detailed balance,
+K[i+1,i]/K[i,i+1] = exp(-s) on every face, so a 1-D transport block is
+tridiagonal with positive products K[i+1,i]*K[i,i+1].  The diagonal scale S
+with s_{i+1}/s_i = sqrt(K[i+1,i]/K[i,i+1]) (log s centred on its range)
+makes S^-1 K S symmetric positive definite: it is similar to K, whose
+eigenvalues are >= 1.  LAPACK pttrf factors it as L D L^T, and each solve
+is x = s * pttrs(b/s), without pivoting.  That takes about 0.17 ms per
+right-hand side at 16,384 cells against 0.45 ms for SuperLU (2-vCPU x86-64
+host, one BLAS thread).  The scaling costs no stability however wide the
+span of psi/sigma: the error of the symmetric solve maps back through S,
+which turns the entries of S^-1 K S back into those of K, so only neighbour
+ratios of s enter.
+
+Every other 1-D K is a band: the coupled block operator of a linear
+problem, a transport block whose scale exceeds 2^(+-256), and one that
+pttrf finds not positive definite.  Ordered cell by cell, p = c*S + s for S
+species, its transport entries sit at offsets +-S and its coupling entries
+within +-(S-1).  Scaled by the conservation weights, entry (i, j) times
+w_i/w_j, every column of K sums to exactly 1, as w^T K = w^T says, and every
+off-diagonal entry stays <= 0: the scaled K is strictly column diagonally
+dominant with a margin of 1 in every column.  Gaussian elimination keeps
+that dominance in every Schur complement, so partial pivoting never swaps a
+row, and the LU factors of LAPACK gbtrf keep the band.  Each solve is two
+BLAS tbsv sweeps and one scaling pass, about 2.1 ms per right-hand side at
+2 x 65,536 cells against 3.6 ms for SuperLU; gbtrs would sweep L as one BLAS
+dger call per column.  The pivots are checked: a zero pivot raises ScalingError, and so
+does a row swap once the identity of K is found lost in rounding (below);
+any other row swap raises SolverError.  2-D blocks go to sparse LU
+(SuperLU).
 
 An exact solve inherits the M-matrix guarantees up to round-off; ``lin_tol``
 bounds the normwise backward error of each solve,
@@ -110,7 +124,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgbtrf, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from .discretize import SystemOperator, TransportOperator, _transports, assemble_system
@@ -253,6 +268,76 @@ class _SymmetrizedTridiagonal:
         return y
 
 
+class _CellMajorBand:
+    """LAPACK gbtrf factors of a 1-D block K, interleaved by cell and weight-scaled.
+
+    K is species-major (index s*cells + c).  With r_s the weight of species s
+    over the largest weight and p = c*S + s, K' = R K R^-1 in cell-major order
+    is the band of half-width S of the module docstring, factored without a
+    row swap.  The unit-lower L and U = diag(u) U1, U1 unit upper, are kept
+    as compact Fortran copies of S + 1 rows each: a unit sweep is about twice
+    as fast as one that divides by the diagonal.  A solve is the two tbsv
+    sweeps and a product by 1/u between strided per-species copies.
+    """
+
+    def __init__(self, lower: np.ndarray, upper: np.ndarray, inverse_pivots: np.ndarray,
+                 ratio: np.ndarray):
+        self._lower, self._upper = lower, upper
+        self._inverse_pivots = inverse_pivots
+        self._ratio = ratio
+        self._z = np.empty(lower.shape[1])  # the interleaved column
+        self._x = None  # the solutions, reused while the batch size is unchanged
+
+    @classmethod
+    def factor(cls, k: sparse.dia_array, w: np.ndarray, cells: int) -> _CellMajorBand:
+        """Raise RuntimeError on a zero pivot and SolverError on a row swap."""
+        n = k.shape[0]
+        species = n // cells
+        ratio = w[::cells] / w.max()
+        # gbtrf's layout: entry (p, q) in row 2S + p - q, above it S rows for fill
+        band = np.zeros((3 * species + 1, n), order="F")
+        for off, row in zip(k.offsets.tolist(), k.data):
+            # off = (s' - s)*cells + (c' - c) for column (s', c') and row (s, c),
+            # |c' - c| <= 1; round() takes +-1 at 2 cells as transport, as it is
+            d_species = round(off / cells)
+            d_cell = off - d_species * cells
+            for col in range(species):
+                s = col - d_species
+                if 0 <= s < species:
+                    np.multiply(row[col * cells:(col + 1) * cells], ratio[s] / ratio[col],
+                                out=band[2 * species - d_cell * species - d_species, col::species])
+        lu, rows, info = dgbtrf(band, species, species, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError(f"band pivot {info} is exactly zero")
+        swapped = np.flatnonzero(rows != np.arange(n))
+        if swapped.size:
+            raise SolverError(f"the band LU of K = I - dt*M swapped row {int(swapped[0])} "
+                              "although K is column diagonally dominant")
+        upper = np.asfortranarray(lu[species:2 * species + 1])
+        pivots = upper[species].copy()
+        for m in range(1, species + 1):  # row i of U over u_i: entry (i, i + m)
+            upper[species - m, m:] /= pivots[:-m]
+        return cls(np.asfortranarray(lu[2 * species:]), upper, 1.0 / pivots, ratio)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x for each column of the Fortran-ordered (n, m) ``b``, valid until the next solve."""
+        species, n = len(self._ratio), b.shape[0]
+        cells = n // species
+        if self._x is None or self._x.shape[0] != b.shape[1]:
+            self._x = np.empty(b.shape[::-1])
+        z = self._z
+        for b_j, x_j in zip(b.T, self._x):
+            # per-species strided copies: a transposed view would loop over S inside
+            for s, r in enumerate(self._ratio):
+                np.multiply(b_j[s * cells:(s + 1) * cells], r, out=z[s::species])
+            dtbsv(species, self._lower, z, lower=1, diag=1, overwrite_x=1)
+            z *= self._inverse_pivots
+            dtbsv(species, self._upper, z, diag=1, overwrite_x=1)
+            for s, r in enumerate(self._ratio):
+                np.divide(z[s::species], r, out=x_j[s * cells:(s + 1) * cells])
+        return self._x.T
+
+
 def _segments(w: np.ndarray) -> tuple[tuple[int, int, float], ...]:
     """(start, stop, weight) over the runs of equal entries of ``w``."""
     edges = [0, *(np.flatnonzero(np.diff(w)) + 1).tolist(), len(w)]
@@ -270,15 +355,42 @@ def _implicit_matrix(matrix: sparse.sparray, dt: float) -> sparse.dia_array:
     return sparse.dia_array((data, offsets), shape=m.shape)
 
 
+def _csc(k: sparse.dia_array) -> sparse.csc_array:
+    """The CSC arrays of k.tocsc() read straight off the diagonals, one pass per offset.
+
+    Column j holds row j - off of each offset, so descending offsets give
+    ascending rows; zero entries are left out, as tocsc leaves them out.
+    """
+    n = k.shape[0]
+    cols = np.arange(n)
+    kept = [(off, row, (row != 0.0) & (cols >= off) & (cols < n + off))
+            for off, row in zip(k.offsets[::-1].tolist(), k.data[::-1])]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    for _, _, keep in kept:
+        indptr[1:] += keep
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    place = indptr[:-1].copy()  # the next free slot of each column
+    for off, row, keep in kept:
+        at = place[keep]
+        indices[at] = cols[keep] - off
+        data[at] = row[keep]
+        place += keep
+    return sparse.csc_array((data, indices, indptr), shape=k.shape)
+
+
 class _Factored:
     """K = I - dt*M factored once; every solve is checked against ``tol``
     and projected onto the conservation weights ``w`` (w^T M = 0).
 
-    ``k`` is the DIA matrix of `_implicit_matrix`; ``dt`` only names the step
-    size in an error message.
+    ``k`` is the DIA matrix of `_implicit_matrix`; ``cells`` is the cell count
+    of each species on a 1-D grid and None on a 2-D one; ``dt`` only names the
+    step size in an error message.
     """
 
-    def __init__(self, k: sparse.dia_array, w: np.ndarray, dt: float, tol: float):
+    def __init__(self, k: sparse.dia_array, w: np.ndarray, dt: float, tol: float,
+                 cells: int | None):
         self._k_norm = float(abs(k).sum(axis=1).max())
         self._tol = tol
         self._w_norm = float(np.abs(w).sum())
@@ -289,16 +401,25 @@ class _Factored:
             cols = slice(max(off, 0), len(w) + min(off, 0))
             wk[cols] += w[cols.start - off:cols.stop - off] * row[cols]
         self._defect = np.abs(wk - w)
-        # minimum-degree ordering on K^T+K and no supernodes keep SuperLU's
-        # factors near band size; its defaults cost +23-43 MB at 131,072 unknowns
         try:
             self._solver = (_SymmetrizedTridiagonal.factor(k)
-                            or splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1,
-                                    relax=1))
+                            or (_CellMajorBand.factor(k, w, cells) if cells
+                                # minimum-degree ordering on K^T+K and no supernodes
+                                # keep SuperLU's factors near band size
+                                else splu(_csc(k), permc_spec="MMD_AT_PLUS_A",
+                                          panel_size=1, relax=1)))
         except RuntimeError as err:  # a nonsingular M-matrix in exact arithmetic
             raise ScalingError(f"K = I - dt*M is singular in double precision ({err}): the "
                                f"identity is lost in rounding at ||K||_inf = {self._k_norm:.3e}"
                                ) from err
+        except SolverError:  # a row swap: first see whether the identity is lost
+            self._require_identity(w, dt)
+            raise
+        self._require_identity(w, dt)
+        # the residual matvec runs on the same DIA matrix, which reads no indices
+        self._k = k
+
+    def _require_identity(self, w: np.ndarray, dt: float) -> None:
         # w^T K = w^T in exact arithmetic; a column sum off by w itself has lost
         # the identity, and the projection would then scale by a meaningless factor
         lost = np.flatnonzero(self._defect >= w)
@@ -308,8 +429,6 @@ class _Factored:
                 f"K = I - dt*M loses the identity in rounding: the weighted sum of column {c} "
                 f"of K is off by {self._defect[c]:.3e}, as much as its weight {w[c]:.3e} "
                 f"(dt = {dt!r}, ||K||_inf = {self._k_norm:.3e})")
-        # the residual matvec runs on the same DIA matrix, which reads no indices
-        self._k = k
 
     def solve(self, b: np.ndarray, out: np.ndarray) -> bool:
         """Solve K x = b_j for every row b_j of the C-contiguous ``b`` into the rows of ``out``.
@@ -413,7 +532,7 @@ class _Stepper:
     next step and is overwritten by the one after.
     """
 
-    def __init__(self, matrices, weights, dt: float, lin_tol: float,
+    def __init__(self, matrices, weights, cells: int | None, dt: float, lin_tol: float,
                  reactions: ProblemSpec | None = None):
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -424,9 +543,9 @@ class _Stepper:
                        else dt * (reactions.alphas[:, None] * reactions.coupling.lam))
         # every K is formed before any is factored: handed a generator of
         # freshly assembled matrices, as `run_batch` does, the stepper holds
-        # no M while SuperLU factors
+        # no M while K is factored
         ks = [_implicit_matrix(m, dt) for m in matrices]
-        self._factors = [_Factored(k, w, dt, lin_tol) for k, w in zip(ks, weights)]
+        self._factors = [_Factored(k, w, dt, lin_tol, cells) for k, w in zip(ks, weights)]
         self._arrays = None
 
     def _buffers(self, shape) -> list[np.ndarray]:
@@ -469,6 +588,11 @@ def _block_weights(spec: ProblemSpec, blocks: int) -> tuple[np.ndarray, ...]:
     return tuple(w.reshape(blocks, -1))
 
 
+def _cells_1d(spec: ProblemSpec) -> int | None:
+    """The cells per species that `_Factored` takes: the grid size in 1-D, None in 2-D."""
+    return spec.grid.size if spec.grid.dim == 1 else None
+
+
 def _require_physical_operator(op, who: str) -> None:
     # the conservation weights of a Neumann-gauge operator differ
     if op.gauge != "physical":
@@ -502,7 +626,8 @@ def step_linear_implicit(state: State, A: SystemOperator, dt: float, *,
     _require_physical(state, "step_linear_implicit")
     _require_physical_operator(A, "step_linear_implicit")
     weights = _block_weights(A.spec, 1)
-    return _Stepper((A.matrix,), weights, dt, lin_tol).step_state(state, state.t + dt)
+    stepper = _Stepper((A.matrix,), weights, _cells_1d(A.spec), dt, lin_tol)
+    return stepper.step_state(state, state.t + dt)
 
 
 def imex_dt_max(state: State, spec: ProblemSpec) -> float:
@@ -565,7 +690,8 @@ def step_imex(state: State, spec: ProblemSpec,
         _require_physical_operator(op, "step_imex")
     matrices = tuple(op.matrix for op in operators)
     weights = _block_weights(spec, spec.n_species)
-    return _Stepper(matrices, weights, dt, lin_tol, spec).step_state(state, state.t + dt)
+    stepper = _Stepper(matrices, weights, _cells_1d(spec), dt, lin_tol, spec)
+    return stepper.step_state(state, state.t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +758,7 @@ def run_batch(spec: ProblemSpec, cfg: StepConfig,
         full = k <= n_full
         if k in (1, n_full + 1):  # factor for cfg.dt, and again for a remainder step
             stepper = None  # release the previous factors first
-            stepper = _Stepper(_operators(spec), weights,
+            stepper = _Stepper(_operators(spec), weights, _cells_1d(spec),
                                cfg.dt if full else cfg.t_end - n_full * cfg.dt,
                                cfg.lin_tol, reactions)
         t_next = k * cfg.dt if full else cfg.t_end

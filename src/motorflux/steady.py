@@ -116,7 +116,9 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
     nd = matrix.shape[0]
     norm_a = float(np.abs(matrix).sum(axis=1).max())
     try:
-        lu = splu(matrix[1:, 1:])
+        # no supernodes: at 8,191 unknowns SuperLU's relaxed supernodes add
+        # about 3 MB to the peak and save no time
+        lu = splu(matrix[1:, 1:], panel_size=1, relax=1)
     except RuntimeError as err:
         # nonsingular in exact arithmetic, since the coupling is strongly connected
         lost = _lost_scale(A)

@@ -29,8 +29,16 @@ from motorflux import (
 )
 import motorflux.evolve
 from motorflux.cli import MASS_DRIFT_TOL
-from motorflux.evolve import MAX_STEPS, _Factored, _implicit_matrix, _SymmetrizedTridiagonal
-from motorflux.errors import ConfigError, SolverError, StepSizeError
+from motorflux.evolve import (
+    MAX_STEPS,
+    _CellMajorBand,
+    _csc,
+    _Factored,
+    _implicit_matrix,
+    _Stepper,
+    _SymmetrizedTridiagonal,
+)
+from motorflux.errors import ConfigError, ScalingError, SolverError, StepSizeError
 
 from conftest import (
     ZERO,
@@ -50,9 +58,23 @@ def transports_for(spec):
     )
 
 
-def _factor(matrix, w, dt, tol):
-    """The stepper's factorization of K = I - dt*M for one block M."""
-    return _Factored(_implicit_matrix(matrix, dt), w, dt, tol)
+def _symmetric_motor_2d(cells: int) -> ProblemSpec:
+    """`symmetric_motor` on a cells x cells square."""
+    spec = symmetric_motor(cells)
+    return ProblemSpec(grid=Grid.box((0.0, 0.0), (1.0, 1.0), (cells, cells)),
+                       species=spec.species, coupling=spec.coupling, initial=spec.initial)
+
+
+def _one_problem_per_factor_kind() -> tuple[ProblemSpec, ...]:
+    """A 1-D IMEX problem (pttrs), a 1-D linear one (the band) and a 2-D linear
+    one (SuperLU), each admissible at dt = 0.1."""
+    return reversible_problem(cells=8, p=2.0), symmetric_motor(8), _symmetric_motor_2d(4)
+
+
+def _factor(matrix, w, dt, tol, cells=None):
+    """The stepper's factorization of K = I - dt*M for one block M; ``cells``
+    per species on a 1-D grid, None on a 2-D one."""
+    return _Factored(_implicit_matrix(matrix, dt), w, dt, tol, cells)
 
 
 class TestStepConfig:
@@ -182,7 +204,7 @@ class TestImexStep:
 
     @staticmethod
     def _stage(spec, u, dt):
-        coeff = motorflux.evolve._Stepper((), (), dt, 1e-12, spec)._coeff
+        coeff = motorflux.evolve._Stepper((), (), None, dt, 1e-12, spec)._coeff
         return motorflux.evolve._reaction_stage(u, spec, coeff, np.empty_like(u),
                                                 np.empty_like(u))
 
@@ -386,9 +408,10 @@ class TestRunBatch:
             x[0, 0] = np.inf
 
         _tamper_solves(monkeypatch, one_infinite_entry)
-        with pytest.raises(SolverError, match="non-finite") as exc_info:
-            list(run_batch(symmetric_motor(8), StepConfig(dt=0.1, t_end=0.3), (None, None)))
-        assert exc_info.value.time == pytest.approx(0.1)
+        for spec in _one_problem_per_factor_kind():
+            with pytest.raises(SolverError, match="non-finite") as exc_info:
+                list(run_batch(spec, StepConfig(dt=0.1, t_end=0.3), (None, None)))
+            assert exc_info.value.time == pytest.approx(0.1)
 
     def test_each_trajectory_keeps_its_own_bound(self, monkeypatch):
         # a 1e-6 relative error in the small trajectory's solve misses its own
@@ -396,20 +419,24 @@ class TestRunBatch:
         def perturb_first_column(x):
             x[:, 0] *= 1.0 + 1e-6
 
-        spec = symmetric_motor(8)
-        small = initial_state(spec)
-        large = small.with_fields(1e8 * small.fields)
         _tamper_solves(monkeypatch, perturb_first_column)
-        with pytest.raises(SolverError, match="lin_tol"):
-            list(run_batch(spec, StepConfig(dt=0.1, t_end=0.1), (small, large)))
+        for spec in _one_problem_per_factor_kind():
+            small = initial_state(spec)
+            large = small.with_fields(1e8 * small.fields)
+            # under IMEX the large state bounds dt by 1/(p*max u) = 3.3e-9
+            dt = 0.1 if spec.is_linear else 1e-9
+            with pytest.raises(SolverError, match="lin_tol"):
+                list(run_batch(spec, StepConfig(dt=dt, t_end=dt), (small, large)))
 
 
 class TestOperatorRelease:
-    def test_m_is_dead_when_superlu_factors(self, monkeypatch):
-        # K = I - dt*M is formed first; M is assembled anew for the remainder step
+    """K = I - dt*M is formed first; M is assembled anew for the remainder step."""
+
+    @staticmethod
+    def _dead_at_each_factorization(monkeypatch, factorization, spec):
         refs, dead = [], []
         assemble = motorflux.evolve.assemble_system
-        factorize = motorflux.evolve.splu
+        factorize = getattr(motorflux.evolve, factorization)
 
         def recorded(spec):
             op = assemble(spec)
@@ -421,8 +448,16 @@ class TestOperatorRelease:
             return factorize(*args, **kwargs)
 
         monkeypatch.setattr(motorflux.evolve, "assemble_system", recorded)
-        monkeypatch.setattr(motorflux.evolve, "splu", checked)
-        run(symmetric_motor(16), StepConfig(dt=0.1, t_end=0.25))  # two full steps, a remainder
+        monkeypatch.setattr(motorflux.evolve, factorization, checked)
+        run(spec, StepConfig(dt=0.1, t_end=0.25))  # two full steps, a remainder
+        return dead
+
+    def test_m_is_dead_when_superlu_factors(self, monkeypatch):
+        dead = self._dead_at_each_factorization(monkeypatch, "splu", _symmetric_motor_2d(4))
+        assert dead == [[True] * 2, [True] * 4]
+
+    def test_m_is_dead_when_the_band_factors(self, monkeypatch):
+        dead = self._dead_at_each_factorization(monkeypatch, "dgbtrf", symmetric_motor(16))
         assert dead == [[True] * 2, [True] * 4]
 
 
@@ -437,8 +472,9 @@ class TestConservativeProjection:
         assert drift <= MASS_DRIFT_TOL
         assert min(state.fields.min() for state in traj.states) >= 0.0
 
-    @pytest.mark.parametrize("spec", [symmetric_motor(8), reversible_problem(cells=8, p=2.0)],
-                             ids=["linear", "imex"])
+    @pytest.mark.parametrize("spec", [symmetric_motor(8), reversible_problem(cells=8, p=2.0),
+                                      _symmetric_motor_2d(4)],
+                             ids=["linear", "imex", "linear_2d"])
     def test_solve_off_by_1e_6_still_raises(self, monkeypatch, spec):
         # a scaled column is what the projection undoes, so the check must see it first
         def perturb_one_column(x):
@@ -455,8 +491,9 @@ class TestConservativeProjection:
             x[:, 0] = 0.0
 
         _tamper_solves(monkeypatch, zero_first_column)
-        with pytest.raises(SolverError, match="projection"):
-            run(symmetric_motor(8), StepConfig(dt=0.1, t_end=0.1, lin_tol=1.0))
+        for spec in _one_problem_per_factor_kind():
+            with pytest.raises(SolverError, match="projection"):
+                run(spec, StepConfig(dt=0.1, t_end=0.1, lin_tol=1.0))
 
     def test_guard_rejects_mass_change_beyond_bound(self):
         # K = I has no rounding defect, so the guard allows ||w||_1 * bound
@@ -588,7 +625,8 @@ def _potential_with_span(rng, span: float, sigma: float) -> PotentialSpec:
 
 
 class TestTridiagonalSolve:
-    """1-D transport blocks are solved by pttrs on a symmetrized K; the rest by SuperLU."""
+    """1-D transport blocks are solved by pttrs on a symmetrized K, other 1-D
+    blocks by the band, 2-D blocks by SuperLU."""
 
     @pytest.mark.parametrize("span", [0.0, 5.0, 60.0, 300.0])
     def test_agrees_with_superlu_and_dense(self, rng, span):
@@ -616,18 +654,21 @@ class TestTridiagonalSolve:
 
     def test_other_blocks_keep_superlu(self, rng):
         spec_2d = random_problem(rng, n=1, cells=8, dim=2)
+        factored = _factor(transports_for(spec_2d)[0].matrix, np.ones(64), 0.01, 1e-12)
+        assert isinstance(factored._solver, SuperLU)
+        b = rng.random((1, 64))
+        out = np.empty_like(b)
+        assert factored.solve(b, out)  # still checked and finite
+
+    def test_other_1d_blocks_take_the_band(self, rng):
         coupled = symmetric_motor(16)
         grid = Grid.interval(0.0, 1.0, 64)
         # psi/sigma spans 1000: the centred log-scale would reach 250 > 256 ln 2
         steep = assemble_transport(grid, 1.0, PotentialSpec("linear", slope=1000.0)).matrix
-        blocks = [
-            (transports_for(spec_2d)[0].matrix, np.ones(64)),
-            (assemble_system(coupled).matrix, np.ones(32)),
-            (steep, np.ones(64)),
-        ]
-        for matrix, w in blocks:
-            factored = _factor(matrix, w, 0.01, 1e-12)
-            assert isinstance(factored._solver, SuperLU)
+        for matrix, w, cells in [(assemble_system(coupled).matrix, np.ones(32), 16),
+                                 (steep, np.ones(64), 64)]:
+            factored = _factor(matrix, w, 0.01, 1e-12, cells)
+            assert isinstance(factored._solver, _CellMajorBand)
             b = rng.random((1, len(w)))
             out = np.empty_like(b)
             assert factored.solve(b, out)  # still checked and finite
@@ -654,16 +695,129 @@ class TestTridiagonalSolve:
         cfg = StepConfig(dt=0.01, t_end=0.035, stride=2)  # full steps and a remainder
         list(run_batch(spec, cfg, (None, smooth_state(spec, rng))))
 
+    def test_1d_linear_never_calls_superlu(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 1-D block operator was factored by SuperLU")
+
+        monkeypatch.setattr(motorflux.evolve, "splu", refuse)
+        for n in (1, 2, 3):
+            spec = random_problem(rng, n=n, cells=64)
+            cfg = StepConfig(dt=0.01, t_end=0.035, stride=2)
+            list(run_batch(spec, cfg, (None, smooth_state(spec, rng))))
+        step_linear_implicit(initial_state(spec), assemble_system(spec), 0.01)
+
+    def test_factor_kinds_of_the_tamper_problems(self):
+        # the tamper tests reach every factor kind through these problems
+        kinds = []
+        for spec in _one_problem_per_factor_kind():
+            blocks = 1 if spec.is_linear else spec.n_species
+            stepper = _Stepper(motorflux.evolve._operators(spec),
+                               motorflux.evolve._block_weights(spec, blocks),
+                               motorflux.evolve._cells_1d(spec), 0.1, 1e-12,
+                               None if spec.is_linear else spec)
+            kinds.append({type(f._solver) for f in stepper._factors})
+        assert kinds == [{_SymmetrizedTridiagonal}, {_CellMajorBand}, {SuperLU}]
+
+
+def _random_linear_1d(rng) -> ProblemSpec:
+    """A random 1-D linear problem: 1-4 species, alphas up to 1e3 apart, zero
+    coupling entries, psi/sigma spans up to 600, 2-80 cells."""
+    n = int(rng.integers(1, 5))
+    lam = np.zeros((n, n))
+    for j in range(n):
+        for i in range(n):
+            if i != j and rng.random() < 0.7:
+                lam[i, j] = 10.0 ** rng.uniform(-2.0, 2.0)
+        lam[j, j] = -lam[:, j].sum()
+    species = []
+    for _ in range(n):
+        sigma = float(10.0 ** rng.uniform(-1.0, 0.5))
+        potential = _potential_with_span(rng, float(rng.uniform(0.0, 600.0)), sigma)
+        species.append(SpeciesSpec(sigma, float(10.0 ** rng.uniform(0.0, 3.0)), potential))
+    return ProblemSpec(grid=Grid.interval(0.0, 1.0, int(rng.integers(2, 81))),
+                       species=tuple(species), coupling=CouplingMatrix(lam),
+                       initial=(PotentialSpec("linear", offset=1.0),) * n)
+
+
+class TestCellMajorBand:
+    """The weight-scaled K of a 1-D block is factored without a row swap."""
+
+    def test_random_problems_keep_identity_pivots(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        gbtrf = motorflux.evolve.dgbtrf
+        pivots = []
+
+        def recorded(*args, **kwargs):
+            lu, piv, info = gbtrf(*args, **kwargs)
+            pivots.append(piv)
+            return lu, piv, info
+
+        monkeypatch.setattr(motorflux.evolve, "dgbtrf", recorded)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            spec = _random_linear_1d(rng)
+            dt = float(10.0 ** rng.uniform(-8.0, 4.0))
+            k = _implicit_matrix(assemble_system(spec).matrix, dt)
+            w = np.repeat(spec.grid.cell_volume / spec.alphas, spec.grid.size)
+            band = _CellMajorBand.factor(k, w, spec.grid.size)
+            assert np.array_equal(pivots[-1], np.arange(k.shape[0]))
+            b = rng.random((k.shape[0], 3)) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
+            x = band.solve(np.asfortranarray(b)).copy()
+            dense = k.toarray()
+            k_norm = np.abs(dense).sum(axis=1).max()
+            for x_j, b_j in zip(x.T, b.T):
+                residual = np.abs(dense @ x_j - b_j).max()
+                assert residual <= 1e-14 * (k_norm * np.abs(x_j).max() + np.abs(b_j).max())
+            reference = np.linalg.solve(dense, b)
+            bound = spec.grid.size * eps * np.linalg.cond(dense, np.inf)
+            assert np.abs(x - reference).max() <= bound * np.abs(reference).max()
+        assert len(pivots) == 200
+
+    def test_zero_pivot_is_a_scaling_error(self, monkeypatch):
+        gbtrf = motorflux.evolve.dgbtrf
+        monkeypatch.setattr(motorflux.evolve, "dgbtrf",
+                            lambda *args, **kwargs: (*gbtrf(*args, **kwargs)[:2], 5))
+        with pytest.raises(ScalingError, match="singular.*band pivot 5 is exactly zero"):
+            _factor(assemble_system(symmetric_motor(8)).matrix, np.ones(16), 0.1, 1e-12, 8)
+
+    def test_row_swap_is_a_solver_error(self, monkeypatch):
+        gbtrf = motorflux.evolve.dgbtrf
+
+        def swapped(*args, **kwargs):
+            lu, piv, info = gbtrf(*args, **kwargs)
+            piv[3] = 4
+            return lu, piv, info
+
+        monkeypatch.setattr(motorflux.evolve, "dgbtrf", swapped)
+        with pytest.raises(SolverError, match="swapped row 3"):
+            _factor(assemble_system(symmetric_motor(8)).matrix, np.ones(16), 0.1, 1e-12, 8)
+        # where the identity is lost in rounding, that is named instead
+        with pytest.raises(ScalingError, match="loses the identity"):
+            _factor(assemble_system(symmetric_motor(8)).matrix, np.ones(16), 1e30, 1e-12, 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_csc_arrays_equal_tocsc(rng, n):
+    spec = random_problem(rng, n=n, cells=int(rng.integers(2, 12)), dim=2)
+    matrix = assemble_system(spec).matrix
+    for dt in (1e-3, 10.0):
+        k = _implicit_matrix(matrix, dt)
+        expected, ours = k.tocsc(), _csc(k)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(ours, name).dtype == getattr(expected, name).dtype
+            assert getattr(ours, name).tobytes() == getattr(expected, name).tobytes()
+
 
 def _tamper_solves(monkeypatch, tamper):
     """Pass every solve result of the stepper's factorizations through ``tamper``.
 
-    That covers SuperLU's solves and the pttrs solves of tridiagonal blocks.
-    pttrs returns y of x = s * y; scaling a column, zeroing it or setting an
-    entry to inf acts on x as it does on y.
+    That covers SuperLU's solves, the pttrs solves of tridiagonal blocks and
+    the band sweeps.  pttrs returns y of x = s * y; scaling a column, zeroing
+    it or setting an entry to inf acts on x as it does on y.
     """
     factorize = motorflux.evolve.splu
     pttrs = motorflux.evolve.dpttrs
+    band_solve = _CellMajorBand.solve
 
     class Tampered:
         def __init__(self, *args, **kwargs):
@@ -679,5 +833,11 @@ def _tamper_solves(monkeypatch, tamper):
         tamper(y)
         return y, info
 
+    def tampered_band_solve(self, b):
+        x = band_solve(self, b)
+        tamper(x)
+        return x
+
     monkeypatch.setattr(motorflux.evolve, "splu", Tampered)
     monkeypatch.setattr(motorflux.evolve, "dpttrs", tampered_pttrs)
+    monkeypatch.setattr(_CellMajorBand, "solve", tampered_band_solve)
