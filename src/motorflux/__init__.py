@@ -40,7 +40,6 @@ from .model import (
     eval_potential,
     eval_reaction,
     initial_state,
-    reaction_inverse,
     reaction_lipschitz,
     validate,
 )
@@ -50,8 +49,8 @@ from .steady import (
     adjoint_null_check,
     boltzmann_profile,
     project_onto_ray,
-    reversible_pair,
     solve_null_vector,
+    solve_stationary,
 )
 from .verify import (
     CheckReport,
@@ -72,7 +71,7 @@ __all__ = [
     "errors",
     "Grid", "PotentialSpec", "ReactionSpec", "SpeciesSpec", "CouplingMatrix",
     "State", "ProblemSpec", "ValidationReport", "validate",
-    "eval_potential", "eval_reaction", "reaction_inverse", "reaction_lipschitz",
+    "eval_potential", "eval_reaction", "reaction_lipschitz",
     "initial_state",
     "bernoulli", "TransportOperator", "SystemOperator",
     "assemble_transport", "assemble_system", "conjugate_to_neumann",
@@ -80,8 +79,8 @@ __all__ = [
     "StepConfig", "Trajectory",
     "step_linear_implicit", "step_imex", "imex_dt_max", "run",
     "run_batch",
-    "StationaryState", "StationaryRay", "solve_null_vector",
-    "adjoint_null_check", "reversible_pair", "project_onto_ray",
+    "StationaryState", "StationaryRay", "solve_null_vector", "solve_stationary",
+    "adjoint_null_check", "project_onto_ray",
     "boltzmann_profile",
     "CheckReport", "DifferenceSeries", "weighted_mass", "weighted_l1_norm",
     "weighted_l1_distance", "check_contraction", "check_comparison",

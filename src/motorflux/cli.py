@@ -54,13 +54,7 @@ from .model import (
     initial_state,
     validate,
 )
-from .steady import (
-    StationaryRay,
-    StationaryState,
-    project_onto_ray,
-    reversible_pair,
-    solve_null_vector,
-)
+from .steady import solve_null_vector, solve_stationary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -285,7 +279,7 @@ _KEYS = (
     _Key("output", "dir", _Type(lambda text, what: text, str), "out", lambda c, i: c.out_dir),
     _Key("steady", "normalization", _enum("total", "alpha_weighted"), "total",
          lambda c, i: c.steady_normalization),
-    # the residual bound ||A v|| <= tol*||A|| of the stationary solve
+    # the residual bound of the stationary solve (motorflux.steady)
     _Key("steady", "tol", _Type(_as_nonnegative), "1e-13", lambda c, i: c.steady_tol),
     _Key("verify", "threshold", _Type(_as_nonnegative), "1e-6", lambda c, i: c.verify_threshold),
     _Key("verify", "oracle_t", _Type(_as_oracle_time), "1.0", lambda c, i: c.oracle_t),
@@ -526,17 +520,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_steady(cfg: RunConfig) -> int:
+    """Write the stationary state: the null vector under ``[steady] normalization``
+    with linear reactions, the state with the initial data's weighted mass with
+    nonlinear ones."""
     out = _output_dir(cfg)
     spec = cfg.problem
-    ss = _stationary(cfg, "steady")
-    if not spec.is_linear:
-        a, b = ss.state.fields[:, 0].tolist()
-        residual = (a / spec.species[0].alpha + b / spec.species[1].alpha
-                    - ss.constraint_value / spec.grid.volume)
-        with open(out / "reversible.ndjson", "w", encoding="ascii") as fh:
-            fh.write(_json_line({"a": a, "b": b, "mass_residual": residual}))
-        print(f"a={a!r} b={b!r}")
-        return EXIT_OK
+    if spec.is_linear:
+        ss = solve_null_vector(assemble_system(spec), tol=cfg.steady_tol,
+                               normalization=cfg.steady_normalization)
+    else:
+        ss = solve_stationary(spec, initial_state(spec), tol=cfg.steady_tol)
     _write_state_csv(out / "stationary.csv", ss.state)
     with open(out / "steady.ndjson", "w", encoding="ascii") as fh:
         fh.write(_json_line({
@@ -545,40 +538,6 @@ def cmd_steady(cfg: RunConfig) -> int:
             "constraint_value": ss.constraint_value,
         }))
     return EXIT_OK
-
-
-def _stationary(cfg: RunConfig, command: str) -> StationaryState:
-    """The stationary state that `steady` writes and `verify-convergence` targets.
-
-    With linear reactions it is the null vector of the block operator under
-    ``[steady] normalization``.  With nonlinear ones it is the constant
-    equilibrium, with the initial data's weighted mass, of the two-species
-    reversible form that `reversible_pair` solves, the only nonlinear
-    stationary state computed; other problems are a config error that names
-    ``command``.
-    """
-    spec = cfg.problem
-    if spec.is_linear:
-        return solve_null_vector(assemble_system(spec), tol=cfg.steady_tol,
-                                 normalization=cfg.steady_normalization)
-    who = f"{command} with nonlinear reactions"
-    lam = spec.coupling.lam
-    if spec.n_species != 2:
-        raise ConfigError(f"{who} needs exactly two species, got {spec.n_species}")
-    k = lam[1, 0]
-    if not (k > 0.0 and lam[0, 1] == k and lam[0, 0] == -k and lam[1, 1] == -k):
-        raise ConfigError(f"{who} needs coupling [[-k, k], [k, -k]] with k > 0")
-    if any(sp.potential.kind != "zero" for sp in spec.species):
-        raise ConfigError(f"{who} needs zero potentials (pure diffusion)")
-    mass = verify.weighted_mass(initial_state(spec), spec)
-    a, b = reversible_pair(mass, spec.species[0].reaction, spec.species[1].reaction,
-                           alpha=spec.species[0].alpha, beta=spec.species[1].alpha,
-                           volume=spec.grid.volume)
-    fields = np.stack([np.full(spec.grid.size, a), np.full(spec.grid.size, b)])
-    return StationaryState(
-        state=State(spec.grid, fields, 0.0, "physical"),
-        residual=0.0, normalization="mass_matched", constraint_value=mass,
-    )
 
 
 def _second_state(cfg: RunConfig, mode: str) -> State:
@@ -641,7 +600,7 @@ def cmd_verify(cfg: RunConfig, check: str) -> int:
     elif check == "comparison":
         report = verify.check_comparison(spec, u0, _second_state(cfg, check), cfg.step)
     elif check == "convergence":
-        target = _convergence_target(cfg, u0)
+        target = solve_stationary(spec, u0, tol=cfg.steady_tol)
         report = verify.check_convergence(spec, u0, cfg.step, target,
                                           threshold=cfg.verify_threshold)
     elif check == "oracle":
@@ -655,14 +614,6 @@ def cmd_verify(cfg: RunConfig, check: str) -> int:
               f"at t={report.argmax_time!r}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
-
-
-def _convergence_target(cfg: RunConfig, u0: State) -> StationaryState:
-    """The stationary state with u0's weighted mass."""
-    target = _stationary(cfg, "verify-convergence")
-    if cfg.problem.is_linear:
-        _c, target = project_onto_ray(u0, StationaryRay(target), cfg.problem)
-    return target
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +641,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--tol", type=float, default=None,
                        help="override lin_tol, the bound on the backward error "
-                            "of each implicit solve (and, for 'steady', the "
-                            "stationary residual bound ||A v|| <= tol*||A||)")
+                            "of each implicit solve, and [steady] tol, the "
+                            "stationary residual bound")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for synthesized random fixtures")
     return parser

@@ -192,6 +192,14 @@ def assemble_system(spec: ProblemSpec) -> SystemOperator:
             "transport operators and takes the reactions explicitly)"
         )
     transports = tuple(_transports(spec))
+    return SystemOperator(transports=transports, matrix=_block_matrix(spec, transports),
+                          spec=spec)
+
+
+def _block_matrix(spec: ProblemSpec, transports, slopes=None) -> sparse.dia_array:
+    """The transport blocks and coupling blocks alpha_i * lam[i, j] * diag(slopes[j])
+    in DIA: a linear problem's operator without ``slopes``; with the reaction
+    slopes r_j'(u_j), shape (species, cells), the Jacobian of a nonlinear one."""
     size = spec.grid.size
     weighted = spec.alphas[:, None] * spec.coupling.lam
     pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(weighted))]
@@ -203,9 +211,9 @@ def assemble_system(spec: ProblemSpec) -> SystemOperator:
         for off, diagonal in zip(inner, t.matrix.data):
             data[rows[off], i * size:(i + 1) * size] = diagonal
     for i, j in pairs:
-        data[rows[(j - i) * size], j * size:(j + 1) * size] += weighted[i, j]
-    matrix = sparse.dia_array((data, offsets), shape=(data.shape[1], data.shape[1]))
-    return SystemOperator(transports=transports, matrix=matrix, spec=spec)
+        data[rows[(j - i) * size], j * size:(j + 1) * size] += (
+            weighted[i, j] if slopes is None else weighted[i, j] * slopes[j])
+    return sparse.dia_array((data, offsets), shape=(data.shape[1], data.shape[1]))
 
 
 def _gauge_factors(spec: ProblemSpec) -> np.ndarray:

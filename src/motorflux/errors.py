@@ -53,8 +53,8 @@ class NonConvergenceError(SolverError):
 
 class IrreducibilityError(MotorfluxError):
     """Stationary problem is not irreducible: coupling graph not strongly
-    connected, reduced system singular, or null vector not strictly positive.
-    """
+    connected, an operator that breaks mass conservation, or a null vector
+    not strictly positive."""
 
 
 class DegenerateDataError(MotorfluxError):

@@ -380,6 +380,21 @@ def _csc(k: sparse.dia_array) -> sparse.csc_array:
     return sparse.csc_array((data, indices, indptr), shape=k.shape)
 
 
+def _column_defect_and_norm(k: sparse.dia_array, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """|w^T K - w^T| and ||K||_inf, one diagonal at a time; its temporaries are
+    freed before K is factored.  The row sums are added in the stored order of
+    the diagonals, the order of abs(k).sum(axis=1), without its copy of K."""
+    n = len(w)
+    wk, row_sums, magnitude = np.zeros(n), np.zeros(n), np.empty(n)
+    for off, row in zip(k.offsets.tolist(), k.data):
+        cols = slice(max(off, 0), n + min(off, 0))
+        rows = slice(cols.start - off, cols.stop - off)
+        wk[cols] += w[rows] * row[cols]
+        np.abs(row[cols], out=magnitude[cols])
+        row_sums[rows] += magnitude[cols]
+    return np.abs(wk - w), float(row_sums.max())
+
+
 class _Factored:
     """K = I - dt*M factored once; every solve is checked against ``tol``
     and projected onto the conservation weights ``w`` (w^T M = 0).
@@ -391,16 +406,10 @@ class _Factored:
 
     def __init__(self, k: sparse.dia_array, w: np.ndarray, dt: float, tol: float,
                  cells: int | None):
-        self._k_norm = float(abs(k).sum(axis=1).max())
         self._tol = tol
         self._w_norm = float(np.abs(w).sum())
         self._segments = _segments(w)
-        # w^T K one diagonal at a time, each column's rows added in ascending order
-        wk = np.zeros(len(w))
-        for off, row in zip(k.offsets[::-1].tolist(), k.data[::-1]):
-            cols = slice(max(off, 0), len(w) + min(off, 0))
-            wk[cols] += w[cols.start - off:cols.stop - off] * row[cols]
-        self._defect = np.abs(wk - w)
+        self._defect, self._k_norm = _column_defect_and_norm(k, w)
         try:
             self._solver = (_SymmetrizedTridiagonal.factor(k)
                             or (_CellMajorBand.factor(k, w, cells) if cells
@@ -430,11 +439,14 @@ class _Factored:
                 f"of K is off by {self._defect[c]:.3e}, as much as its weight {w[c]:.3e} "
                 f"(dt = {dt!r}, ||K||_inf = {self._k_norm:.3e})")
 
-    def solve(self, b: np.ndarray, out: np.ndarray) -> bool:
+    def solve(self, b: np.ndarray, out: np.ndarray, project: bool = True) -> bool:
         """Solve K x = b_j for every row b_j of the C-contiguous ``b`` into the rows of ``out``.
 
         Returns whether every solution is finite; the caller raises after the
         last block, so a later block's residual failure still takes precedence.
+        Without ``project`` each checked x_j is written as it is: a right-hand
+        side without weighted mass, such as a Newton increment, has no mass
+        to scale onto.
         """
         # b.T is a Fortran-ordered view: one RHS column per trajectory, no copy
         x = self._solver.solve(b.T).T
@@ -463,7 +475,10 @@ class _Factored:
             if not math.isfinite(x_max):
                 finite = False
                 continue
-            self._project(b_j, x_j, bound, out_j, x_max)
+            if project:
+                self._project(b_j, x_j, bound, out_j, x_max)
+            else:
+                out_j[...] = x_j
         return finite
 
     def _full_bound(self, x_max: float, b_j: np.ndarray) -> float:

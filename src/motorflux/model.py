@@ -60,7 +60,6 @@ __all__ = [
     "eval_potential",
     "eval_reaction",
     "eval_power",
-    "reaction_inverse",
     "reaction_lipschitz",
     "initial_state",
     "POTENTIAL_KINDS",
@@ -426,18 +425,6 @@ def eval_power(x: np.ndarray, exponent: float, out: np.ndarray,
     else:
         np.power(x, exponent, out=out)
     return out
-
-
-def reaction_inverse(r: ReactionSpec, y):
-    """Inverse reaction map: the value s with r(s) = y, for y >= 0."""
-    arr = np.asarray(y, dtype=float)
-    if arr.size and arr.min() < 0.0:
-        raise OutOfDomainError("reaction inverse is only defined for nonnegative values")
-    if r.kind == "linear":
-        out = arr.copy()
-    else:
-        out = np.power(arr, 1.0 / r.exponent)
-    return float(out) if np.isscalar(y) or arr.ndim == 0 else out
 
 
 def reaction_lipschitz(r: ReactionSpec, s_max: float) -> float:

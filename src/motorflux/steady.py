@@ -1,49 +1,67 @@
-"""Stationary states of the coupled system.
+"""Stationary states of the coupled system, by one solver for every problem.
 
-Three routes are covered:
+Pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998;
+Mulder & Van Leer, J. Comput. Phys. 59, 1985) on the stepper's factor path.
+F(u) = T u + (alpha lam (x) I) r(u) is the right-hand side and
+J = T + (alpha lam (x) I) diag(r'(u)) its Jacobian: Metzler with w^T J = 0
+for the conservation weights w_i = cell_volume/alpha_i, so K = I - tau J has
+every property of a time step's K and goes through `evolve._Factored`, the
+band in 1-D and SuperLU in 2-D, with every solve check.  Each step solves
 
-  * `solve_null_vector` finds the positive null vector of an assembled linear
-    block operator by one direct solve.  For an irreducible configuration -A
-    is a singular irreducible M-matrix, so every proper principal submatrix
-    is a nonsingular M-matrix with an entrywise positive inverse.  Pinning
-    x[0] = 1 and dropping row and column 0 leaves
-    A[1:,1:] x[1:] = -A[1:,0], whose solution is strictly positive; one
-    correction with the same factorization spreads the round-off residual
-    over all rows instead of the dropped one.
-  * `reversible_pair` solves for the constant equilibrium (a, b) of the
-    two-species reversible reaction: r_A(a) = r_B(b) with the weighted mass
-    a/alpha + b/beta pinned to the conserved value.
-  * `project_onto_ray` picks from the ray {c*v : c > 0} the unique member
-    sharing the initial data's conserved weighted mass, which is the
-    long-time limit of the evolution.
+    linear      K u_{k+1} = u_k, J = A factored once: inverse iteration;
+    nonlinear   K d = tau F(u_k), F's w-component removed, u_{k+1} = u_k + d;
+
+halves each entry that the step would make non-positive, rescales to the
+initial weighted mass, and sets tau_{k+1} = tau_k ||F_k||/||F_{k+1}||
+(switched evolution relaxation), or tau_k/2 after a step with a halved
+entry; halving the whole step instead can shrink it to nothing for one
+entry near zero.  The nonlinear step solves for
+the increment: with the state as right-hand side, tau*(F - J u) carries
+rounding that the slow modes amplify, and the iterates wander by 1e-6 at
+4,096 cells.  tau*||J||_inf starts at _FIRST_STEP and stays below
+_CONDITION_CAP, where K keeps its identity in rounding; a linear problem
+takes the cap at once, which lets inverse iteration pass deep potential
+wells.  The iteration stops once the residual is near its floor and the
+update reaches round-off, 4 eps max(u), or stops shrinking; after
+_MAX_STEPS steps NonConvergenceError names the residual.  The M-matrix
+solve adds terms of one sign, so a species fed only through a rate far
+below the others (1e-17 beside O(1)) stays positive.
+
+Stationary states of one weighted mass are unique, as L1 contraction implies.
+Pre-checks keep their exits: a coupling graph that is not strongly connected
+raises IrreducibilityError, a transport weight or rate lost in rounding
+beside the other ScalingError.  `solve_null_vector` normalizes the null
+vector of a linear block operator; `solve_stationary` gives the state with
+the initial data's weighted mass, the long-time limit of the evolution;
+`project_onto_ray` scales a linear problem's null vector to that mass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
-from .discretize import SystemOperator, _gauge_factors
-from .errors import DegenerateDataError, IrreducibilityError, NonConvergenceError, ScalingError
-from .model import (
-    ReactionSpec,
-    State,
-    _samples,
-    _strongly_connected,
-    eval_reaction,
-    reaction_inverse,
+from .discretize import SystemOperator, _block_matrix, _gauge_factors, _transports
+from .errors import (
+    DegenerateDataError,
+    IrreducibilityError,
+    NonConvergenceError,
+    ScalingError,
+    SolverError,
 )
+from .evolve import _block_weights, _cells_1d, _Factored, _implicit_matrix
+from .model import ProblemSpec, State, _samples, _strongly_connected
 from .verify import weighted_mass
 
 __all__ = [
     "StationaryState",
     "StationaryRay",
     "solve_null_vector",
+    "solve_stationary",
     "adjoint_null_check",
-    "reversible_pair",
     "project_onto_ray",
     "boltzmann_profile",
     "NORMALIZATIONS",
@@ -53,6 +71,20 @@ __all__ = [
 #: sum_i (1/alpha_i) integral(v_i) = 1.  Both constraints are legitimate and
 #: differ only by the scale of the result, so the choice is always explicit.
 NORMALIZATIONS = ("total", "alpha_weighted")
+
+#: most continuation steps (solves of a linear problem) before NonConvergenceError
+_MAX_STEPS = 200
+#: tau_0*||J||_inf of a nonlinear problem
+_FIRST_STEP = 1e6
+#: largest tau*||J||_inf: I - tau*J then rounds its weighted column sums
+#: within about 1e-4 of 1
+_CONDITION_CAP = 1e12
+#: relative residual ||F(u)||/(||J|| max u) below which the iteration may stop,
+#: once its update reaches round-off or no longer shrinks; its floor is about 1e-16
+_STALL = 1e-13
+#: backward-error bound of each continuation solve, the default lin_tol of a run
+_LIN_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class StationaryState:
@@ -76,117 +108,183 @@ class StationaryRay:
         return self.base.state.with_fields(c * self.base.state.fields)
 
 
-def _weights(A: SystemOperator) -> np.ndarray:
-    """Left conservation vector: cell_volume/alpha_i repeated over block i."""
-    vol = A.spec.grid.cell_volume
-    return np.repeat(vol / A.spec.alphas, A.cells)
-
-
 def _left_null_vector(A: SystemOperator) -> np.ndarray:
     """The conservation vector in A's gauge; D A D^-1 is annihilated by w D^-1."""
-    w = _weights(A)
+    w = _block_weights(A.spec, 1)[0]
     if A.gauge == "neumann":
         w = w / _gauge_factors(A.spec).ravel()
     return w
 
 
+def _inf_norm(matrix) -> float:
+    return float(abs(matrix).sum(axis=1).max())
+
+
+def _gated(residual: float, bound: float) -> float:
+    if not residual <= bound:  # a NaN tol fails too
+        raise NonConvergenceError(
+            f"stationary residual {residual:.3e} exceeds its bound {bound:.3e}", residual=residual)
+    return residual
+
+
+def _require_solvable(spec: ProblemSpec, transports) -> None:
+    """The pre-checks: a strongly connected coupling graph; no transport weight
+    sigma/h^2 lost in rounding beside the largest rate alpha_i*|lam_ii|, and no
+    rate beside its species' transport diagonal (named in that order)."""
+    if not _strongly_connected(spec.coupling.lam):
+        raise IrreducibilityError(
+            "coupling graph is not strongly connected; the configuration is not "
+            "irreducible and its weighted mass does not fix its stationary state"
+        )
+    eps = np.finfo(float).eps
+    weight = min(sp.sigma for sp in spec.species) / max(spec.grid.h) ** 2
+    rates = spec.alphas * np.abs(np.diag(spec.coupling.lam))
+    lost = [f"the smallest transport weight sigma/h^2 = {weight:.3e} is lost in rounding "
+            f"beside the largest coupling rate alpha_i*|lam_ii| = {rates.max():.3e}"
+            ] if weight <= eps * rates.max() else []
+    lost += [f"the coupling rate alpha_{i}*|lam_{i}{i}| = {r:.3e} of species {i} is lost "
+             f"in rounding beside its transport diagonal {d:.3e}"
+             for i, (r, d) in enumerate(zip(rates, (float(np.abs(t.matrix.diagonal()).max())
+                                                   for t in transports)), start=1)
+             if 0 < r <= eps * d]
+    if lost:
+        raise ScalingError("the stationary state is not resolved in double precision "
+                           f"although the coupling graph is strongly connected: {lost[0]}")
+
+
 def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
                       normalization: str = "total") -> StationaryState:
-    """Positive null vector of A by one sparse LU solve of the reduced system.
+    """Positive null vector of the linear block operator A, under ``normalization``.
 
-    Fixes x[0] = 1 and solves A[1:,1:] y = -A[1:,0].  The residual r = A x is
-    then projected off the left null vector w (so that A d = r is solvable)
-    and removed with one more solve on the same factorization.  The result is
-    scaled to the requested integral constraint and must satisfy
-    ||A v||_inf <= tol * ||A||_inf, or NonConvergenceError is raised.  A
-    coupling graph that is not strongly connected, a singular reduced matrix
-    or a result that is not strictly positive raise IrreducibilityError;
-    ScalingError when transport weights are lost in rounding beside the rates,
-    or the reverse.
+    The continuation runs in the physical gauge from a constant start, for a
+    Neumann-gauge A too.  The result must satisfy ||A v||_inf <= tol *
+    ||A||_inf, or NonConvergenceError is raised; one that is not strictly
+    positive raises IrreducibilityError, and the pre-checks raise as well.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     spec = A.spec
-    if not _strongly_connected(spec.coupling.lam):
-        raise IrreducibilityError(
-            "coupling graph is not strongly connected; the configuration is "
-            "not irreducible and its stationary states are not one ray"
-        )
-    matrix = sparse.csc_array(A.matrix)
-    nd = matrix.shape[0]
-    norm_a = float(np.abs(matrix).sum(axis=1).max())
+    _require_solvable(spec, A.transports)
+    matrix = A.matrix
+    if A.gauge == "neumann":
+        d = _gauge_factors(spec).ravel()
+        matrix = sparse.dia_array(sparse.diags_array(1.0 / d) @ matrix @ sparse.diags_array(d))
     try:
-        # no supernodes: at 8,191 unknowns SuperLU's relaxed supernodes add
-        # about 3 MB to the peak and save no time
-        lu = splu(matrix[1:, 1:], panel_size=1, relax=1)
-    except RuntimeError as err:
-        # nonsingular in exact arithmetic, since the coupling is strongly connected
-        lost = _lost_scale(A)
-        if lost:
-            raise ScalingError(
-                f"reduced stationary system is singular ({err}) although the coupling graph is "
-                f"strongly connected: {lost}"
-            ) from err
+        x = _continuation(spec, A.transports, np.ones(matrix.shape[0]), matrix)
+    except ScalingError as err:
+        # with tau*||A|| capped, I - tau*A keeps its identity for any A with w^T A = 0
         raise IrreducibilityError(
-            f"reduced stationary system is singular ({err}); the configuration "
-            "is not irreducible"
-        ) from err
-
-    x = np.empty(nd)
-    x[0] = 1.0
-    x[1:] = lu.solve(-matrix[1:, [0]].toarray().ravel())
-    r = matrix @ x
-    w = _left_null_vector(A)
-    r -= (w @ r) / (w @ w) * w
-    x[1:] -= lu.solve(r[1:])
-
+            f"cannot factor I - tau*A ({err}): A does not conserve the weighted mass, "
+            "so it is not the operator of an irreducible configuration") from err
+    if A.gauge == "neumann":
+        x *= d
     if normalization == "total":
         scale = float(spec.grid.cell_volume * x.sum())
     else:
-        scale = float(_weights(A) @ x)
+        scale = float(_left_null_vector(A) @ x)
     v = x / scale
     if not v.min() > 0.0:
-        # strictly positive in exact arithmetic, since the coupling is strongly connected
-        lost = _lost_scale(A)
-        if lost:
-            raise ScalingError(
-                "computed null vector is not strictly positive although the coupling graph is "
-                f"strongly connected: {lost}"
-            )
         raise IrreducibilityError(
             "computed null vector is not strictly positive; the configuration "
             "is not irreducible"
         )
-    residual = float(np.abs(matrix @ v).max())
-    if not residual <= tol * norm_a:  # a NaN tol fails too
-        raise NonConvergenceError(
-            f"stationary residual {residual:.3e} exceeds tol*||A||={tol * norm_a:.3e}",
-            residual=residual,
-        )
+    residual = _gated(float(np.abs(A.matrix @ v).max()), tol * _inf_norm(A.matrix))
     state = State(spec.grid, v.reshape(A.n, A.cells), t=0.0, gauge="physical")
     return StationaryState(state=state, residual=residual,
                            normalization=normalization, constraint_value=1.0)
 
 
-def _lost_scale(A: SystemOperator) -> str | None:
-    """Why A's transport weights or coupling rates are lost in rounding, or None.
+def solve_stationary(spec: ProblemSpec, u0: State, tol: float = 1e-13) -> StationaryState:
+    """The stationary state with u0's weighted mass, for any admissible problem:
+    the long-time limit of the trajectory started at u0.
 
-    Either the smallest transport weight sigma/h^2 vanishes beside the
-    largest coupling rate, or a species' rate alpha_i*|lam_ii| vanishes
-    beside its own transport diagonal; the first is named first.
+    The continuation starts at u0, or halfway between u0 and the constant
+    state of its mass where u0 is not positive.  The result must satisfy
+    ||F(u)||_inf <= tol * ||J(u)||_inf * max(u), or NonConvergenceError is
+    raised; data without weighted mass raise DegenerateDataError.
     """
-    spec = A.spec
+    mass = weighted_mass(u0, spec)
+    if not mass > 0.0:
+        raise DegenerateDataError("initial data has no mass to match")
+    transports = tuple(_transports(spec))
+    _require_solvable(spec, transports)
+    matrix = _block_matrix(spec, transports) if spec.is_linear else None
+    u = u0.fields.ravel().copy()
+    if not u.min() > 0.0:
+        u = 0.5 * (u + mass / _block_weights(spec, 1)[0].sum())
+    u = _continuation(spec, transports, u, matrix)
+    jacobian, excess = _linearization(spec, transports, u, matrix)
+    residual = _gated(float(np.abs(jacobian @ u + excess).max()),
+                      tol * _inf_norm(jacobian) * float(u.max()))
+    state = State(spec.grid, u.reshape(spec.n_species, -1), t=0.0, gauge="physical")
+    return StationaryState(state=state, residual=residual,
+                           normalization="mass_matched", constraint_value=mass)
+
+
+def _linearization(spec: ProblemSpec, transports, u: np.ndarray, matrix=None):
+    """(J, F(u) - J u) at the flat state u; a linear problem's ``matrix`` is J, and 0 the rest."""
+    if matrix is not None:
+        return matrix, np.zeros_like(u)
+    fields = u.reshape(spec.n_species, -1)
+    slopes, excess = np.ones_like(fields), np.zeros_like(fields)
+    for i, sp in enumerate(spec.species):
+        if sp.reaction.kind != "linear":
+            p = sp.reaction.exponent
+            slopes[i] = p * fields[i] ** (p - 1.0)
+            excess[i] = (1.0 - p) * fields[i] ** p  # r(u) - r'(u) u
+    coupling = spec.alphas[:, None] * spec.coupling.lam
+    return _block_matrix(spec, transports, slopes), (coupling @ excess).ravel()
+
+
+def _continuation(spec: ProblemSpec, transports, u: np.ndarray, matrix=None) -> np.ndarray:
+    """The stationary state with the weighted mass of the positive flat state u.
+
+    ``matrix`` is the block operator of a linear problem, None for a
+    nonlinear one; the steps are those of the module docstring.
+    """
     eps = np.finfo(float).eps
-    weight = min(sp.sigma for sp in spec.species) / max(spec.grid.h) ** 2
-    rates = spec.alphas * np.abs(np.diag(spec.coupling.lam))
-    if weight <= eps * rates.max():
-        return (f"the smallest transport weight sigma/h^2 = {weight:.3e} is lost in rounding "
-                f"beside the largest coupling rate alpha_i*|lam_ii| = {rates.max():.3e}")
-    diagonals = [float(np.abs(t.matrix.diagonal()).max()) for t in A.transports]
-    return next((f"the coupling rate alpha_{i}*|lam_{i}{i}| = {r:.3e} of species {i} is lost "
-                 f"in rounding beside its transport diagonal {d:.3e}"
-                 for i, (r, d) in enumerate(zip(rates, diagonals), start=1)
-                 if 0 < r <= eps * d), None)
+    w = _block_weights(spec, 1)[0]
+    mass = float(w @ u)
+    cells = _cells_1d(spec)
+    jacobian, excess = _linearization(spec, transports, u, matrix)
+    norm_j = _inf_norm(jacobian)
+    residual = jacobian @ u + excess
+    norm_f = float(np.abs(residual).max())
+    tau = _FIRST_STEP / norm_j if matrix is None else math.inf
+    factored, out, update = None, np.empty((1, u.size)), math.inf
+    for _ in range(_MAX_STEPS):
+        tau = min(tau, _CONDITION_CAP / norm_j)
+        if factored is None or matrix is None:
+            factored = _Factored(_implicit_matrix(jacobian, tau), w, tau, _LIN_TOL, cells)
+        if matrix is None:
+            residual -= (w @ residual) / (w @ w) * w
+            finite = factored.solve((tau * residual)[None], out, project=False)
+            step = out[0]
+        else:
+            finite = factored.solve(u[None], out)
+            step = out[0] - u
+        if not finite:
+            raise SolverError("stationary iteration produced non-finite values")
+        x = u + step
+        # a non-positive entry is halved instead, and the next tau halves too
+        clipped = not x.min() > 0.0
+        if clipped:
+            x = np.where(x > 0.0, x, 0.5 * u)
+        x *= mass / float(w @ x)
+        update, previous = float(np.abs(x - u).max()), update
+        u = x
+        if matrix is None:
+            jacobian, excess = _linearization(spec, transports, u)
+            norm_j = _inf_norm(jacobian)
+        residual = jacobian @ u + excess
+        norm_f, norm_was = float(np.abs(residual).max()), norm_f
+        top = float(u.max())
+        if norm_f <= _STALL * norm_j * top and (update <= 4.0 * eps * top or update >= previous):
+            return u
+        tau *= 0.5 if clipped else (norm_was / norm_f if norm_f > 0.0 else math.inf)
+    raise NonConvergenceError(
+        f"stationary iteration did not converge in {_MAX_STEPS} steps: residual "
+        f"||F(u)||_inf = {norm_f:.3e}, last update {update:.3e}", residual=norm_f)
 
 
 def adjoint_null_check(A: SystemOperator) -> float:
@@ -201,74 +299,14 @@ def adjoint_null_check(A: SystemOperator) -> float:
     return float(np.abs(r).max())
 
 
-def reversible_pair(mass: float, r_a: ReactionSpec, r_b: ReactionSpec,
-                    alpha: float = 1.0, beta: float = 1.0,
-                    volume: float = 1.0) -> tuple[float, float]:
-    """Constant equilibrium (a, b) of the two-species reversible reaction.
-
-    Solves a/alpha + b/beta = mass/volume with b = r_B^-1(r_A(a)) by bisection
-    on the strictly increasing g(a) = a/alpha + b(a)/beta - mass/volume, to
-    |g| <= 1e-12.  ``mass`` is the conserved quantity
-    integral(u0/alpha + v0/beta); ``volume`` is the domain measure.
-    """
-    if not mass > 0.0:
-        raise DegenerateDataError(f"mass must be positive, got {mass}")
-    if not (alpha > 0.0 and beta > 0.0 and volume > 0.0):
-        raise ValueError("alpha, beta and volume must be positive")
-    target = mass / volume
-
-    def g(a: float) -> float:
-        b = reaction_inverse(r_b, eval_reaction(r_a, a))
-        return a / alpha + b / beta - target
-
-    hi = 1.0
-    for _ in range(200):
-        if g(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NonConvergenceError("failed to bracket the equilibrium", residual=g(hi))
-    lo = 0.0
-    a = 0.5 * hi
-    for _ in range(500):
-        val = g(a)
-        if abs(val) <= 1e-12:
-            break
-        if val > 0.0:
-            hi = a
-        else:
-            lo = a
-        nxt = 0.5 * (lo + hi)
-        if nxt == a:
-            break
-        a = nxt
-    val = g(a)
-    if abs(val) > 1e-12:
-        raise NonConvergenceError(
-            f"bisection stalled with |g(a)|={abs(val):.3e} > 1e-12", residual=val
-        )
-    b = reaction_inverse(r_b, eval_reaction(r_a, a))
-    return float(a), float(b)
-
-
 def project_onto_ray(u0: State, ray: StationaryRay, spec) -> tuple[float, StationaryState]:
-    """The member of the stationary ray sharing u0's conserved weighted mass.
-
-    Returns (c, c*v); by mass conservation and the contraction property this
-    is the long-time limit of the trajectory started at u0.
-    """
+    """(c, c*v): the member of the stationary ray sharing u0's conserved weighted
+    mass, which is the long-time limit of the trajectory started at u0."""
     m0 = weighted_mass(u0, spec)
-    mv = weighted_mass(ray.base.state, spec)
     if m0 <= 0.0:
         raise DegenerateDataError("initial data has no mass to match")
-    c = m0 / mv
-    scaled = ray.base.state.with_fields(c * ray.base.state.fields)
-    return c, StationaryState(
-        state=scaled,
-        residual=c * ray.base.residual,
-        normalization="mass_matched",
-        constraint_value=m0,
-    )
+    c = m0 / weighted_mass(ray.base.state, spec)
+    return c, StationaryState(ray.member(c), c * ray.base.residual, "mass_matched", m0)
 
 
 def boltzmann_profile(spec, species: int = 0) -> np.ndarray:

@@ -125,6 +125,23 @@ def reversible_problem(cells: int = 32, p: float = 2.0, mass_each: float = 1.0) 
     )
 
 
+def imex3_problem(cells: int = 64, dim: int = 1) -> ProblemSpec:
+    """Three species with powers 2, 1 and 3 under a full 3x3 coupling, as the
+    CLI's IMEX3_CONFIG; on a cells x cells square for dim = 2."""
+    grid = (Grid.interval(0.0, 1.0, cells) if dim == 1
+            else Grid.box((0.0, 0.0), (1.0, 1.0), (cells, cells)))
+    return ProblemSpec(
+        grid=grid,
+        species=(SpeciesSpec(1.0, 1.0, ZERO, ReactionSpec("power", exponent=2.0)),
+                 SpeciesSpec(0.8, 1.0, ZERO),
+                 SpeciesSpec(0.6, 1.0, ZERO, ReactionSpec("power", exponent=3.0))),
+        coupling=CouplingMatrix([[-1.0, 0.5, 0.25], [0.5, -1.0, 0.75], [0.5, 0.5, -1.0]]),
+        initial=(PotentialSpec("cosine", amplitude=0.3, offset=1.0),
+                 PotentialSpec("cosine", amplitude=0.2, offset=1.0, phase=0.3),
+                 PotentialSpec("cosine", amplitude=0.4, offset=1.0, phase=0.6)),
+    )
+
+
 def smooth_state(spec: ProblemSpec, rng, floor: float = 0.1) -> State:
     """Random positive smooth state on the grid of ``spec``."""
     pts = spec.grid.centers()

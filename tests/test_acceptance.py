@@ -27,6 +27,7 @@ from conftest import (
     smooth_state,
     symmetric_motor,
 )
+from reversible_oracle import reversible_pair
 
 
 def report(criterion: str, detail: str) -> None:
@@ -183,10 +184,12 @@ def test_criterion_6_stabilization():
     u0r = mf.initial_state(rev)
     mass = mf.weighted_mass(u0r, rev)
     assert mass == pytest.approx(2.0, rel=1e-12)
-    a, b = mf.reversible_pair(mass, rev.species[0].reaction, rev.species[1].reaction,
-                              volume=rev.grid.volume)
+    a, b = reversible_pair(mass, rev.species[0].reaction, rev.species[1].reaction,
+                           volume=rev.grid.volume)
     assert (a, b) == (pytest.approx(1.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
     target_state = State(rev.grid, np.stack([np.full(64, a), np.full(64, b)]))
+    solved = mf.solve_stationary(rev, u0r).state
+    assert np.abs(solved.fields - target_state.fields).max() <= 1e-12
     traj = mf.run(rev, StepConfig(dt=0.05, t_end=50.0, stride=100))
     final_rev = mf.weighted_l1_distance(traj.final, target_state, rev)
     assert final_rev <= 1e-6

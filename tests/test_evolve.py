@@ -461,6 +461,20 @@ class TestOperatorRelease:
         assert dead == [[True] * 2, [True] * 4]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_k_norm_equals_the_absolute_row_sums(rng, dim, n):
+    # ||K||_inf is read off the diagonals in the loop that forms w^T K
+    spec = random_problem(rng, n=n, cells=48 if dim == 1 else 12, dim=dim)
+    w = np.repeat(spec.grid.cell_volume / spec.alphas, spec.grid.size)
+    for matrix, weights in [(assemble_system(spec).matrix, w),
+                            *zip((op.matrix for op in transports_for(spec)), w.reshape(n, -1))]:
+        for dt in (1e-3, 1.0, 1e4):
+            k = _implicit_matrix(matrix, dt)
+            factored = _Factored(k, weights, dt, 1e-12, spec.grid.size if dim == 1 else None)
+            assert factored._k_norm == float(abs(k).sum(axis=1).max())
+
+
 class TestConservativeProjection:
     def test_mass_drift_at_65536_cells(self):
         # the rounding of K = I - dt*M and of the LU solve drift this run's

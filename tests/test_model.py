@@ -17,7 +17,6 @@ from motorflux import (
     eval_potential,
     eval_reaction,
     initial_state,
-    reaction_inverse,
     reaction_lipschitz,
     validate,
 )
@@ -27,6 +26,7 @@ import motorflux.model
 from motorflux.model import MAX_UNKNOWNS, eval_power
 
 from conftest import ZERO, symmetric_motor
+from reversible_oracle import reaction_inverse
 
 
 class TestGrid:

@@ -20,16 +20,27 @@ from motorflux import (
     boltzmann_profile,
     conjugate_to_neumann,
     eval_reaction,
+    initial_state,
     project_onto_ray,
-    reversible_pair,
+    run,
     solve_null_vector,
+    solve_stationary,
     step_linear_implicit,
     weighted_l1_distance,
+    weighted_l1_norm,
     weighted_mass,
 )
+import motorflux.steady
 from motorflux.errors import DegenerateDataError, IrreducibilityError, NonConvergenceError
 
-from conftest import random_problem, sawtooth_motor, smooth_state, symmetric_motor
+from conftest import (
+    imex3_problem,
+    random_problem,
+    sawtooth_motor,
+    smooth_state,
+    symmetric_motor,
+)
+from reversible_oracle import reversible_pair
 
 #: frozen root of a/2 + a^3 = 1 (50-digit bisection-independent root find)
 A_CUBIC = 0.8351223484813665
@@ -146,14 +157,101 @@ class TestNullVector:
     def test_singular_reduced_system_raises(self):
         spec = sawtooth_motor(16)
         A = assemble_system(spec)
-        # cut cell 1 of species 1 off from everything: the reduced matrix
-        # keeps an empty row and column and SuperLU reports it singular
+        # cut cell 1 of species 1 off from everything: A no longer conserves
+        # the weighted mass, and I - tau*A loses its identity
         m = A.matrix.tolil()
         m[1, :] = 0.0
         m[:, 1] = 0.0
         broken = replace(A, matrix=sparse.csr_array(m))
         with pytest.raises(IrreducibilityError):
             solve_null_vector(broken)
+
+
+def relative_distance(spec, a: State, b: State) -> float:
+    return weighted_l1_distance(a, b, spec) / weighted_l1_norm(b, spec)
+
+
+class TestStationaryState:
+    def test_equal_masses_reach_one_state(self, rng):
+        # L1 contraction leaves one stationary state per weighted mass
+        spec = imex3_problem(64)
+        u0 = initial_state(spec)
+        other = smooth_state(spec, rng)
+        other = other.with_fields(other.fields * (weighted_mass(u0, spec)
+                                                  / weighted_mass(other, spec)))
+        a = solve_stationary(spec, u0).state
+        b = solve_stationary(spec, other).state
+        assert np.abs(a.fields - u0.fields).max() >= 0.1
+        assert relative_distance(spec, a, b) <= 1e-10
+
+    @pytest.mark.parametrize("cells", [64, 256])
+    def test_agrees_with_a_long_imex_run(self, cells):
+        # the IMEX map fixes exactly the states with F(u) = 0, so a long run
+        # from the same data is an independent witness
+        spec = imex3_problem(cells)
+        ss = solve_stationary(spec, initial_state(spec))
+        final = run(spec, StepConfig(dt=0.01, t_end=20.0, stride=2000)).final
+        assert relative_distance(spec, final, ss.state) <= 1e-8
+        assert weighted_mass(ss.state, spec) == pytest.approx(ss.constraint_value, rel=1e-14)
+        assert ss.normalization == "mass_matched"
+
+    def test_2d_nonlinear(self):
+        spec = imex3_problem(24, dim=2)
+        ss = solve_stationary(spec, initial_state(spec))
+        assert ss.state.fields.min() > 0.0
+        assert weighted_mass(ss.state, spec) == pytest.approx(ss.constraint_value, rel=1e-14)
+
+    def test_linear_matches_the_ray_projection(self, rng):
+        spec = random_problem(rng, n=3, cells=64)
+        u0 = smooth_state(spec, rng)
+        ray = StationaryRay(solve_null_vector(assemble_system(spec)))
+        _c, target = project_onto_ray(u0, ray, spec)
+        assert relative_distance(spec, solve_stationary(spec, u0).state, target.state) <= 1e-12
+
+    def test_reversible_pair_closed_form(self):
+        spec = replace(symmetric_motor(32), species=(
+            SpeciesSpec(1.0, 2.0, PotentialSpec("zero"), ReactionSpec("power", exponent=3.0)),
+            SpeciesSpec(1.0, 1.0, PotentialSpec("zero"))))
+        u0 = initial_state(spec)
+        a, b = reversible_pair(weighted_mass(u0, spec), spec.species[0].reaction,
+                               spec.species[1].reaction, alpha=2.0, beta=1.0)
+        fields = solve_stationary(spec, u0).state.fields
+        assert np.abs(fields[0] - a).max() <= 1e-12
+        assert np.abs(fields[1] - b).max() <= 1e-12
+
+    def test_data_with_zeros(self):
+        # a zero entry moves the start, not the result
+        spec = imex3_problem(32)
+        u0 = initial_state(spec)
+        zeros = u0.fields.copy()
+        zeros[0] += zeros[1]  # every alpha is 1
+        zeros[1] = 0.0
+        start = u0.with_fields(zeros)
+        assert weighted_mass(start, spec) == pytest.approx(weighted_mass(u0, spec), rel=1e-14)
+        assert relative_distance(spec, solve_stationary(spec, start).state,
+                                 solve_stationary(spec, u0).state) <= 1e-10
+
+    def test_step_cap_names_the_residual(self, monkeypatch):
+        monkeypatch.setattr(motorflux.steady, "_MAX_STEPS", 1)
+        spec = imex3_problem(32)
+        with pytest.raises(NonConvergenceError, match="did not converge in 1 steps: residual"):
+            solve_stationary(spec, initial_state(spec))
+
+    def test_gate_failure(self):
+        spec = imex3_problem(32)
+        with pytest.raises(NonConvergenceError, match="exceeds its bound"):
+            solve_stationary(spec, initial_state(spec), tol=0.0)
+
+    def test_zero_mass_rejected(self):
+        spec = imex3_problem(16)
+        with pytest.raises(DegenerateDataError):
+            solve_stationary(spec, State(spec.grid, np.zeros((3, 16))))
+
+    def test_reducible_coupling_raises(self):
+        spec = replace(imex3_problem(16), coupling=CouplingMatrix(
+            [[-1.0, 0.0, 0.0], [0.5, -1.0, 0.0], [0.5, 1.0, 0.0]]))
+        with pytest.raises(IrreducibilityError, match="not irreducible"):
+            solve_stationary(spec, initial_state(spec))
 
 
 class TestAdjointCheck:
