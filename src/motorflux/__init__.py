@@ -25,8 +25,6 @@ from .evolve import (
     imex_dt_max,
     run,
     run_batch,
-    step_imex,
-    step_linear_implicit,
 )
 from .model import (
     CouplingMatrix,
@@ -44,11 +42,9 @@ from .model import (
     validate,
 )
 from .steady import (
-    StationaryRay,
     StationaryState,
     adjoint_null_check,
     boltzmann_profile,
-    project_onto_ray,
     solve_null_vector,
     solve_stationary,
 )
@@ -76,12 +72,9 @@ __all__ = [
     "bernoulli", "TransportOperator", "SystemOperator",
     "assemble_transport", "assemble_system", "conjugate_to_neumann",
     "gauge_transform", "write_matrix_market",
-    "StepConfig", "Trajectory",
-    "step_linear_implicit", "step_imex", "imex_dt_max", "run",
-    "run_batch",
-    "StationaryState", "StationaryRay", "solve_null_vector", "solve_stationary",
-    "adjoint_null_check", "project_onto_ray",
-    "boltzmann_profile",
+    "StepConfig", "Trajectory", "imex_dt_max", "run", "run_batch",
+    "StationaryState", "solve_null_vector", "solve_stationary",
+    "adjoint_null_check", "boltzmann_profile",
     "CheckReport", "DifferenceSeries", "weighted_mass", "weighted_l1_norm",
     "weighted_l1_distance", "check_contraction", "check_comparison",
     "check_convergence", "oracle_expm", "oracle_compare",

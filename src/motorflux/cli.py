@@ -27,19 +27,7 @@ import numpy as np
 
 from . import verify
 from .discretize import assemble_system
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    InvariantViolationError,
-    IrreducibilityError,
-    MotorfluxError,
-    OracleScopeError,
-    OutOfDomainError,
-    ScalingError,
-    SolverError,
-    StepSizeError,
-    UnsupportedConfigurationError,
-)
+from .errors import ConfigError, MotorfluxError, UnsupportedConfigurationError
 # `run` here is the stepping generator, the name that perfbench/spans.py
 # traces; `motorflux.run` is the library call that collects it into a Trajectory
 from .evolve import MAX_STEPS, StepConfig, _step_count, run_batch as run
@@ -57,9 +45,7 @@ from .model import (
 from .steady import solve_null_vector, solve_stationary
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
-EXIT_SOLVER = 4
 
 #: mass column of the simulate manifest must be constant to this relative drift
 MASS_DRIFT_TOL = 1e-11
@@ -670,19 +656,9 @@ def main(argv=None) -> int:
         if args.command == "oracle-compare":
             return cmd_verify(cfg, "oracle")
         return cmd_verify(cfg, args.command.removeprefix("verify-"))
-    except (ConfigError, StepSizeError, ScalingError, OracleScopeError, OutOfDomainError,
-            UnsupportedConfigurationError, DegenerateDataError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvariantViolationError as err:
-        print(f"invariant failure: {err}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (SolverError, IrreducibilityError) as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER
-    except MotorfluxError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SOLVER
+    except MotorfluxError as err:  # each error type names its own exit code
+        print(f"{err.label}: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

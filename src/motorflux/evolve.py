@@ -128,7 +128,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
-from .discretize import SystemOperator, TransportOperator, _transports, assemble_system
+from .discretize import _transports, assemble_system
 from .errors import (
     ConfigError,
     InvariantViolationError,
@@ -150,8 +150,6 @@ __all__ = [
     "MAX_STEPS",
     "StepConfig",
     "Trajectory",
-    "step_linear_implicit",
-    "step_imex",
     "imex_dt_max",
     "run",
     "run_batch",
@@ -276,8 +274,9 @@ class _CellMajorBand:
     is the band of half-width S of the module docstring, factored without a
     row swap.  The unit-lower L and U = diag(u) U1, U1 unit upper, are kept
     as compact Fortran copies of S + 1 rows each: a unit sweep is about twice
-    as fast as one that divides by the diagonal.  A solve is the two tbsv
-    sweeps and a product by 1/u between strided per-species copies.
+    as fast as one that divides by the diagonal, and views into gbtrf's array
+    would make every sweep stride 3S + 1 rows per column.  A solve is the two
+    tbsv sweeps and a product by 1/u between strided per-species copies.
     """
 
     def __init__(self, lower: np.ndarray, upper: np.ndarray, inverse_pivots: np.ndarray,
@@ -309,12 +308,12 @@ class _CellMajorBand:
         lu, rows, info = dgbtrf(band, species, species, overwrite_ab=1)
         if info > 0:
             raise RuntimeError(f"band pivot {info} is exactly zero")
-        swapped = np.flatnonzero(rows != np.arange(n))
+        swapped = np.flatnonzero(rows != np.arange(n, dtype=rows.dtype))
         if swapped.size:
             raise SolverError(f"the band LU of K = I - dt*M swapped row {int(swapped[0])} "
                               "although K is column diagonally dominant")
         upper = np.asfortranarray(lu[species:2 * species + 1])
-        pivots = upper[species].copy()
+        pivots = lu[2 * species]  # U's diagonal, which the copy's divisions leave alone
         for m in range(1, species + 1):  # row i of U over u_i: entry (i, i + m)
             upper[species - m, m:] /= pivots[:-m]
         return cls(np.asfortranarray(lu[2 * species:]), upper, 1.0 / pivots, ratio)
@@ -591,11 +590,6 @@ class _Stepper:
             raise SolverError("implicit solve produced non-finite values")
         return out
 
-    def step_state(self, state: State, t: float) -> State:
-        """One step of a single state, for the public one-step functions."""
-        u = self.step(_batch((state,), len(self._factors)))
-        return state.with_fields(u[:, 0].reshape(state.fields.shape), t=t)
-
 
 def _block_weights(spec: ProblemSpec, blocks: int) -> tuple[np.ndarray, ...]:
     """Conservation weights cell_volume/alpha_i over each of ``blocks`` stepper blocks."""
@@ -608,41 +602,21 @@ def _cells_1d(spec: ProblemSpec) -> int | None:
     return spec.grid.size if spec.grid.dim == 1 else None
 
 
-def _require_physical_operator(op, who: str) -> None:
-    # the conservation weights of a Neumann-gauge operator differ
-    if op.gauge != "physical":
-        raise ValueError(f"{who} expects physical-gauge operators")
-
-
 def _batch(states, blocks: int) -> np.ndarray:
     """Stack states into a (blocks, trajectories, block size) batch array."""
     return np.stack([s.fields.reshape(blocks, -1) for s in states], axis=1)
 
 
-def _require_physical(state: State, who: str) -> None:
+def _require_physical(state: State) -> None:
     if state.gauge != "physical":
-        raise ValueError(f"{who} expects a physical-gauge state")
+        raise ValueError("run expects a physical-gauge state")
     low = float(state.fields.min()) if state.fields.size else 0.0
     if low < -_NEG_SLACK:
         raise ValueError(f"state must be nonnegative; min value {low!r}")
 
 
 # ---------------------------------------------------------------------------
-# steps
-
-
-def step_linear_implicit(state: State, A: SystemOperator, dt: float, *,
-                         lin_tol: float = 1e-12) -> State:
-    """One implicit Euler step of the assembled linear system.
-
-    Positivity and weighted-mass conservation hold for any dt > 0 by the
-    M-matrix structure of I - dt*A.
-    """
-    _require_physical(state, "step_linear_implicit")
-    _require_physical_operator(A, "step_linear_implicit")
-    weights = _block_weights(A.spec, 1)
-    stepper = _Stepper((A.matrix,), weights, _cells_1d(A.spec), dt, lin_tol)
-    return stepper.step_state(state, state.t + dt)
+# the IMEX step-size bound and reaction stage
 
 
 def imex_dt_max(state: State, spec: ProblemSpec) -> float:
@@ -694,21 +668,6 @@ def _reaction_stage(u: np.ndarray, spec: ProblemSpec, coeff: np.ndarray,
     return out
 
 
-def step_imex(state: State, spec: ProblemSpec,
-              operators: tuple[TransportOperator, ...], dt: float, *,
-              lin_tol: float = 1e-12) -> State:
-    """One IMEX step: explicit reactions, then implicit per-species transport."""
-    _require_physical(state, "step_imex")
-    if len(operators) != spec.n_species:
-        raise ValueError("need one transport operator per species")
-    for op in operators:
-        _require_physical_operator(op, "step_imex")
-    matrices = tuple(op.matrix for op in operators)
-    weights = _block_weights(spec, spec.n_species)
-    stepper = _Stepper(matrices, weights, _cells_1d(spec), dt, lin_tol, spec)
-    return stepper.step_state(state, state.t + dt)
-
-
 # ---------------------------------------------------------------------------
 # trajectory driver
 
@@ -758,7 +717,7 @@ def run_batch(spec: ProblemSpec, cfg: StepConfig,
     if not states:
         raise ValueError("run_batch needs at least one initial state")
     for state in states:
-        _require_physical(state, "run")
+        _require_physical(state)
         if state.fields.shape != (spec.n_species, spec.grid.size):
             raise ValueError("initial state does not match the problem layout")
     yield states

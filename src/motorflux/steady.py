@@ -32,8 +32,8 @@ Pre-checks keep their exits: a coupling graph that is not strongly connected
 raises IrreducibilityError, a transport weight or rate lost in rounding
 beside the other ScalingError.  `solve_null_vector` normalizes the null
 vector of a linear block operator; `solve_stationary` gives the state with
-the initial data's weighted mass, the long-time limit of the evolution;
-`project_onto_ray` scales a linear problem's null vector to that mass.
+the initial data's weighted mass, the long-time limit of the evolution, for
+linear and nonlinear reactions alike.
 """
 
 from __future__ import annotations
@@ -58,11 +58,9 @@ from .verify import weighted_mass
 
 __all__ = [
     "StationaryState",
-    "StationaryRay",
     "solve_null_vector",
     "solve_stationary",
     "adjoint_null_check",
-    "project_onto_ray",
     "boltzmann_profile",
     "NORMALIZATIONS",
 ]
@@ -94,18 +92,6 @@ class StationaryState:
     residual: float
     normalization: str
     constraint_value: float
-
-
-@dataclass(frozen=True)
-class StationaryRay:
-    """The one-parameter family {c * v : c > 0} of stationary states."""
-
-    base: StationaryState
-
-    def member(self, c: float) -> State:
-        if not c > 0.0:
-            raise ValueError(f"ray members need c > 0, got {c}")
-        return self.base.state.with_fields(c * self.base.state.fields)
 
 
 def _left_null_vector(A: SystemOperator) -> np.ndarray:
@@ -297,16 +283,6 @@ def adjoint_null_check(A: SystemOperator) -> float:
     """
     r = A.matrix.T @ _left_null_vector(A)
     return float(np.abs(r).max())
-
-
-def project_onto_ray(u0: State, ray: StationaryRay, spec) -> tuple[float, StationaryState]:
-    """(c, c*v): the member of the stationary ray sharing u0's conserved weighted
-    mass, which is the long-time limit of the trajectory started at u0."""
-    m0 = weighted_mass(u0, spec)
-    if m0 <= 0.0:
-        raise DegenerateDataError("initial data has no mass to match")
-    c = m0 / weighted_mass(ray.base.state, spec)
-    return c, StationaryState(ray.member(c), c * ray.base.residual, "mass_matched", m0)
 
 
 def boltzmann_profile(spec, species: int = 0) -> np.ndarray:

@@ -15,9 +15,17 @@ from motorflux import (
     ReactionSpec,
     SpeciesSpec,
     State,
+    StepConfig,
+    run_batch,
 )
 
 ZERO = PotentialSpec("zero")
+
+
+def one_step(spec, state, dt, **kwargs) -> State:
+    """One step of ``state`` by the one stepping loop: `run_batch` to t_end = dt."""
+    *_, (out,) = run_batch(spec, StepConfig(dt=dt, t_end=dt, **kwargs), (state,))
+    return out
 
 
 def random_potential(rng) -> PotentialSpec:

@@ -16,7 +16,6 @@ from motorflux import (
     ProblemSpec,
     SpeciesSpec,
     State,
-    StationaryRay,
     StepConfig,
 )
 
@@ -172,8 +171,7 @@ def test_criterion_6_stabilization():
     # linear motor with distinct sawtooth potentials
     spec = sawtooth_motor(64)
     u0 = smooth_state(spec, rng)
-    base = mf.solve_null_vector(mf.assemble_system(spec), tol=1e-13)
-    _c, target = mf.project_onto_ray(u0, StationaryRay(base), spec)
+    target = mf.solve_stationary(spec, u0)
     rep = mf.check_convergence(spec, u0, StepConfig(dt=0.05, t_end=50.0, stride=50),
                                target, threshold=1e-6)
     final_lin = rep.series["distance"][-1]

@@ -4,12 +4,13 @@ import gc
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from motorflux import Grid, State, weighted_mass
 import motorflux.cli
@@ -17,7 +18,8 @@ from motorflux.cli import _write_state_csv, format_effective_config, main, parse
 import motorflux.evolve
 from motorflux.evolve import run_batch
 from motorflux.model import MAX_UNKNOWNS
-from motorflux.errors import ConfigError, SolverError
+import motorflux.errors
+from motorflux.errors import ConfigError, MotorfluxError, SolverError, StepSizeError
 
 from reversible_oracle import reversible_pair
 
@@ -600,30 +602,47 @@ def _wild_params(draw, kinds: dict) -> tuple[str, dict[str, str]]:
 
 
 @st.composite
-def table_configs(draw, fuzz: bool = False):
+def table_configs(draw, fuzz: bool = False, stepping: bool = False):
     """A config text drawn key by key from `motorflux.cli._KEYS`.
 
     Every value is admissible unless ``fuzz`` is set; then a few table keys
     get wild values, and a required key may be left out.  Keys with a default
     are left out at random either way.  1-3 species, 1-D or 2-D, every
     potential kind, and ``initial2`` for every species or for none.
+
+    ``stepping`` draws larger problems for the stepping commands: 1-4
+    species, up to 1,024 unknowns in 1-D and 12 x 12 cells in 2-D, dt from
+    1e-3 to 1e3 for linear reactions and from 1e-4 to 10 for nonlinear ones
+    (on both sides of the IMEX step bound), at most 8 steps, lin_tol >= 1e-14
+    and no ``initial2``.  psi/sigma spans up to 200 either way.
     """
-    n, dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n, dim = draw(st.integers(1, 4 if stepping else 3)), draw(st.integers(1, 2))
     lo = draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim))
     hi = [a + draw(st.floats(0.5, 10.0)) for a in lo]
     bound = max(map(abs, lo + hi))
     lam = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n * n, max_size=n * n)))
     lam = lam.reshape(n, n) * (1.0 - np.eye(n))
     lam -= np.diag(lam.sum(axis=0))
-    with_initial2 = draw(st.booleans())
+    with_initial2 = not stepping and draw(st.booleans())
+    most_cells = 10 if not stepping else 1024 // n if dim == 1 else 12
+    drawn = {"nonlinear": False}  # what the time keys depend on
     wild = draw(st.sets(st.sampled_from([key.name for key in motorflux.cli._KEYS]),
                         max_size=4)) if fuzz else set()
+
+    def step_size() -> str:
+        if not stepping:
+            drawn["dt"] = draw(st.floats(0.01, 1.0))
+        else:
+            exponents = st.floats(-4.0, 1.0) if drawn["nonlinear"] else st.floats(-3.0, 3.0)
+            drawn["dt"] = 10.0 ** draw(exponents)
+        return repr(drawn["dt"])
 
     def admissible(key, i: int):
         """The text of a scalar key, or (kind, params) of a kind key."""
         if key.name == "reaction":
             if draw(st.booleans()):
                 return "linear", {}
+            drawn["nonlinear"] = True
             return "power", {"exponent": repr(draw(st.floats(1.0, 4.0)))}
         if isinstance(key.type, motorflux.cli._Kinds):
             kind = draw(st.sampled_from(sorted(key.type.kinds)))
@@ -632,14 +651,15 @@ def table_configs(draw, fuzz: bool = False):
             "lo": lambda: ", ".join(map(repr, lo)),
             "hi": lambda: ", ".join(map(repr, hi)),
             "cells": lambda: ", ".join(map(str, draw(st.lists(
-                st.integers(2, 10), min_size=dim, max_size=dim)))),
+                st.integers(2, most_cells), min_size=dim, max_size=dim)))),
             "row.{i}": lambda: ", ".join(repr(float(v)) for v in lam[i]),
             "sigma": lambda: repr(draw(st.floats(0.1, 10.0))),
             "alpha": lambda: repr(draw(st.floats(0.1, 10.0))),
-            "dt": lambda: repr(draw(st.floats(0.01, 1.0))),
-            "t_end": lambda: repr(draw(st.floats(0.0, 10.0))),
+            "dt": step_size,
+            "t_end": lambda: repr(draw(st.floats(0.0, 10.0)) if not stepping
+                                  else drawn["dt"] * draw(st.floats(0.0, 8.0))),
             "stride": lambda: str(draw(st.integers(1, 50))),
-            "lin_tol": lambda: repr(draw(st.floats(0.0, 1e-6))),
+            "lin_tol": lambda: repr(draw(st.floats(1e-14 if stepping else 0.0, 1e-6))),
             "dir": lambda: draw(st.sampled_from(["out", "runs/a", "o-1"])),
             "normalization": lambda: draw(st.sampled_from(["total", "alpha_weighted"])),
             "tol": lambda: repr(draw(st.floats(0.0, 1.0))),
@@ -835,6 +855,29 @@ class TestStationaryProperty:
         assert fields.min() > 0.0
         residual, scale = _stationary_gate(spec, fields)
         assert residual <= 1e-13 * scale
+
+
+class TestSteppingProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(text=table_configs(stepping=True))
+    def test_stepping_commands_run_or_name_the_step_bound(self, text):
+        """simulate and the pair checks pass on every admissible problem, or
+        refuse an IMEX step above its positivity bound with exit 2."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(text)
+            cfg = parse_config(path)
+            if not cfg.problem.is_linear:
+                bound = motorflux.imex_dt_max(motorflux.initial_state(cfg.problem), cfg.problem)
+                event(f"IMEX dt {'above' if cfg.step.dt > bound else 'within'} the first bound")
+            for command in ("simulate", "verify-contraction", "verify-comparison"):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+                if code == 2:
+                    assert "exceeds the positivity bound" in err.getvalue(), err.getvalue()
+                else:
+                    assert code == 0, (command, err.getvalue())
 
 
 class TestConfigTable:
@@ -1490,7 +1533,44 @@ dt = 0.01
 t_end = 0.1
 """
 
+
+def _readme_exit_codes() -> dict[str, int]:
+    """README's documented exit codes, {label: code}, from its "Exit codes" line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = " ".join(readme.split("* Exit codes: ")[1].split(".")[0].split())
+    return {label: int(code) for code, label in re.findall(r"`(\d)` ([a-z ]+)", line)}
+
+
+#: the stderr label of every concrete error type; README gives each label's code
+_ERROR_LABELS = {
+    "ConfigError": "config error", "OutOfDomainError": "config error",
+    "UnsupportedConfigurationError": "config error", "ScalingError": "config error",
+    "StepSizeError": "config error", "DegenerateDataError": "config error",
+    "OracleScopeError": "config error", "InvariantViolationError": "invariant failure",
+    "SolverError": "solver failure", "NonConvergenceError": "solver failure",
+    "IrreducibilityError": "solver failure",
+}
+
+
 class TestMessages:
+    @pytest.mark.parametrize("cls", [
+        c for c in vars(motorflux.errors).values()
+        if isinstance(c, type) and issubclass(c, MotorfluxError) and c is not MotorfluxError
+    ], ids=lambda c: c.__name__)
+    def test_error_types_carry_the_documented_exit_codes(self, tmp_path, capsys, monkeypatch,
+                                                         cls):
+        label = _ERROR_LABELS[cls.__name__]  # a new error type needs its label here
+        code = _readme_exit_codes()[label]
+        assert (cls.exit_code, cls.label) == (code, label)
+
+        def failing(cfg):
+            raise cls("boom", 1.0) if cls is StepSizeError else cls("boom")
+
+        monkeypatch.setattr(motorflux.cli, "cmd_simulate", failing)
+        assert main(["simulate", "--config", write_config(tmp_path, MINIMAL_CONFIG),
+                     "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"{label}: boom\n"
+
     @pytest.mark.parametrize("command, code", [
         ("simulate", 0), ("steady", 4), ("verify-contraction", 0),
         ("verify-comparison", 0), ("verify-convergence", 4), ("oracle-compare", 0),

@@ -15,15 +15,12 @@ from motorflux import (
     StepConfig,
     assemble_system,
     assemble_transport,
-    conjugate_to_neumann,
     eval_reaction,
     imex_dt_max,
     initial_state,
     oracle_expm,
     run,
     run_batch,
-    step_imex,
-    step_linear_implicit,
     weighted_l1_distance,
     weighted_mass,
 )
@@ -42,6 +39,7 @@ from motorflux.errors import ConfigError, ScalingError, SolverError, StepSizeErr
 
 from conftest import (
     ZERO,
+    one_step,
     random_problem,
     reversible_problem,
     sawtooth_motor,
@@ -108,26 +106,22 @@ class TestLinearStep:
         spec = ProblemSpec(grid=g, species=(SpeciesSpec(1.0, 1.0, ZERO),),
                            coupling=CouplingMatrix([[0.0]]),
                            initial=(PotentialSpec("linear", offset=1.0),))
-        A = assemble_system(spec)
         u = initial_state(spec)
-        out = step_linear_implicit(u, A, 0.1)
+        out = one_step(spec, u, 0.1)
         assert np.abs(out.fields - u.fields).max() <= 1e-14
 
     def test_mass_preserved_over_100_steps(self, rng):
         spec = random_problem(rng, n=3, cells=32)
-        A = assemble_system(spec)
-        u = initial_state(spec)
-        m0 = weighted_mass(u, spec)
-        for _ in range(100):
-            u = step_linear_implicit(u, A, 0.01)
-        assert abs(weighted_mass(u, spec) - m0) / m0 <= 1e-11
+        traj = run(spec, StepConfig(dt=0.01, t_end=1.0, stride=100))
+        assert traj.times == (0.0, 1.0)
+        m0 = weighted_mass(traj.states[0], spec)
+        assert abs(weighted_mass(traj.final, spec) - m0) / m0 <= 1e-11
 
     def test_positivity_preserved(self, rng):
         spec = random_problem(rng, n=2, cells=32)
-        A = assemble_system(spec)
         u = initial_state(spec)
         for dt in (0.01, 0.1, 1.0, 10.0):
-            out = step_linear_implicit(u, A, dt)
+            out = one_step(spec, u, dt)
             assert out.fields.min() >= -1e-13
 
     def test_first_order_against_exponential(self, rng):
@@ -138,34 +132,27 @@ class TestLinearStep:
         ref = oracle_expm(A, t, u0)
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            u = u0
-            for k in range(round(t / dt)):
-                u = step_linear_implicit(u, A, dt)
-            errs.append(weighted_l1_distance(u, ref, spec))
+            traj = run(spec, StepConfig(dt=dt, t_end=t), u0)
+            assert len(traj.times) == round(t / dt) + 1  # no remainder step
+            errs.append(weighted_l1_distance(traj.final, ref, spec))
         order = np.polyfit(np.log([0.1, 0.05, 0.025]), np.log(errs), 1)[0]
         assert order >= 0.9
 
     def test_negative_state_rejected(self):
         spec = symmetric_motor(8)
-        A = assemble_system(spec)
         bad = State(spec.grid, -np.ones((2, 8)))
-        with pytest.raises(ValueError):
-            step_linear_implicit(bad, A, 0.1)
-
-    def test_neumann_gauge_operator_rejected(self):
-        spec = sawtooth_motor(8)
-        A = conjugate_to_neumann(assemble_system(spec), spec)
-        with pytest.raises(ValueError, match="physical-gauge operators"):
-            step_linear_implicit(initial_state(spec), A, 0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            one_step(spec, bad, 0.1)
+        # the conservation weights of a Neumann-gauge state differ
+        neumann = State(spec.grid, np.ones((2, 8)), gauge="neumann")
+        with pytest.raises(ValueError, match="physical-gauge state"):
+            one_step(spec, neumann, 0.1)
 
     def test_comparison_preserved_by_m_matrix(self, rng):
         spec = random_problem(rng, n=2, cells=32)
-        A = assemble_system(spec)
         low = smooth_state(spec, rng)
         high = low.with_fields(low.fields + rng.uniform(0.0, 0.5, low.fields.shape))
-        for _ in range(20):
-            low = step_linear_implicit(low, A, 0.05)
-            high = step_linear_implicit(high, A, 0.05)
+        for low, high in run_batch(spec, StepConfig(dt=0.05, t_end=1.0), (low, high)):
             assert (low.fields <= high.fields + 1e-12).all()
 
 
@@ -174,13 +161,13 @@ class TestImexStep:
         spec = reversible_problem(cells=24, p=2.0)
         # (a, b) = (1, 1) balances u^2 <-> v
         u = State(spec.grid, np.ones((2, spec.grid.size)))
-        out = step_imex(u, spec, transports_for(spec), 0.1)
+        out = one_step(spec, u, 0.1)
         assert np.abs(out.fields - u.fields).max() <= 1e-13
 
     def test_zero_state_stays_zero(self):
         spec = reversible_problem(cells=16)
         u = State(spec.grid, np.zeros((2, spec.grid.size)))
-        out = step_imex(u, spec, transports_for(spec), 0.1)
+        out = one_step(spec, u, 0.1)
         assert np.array_equal(out.fields, np.zeros_like(out.fields))
 
     def test_reaction_stage_conserves_mass(self, rng):
@@ -188,7 +175,7 @@ class TestImexStep:
         u = smooth_state(spec, rng)
         m0 = weighted_mass(u, spec)
         dt = 0.5 * imex_dt_max(u, spec)
-        out = step_imex(u, spec, transports_for(spec), dt)
+        out = one_step(spec, u, dt)
         assert abs(weighted_mass(out, spec) - m0) <= 1e-13 * max(1.0, m0)
 
     @staticmethod
@@ -231,16 +218,14 @@ class TestImexStep:
         # L = p * max(u)^(p-1) = 2*2 = 4, alpha=|lam_ii|=1 -> dt_max = 0.25
         assert imex_dt_max(u, spec) == pytest.approx(0.25)
         with pytest.raises(StepSizeError) as exc_info:
-            step_imex(u, spec, transports_for(spec), 0.3)
+            one_step(spec, u, 0.3)
         assert exc_info.value.dt_max == pytest.approx(0.25)
 
     def test_positivity_under_bound(self, rng):
         spec = random_problem(rng, n=2, cells=32, linear=False)
         u = smooth_state(spec, rng)
-        ops = transports_for(spec)
         for _ in range(50):
-            dt = 0.5 * imex_dt_max(u, spec)
-            u = step_imex(u, spec, ops, dt)
+            u = one_step(spec, u, 0.5 * imex_dt_max(u, spec))
             assert u.fields.min() >= -1e-13
 
 
@@ -248,9 +233,11 @@ class TestSharedStepper:
     def test_two_imex_steps_equal_two_step_run(self):
         spec = reversible_problem(cells=32, p=2.0)
         traj = run(spec, StepConfig(dt=0.05, t_end=0.1))
-        ops = transports_for(spec)
-        manual = step_imex(step_imex(initial_state(spec), spec, ops, 0.05), spec, ops, 0.05)
-        assert manual.t == traj.final.t
+        strided = run(spec, StepConfig(dt=0.05, t_end=0.1, stride=2))
+        assert strided.times == (0.0, traj.final.t)
+        assert strided.final.fields.tobytes() == traj.final.fields.tobytes()
+        # a stepper factored for each step gives the same bytes as one shared
+        manual = one_step(spec, one_step(spec, initial_state(spec), 0.05), 0.05)
         assert manual.fields.tobytes() == traj.final.fields.tobytes()
 
     def test_2d_step_matches_dense_solve(self, rng):
@@ -258,7 +245,7 @@ class TestSharedStepper:
         A = assemble_system(spec)
         u = initial_state(spec)
         dt = 0.5
-        out = step_linear_implicit(u, A, dt)
+        out = one_step(spec, u, dt)
         dense = np.eye(A.matrix.shape[0]) - dt * A.matrix.toarray()
         ref = np.linalg.solve(dense, u.fields.ravel())
         err = np.abs(out.fields.ravel() - ref).max() / np.abs(ref).max()
@@ -283,10 +270,8 @@ class TestRun:
         spec = symmetric_motor(16)
         traj = run(spec, StepConfig(dt=0.1, t_end=0.25, stride=1))
         assert traj.times == pytest.approx((0.0, 0.1, 0.2, 0.25))
-        A = assemble_system(spec)
-        manual = initial_state(spec)
-        for dt in (0.1, 0.1, 0.25 - 2 * 0.1):
-            manual = step_linear_implicit(manual, A, dt)
+        # the remainder step is one step of t_end - 2*dt from the state at 0.2
+        manual = one_step(spec, traj.states[2], 0.25 - 2 * 0.1)
         assert np.array_equal(traj.final.fields, manual.fields)
 
     def test_final_state_always_recorded(self):
@@ -305,11 +290,11 @@ class TestRun:
         spec = random_problem(rng, n=2, cells=32)
         cfg = StepConfig(dt=0.05, t_end=0.1, stride=1)
         t1 = run(spec, cfg)
-        t2 = run(spec, cfg)
+        t2 = run(spec, StepConfig(dt=0.05, t_end=0.1, stride=2))
+        assert t2.times == (0.0, t1.final.t)
         assert np.array_equal(t1.final.fields, t2.final.fields)
-        A = assemble_system(spec)
-        manual = step_linear_implicit(
-            step_linear_implicit(initial_state(spec), A, 0.05), A, 0.05)
+        assert np.array_equal(t1.final.fields, run(spec, cfg).final.fields)
+        manual = one_step(spec, one_step(spec, initial_state(spec), 0.05), 0.05)
         assert np.array_equal(t1.final.fields, manual.fields)
 
     def test_invalid_spec_rejected(self):
@@ -718,7 +703,6 @@ class TestTridiagonalSolve:
             spec = random_problem(rng, n=n, cells=64)
             cfg = StepConfig(dt=0.01, t_end=0.035, stride=2)
             list(run_batch(spec, cfg, (None, smooth_state(spec, rng))))
-        step_linear_implicit(initial_state(spec), assemble_system(spec), 0.01)
 
     def test_factor_kinds_of_the_tamper_problems(self):
         # the tamper tests reach every factor kind through these problems

@@ -1,4 +1,7 @@
+import contextlib
 import importlib
+import io
+from pathlib import Path
 
 import pytest
 
@@ -10,3 +13,13 @@ def test_every_exported_name_exists_once(name):
     exported = module.__all__
     assert sorted(n for n in set(exported) if exported.count(n) > 1) == []
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_readme_library_example_runs():
+    # the README's one python block: a long run lands on solve_stationary's target
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    source = readme.split("## Library example\n")[1].split("```python\n")[1].split("```")[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, "README.md", "exec"), {})
+    assert float(out.getvalue()) <= 1e-10

@@ -13,7 +13,6 @@ from motorflux import (
     ReactionSpec,
     SpeciesSpec,
     State,
-    StationaryRay,
     StepConfig,
     adjoint_null_check,
     assemble_system,
@@ -21,11 +20,9 @@ from motorflux import (
     conjugate_to_neumann,
     eval_reaction,
     initial_state,
-    project_onto_ray,
     run,
     solve_null_vector,
     solve_stationary,
-    step_linear_implicit,
     weighted_l1_distance,
     weighted_l1_norm,
     weighted_mass,
@@ -35,6 +32,7 @@ from motorflux.errors import DegenerateDataError, IrreducibilityError, NonConver
 
 from conftest import (
     imex3_problem,
+    one_step,
     random_problem,
     sawtooth_motor,
     smooth_state,
@@ -112,10 +110,9 @@ class TestNullVector:
 
     def test_stationary_under_evolver(self):
         spec = sawtooth_motor(48)
-        A = assemble_system(spec)
-        v = solve_null_vector(A, tol=1e-13).state
+        v = solve_null_vector(assemble_system(spec), tol=1e-13).state
         for dt in (0.01, 0.1, 1.0):
-            stepped = step_linear_implicit(v, A, dt)
+            stepped = one_step(spec, v, dt)
             assert wl1(spec, stepped.fields, v.fields) <= 1e-11
 
     def test_gauge_consistent_null_vector(self):
@@ -202,11 +199,13 @@ class TestStationaryState:
         assert weighted_mass(ss.state, spec) == pytest.approx(ss.constraint_value, rel=1e-14)
 
     def test_linear_matches_the_ray_projection(self, rng):
+        # the null vector scaled to u0's weighted mass
         spec = random_problem(rng, n=3, cells=64)
         u0 = smooth_state(spec, rng)
-        ray = StationaryRay(solve_null_vector(assemble_system(spec)))
-        _c, target = project_onto_ray(u0, ray, spec)
-        assert relative_distance(spec, solve_stationary(spec, u0).state, target.state) <= 1e-12
+        base = solve_null_vector(assemble_system(spec)).state
+        target = base.with_fields(base.fields * (weighted_mass(u0, spec)
+                                                 / weighted_mass(base, spec)))
+        assert relative_distance(spec, solve_stationary(spec, u0).state, target) <= 1e-12
 
     def test_reversible_pair_closed_form(self):
         spec = replace(symmetric_motor(32), species=(
@@ -328,43 +327,28 @@ class TestReversiblePair:
 
 
 class TestRayProjection:
+    """For linear reactions the stationary states form the ray {c*v : c > 0};
+    `solve_stationary` picks the member with the initial data's weighted mass."""
+
     def test_identity_and_linearity(self):
         spec = sawtooth_motor(32)
-        base = solve_null_vector(assemble_system(spec), tol=1e-13)
-        ray = StationaryRay(base)
-        c1, proj1 = project_onto_ray(base.state, ray, spec)
-        assert c1 == pytest.approx(1.0, rel=1e-12)
-        tripled = base.state.with_fields(3.0 * base.state.fields)
-        c3, proj3 = project_onto_ray(tripled, ray, spec)
-        assert c3 == pytest.approx(3.0, rel=1e-12)
-        assert np.allclose(proj3.state.fields, 3.0 * base.state.fields, rtol=1e-12)
-
-    def test_ray_member_requires_positive_scale(self):
-        spec = sawtooth_motor(16)
-        ray = StationaryRay(solve_null_vector(assemble_system(spec), tol=1e-13))
-        with pytest.raises(ValueError):
-            ray.member(-1.0)
-
-    def test_residual_scales_linearly(self):
-        spec = sawtooth_motor(32)
-        base = solve_null_vector(assemble_system(spec), tol=1e-13)
-        ray = StationaryRay(base)
-        doubled = base.state.with_fields(2.0 * base.state.fields)
-        _c, proj = project_onto_ray(doubled, ray, spec)
-        assert proj.residual == pytest.approx(2.0 * base.residual, rel=1e-9)
+        base = solve_null_vector(assemble_system(spec), tol=1e-13).state
+        same = solve_stationary(spec, base)
+        assert same.constraint_value == pytest.approx(weighted_mass(base, spec), rel=1e-15)
+        assert np.allclose(same.state.fields, base.fields, rtol=1e-12)
+        tripled = solve_stationary(spec, base.with_fields(3.0 * base.fields))
+        assert tripled.constraint_value == pytest.approx(3.0 * same.constraint_value, rel=1e-12)
+        assert np.allclose(tripled.state.fields, 3.0 * base.fields, rtol=1e-12)
 
     def test_zero_mass_rejected(self):
         spec = sawtooth_motor(16)
-        ray = StationaryRay(solve_null_vector(assemble_system(spec), tol=1e-13))
         zero = State(spec.grid, np.zeros((2, spec.grid.size)))
         with pytest.raises(DegenerateDataError):
-            project_onto_ray(zero, ray, spec)
+            solve_stationary(spec, zero)
 
     def test_long_run_lands_on_projection(self, rng):
-        from motorflux import run
         spec = sawtooth_motor(64)
-        base = solve_null_vector(assemble_system(spec), tol=1e-13)
         u0 = smooth_state(spec, rng)
-        _c, target = project_onto_ray(u0, StationaryRay(base), spec)
+        target = solve_stationary(spec, u0)
         traj = run(spec, StepConfig(dt=0.05, t_end=50.0, stride=500), initial=u0)
         assert weighted_l1_distance(traj.final, target.state, spec) <= 1e-6

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from motorflux import (
     State,
-    StationaryRay,
     StepConfig,
     assemble_system,
     check_comparison,
@@ -15,8 +14,8 @@ from motorflux import (
     initial_state,
     oracle_compare,
     oracle_expm,
-    project_onto_ray,
     solve_null_vector,
+    solve_stationary,
     weighted_l1_distance,
     weighted_mass,
 )
@@ -161,10 +160,8 @@ class TestComparison:
 class TestConvergence:
     def test_starting_at_target_stays_there(self):
         spec = sawtooth_motor(32)
-        base = solve_null_vector(assemble_system(spec), tol=1e-13)
-        ray = StationaryRay(base)
-        _c, target = project_onto_ray(base.state, ray, spec)
-        report = check_convergence(spec, base.state, StepConfig(dt=0.1, t_end=1.0),
+        target = solve_stationary(spec, initial_state(spec))
+        report = check_convergence(spec, target.state, StepConfig(dt=0.1, t_end=1.0),
                                    target, threshold=1e-9)
         assert report.passed
         assert max(report.series["distance"]) <= 1e-10
@@ -172,8 +169,7 @@ class TestConvergence:
     def test_linear_motor_converges(self, rng):
         spec = sawtooth_motor(64)
         u0 = smooth_state(spec, rng)
-        base = solve_null_vector(assemble_system(spec), tol=1e-13)
-        _c, target = project_onto_ray(u0, StationaryRay(base), spec)
+        target = solve_stationary(spec, u0)
         report = check_convergence(spec, u0, StepConfig(dt=0.05, t_end=50.0, stride=100),
                                    target, threshold=1e-6)
         assert report.passed
@@ -181,8 +177,7 @@ class TestConvergence:
     def test_threshold_failure_reported(self, rng):
         spec = sawtooth_motor(32)
         u0 = smooth_state(spec, rng)
-        base = solve_null_vector(assemble_system(spec), tol=1e-13)
-        _c, target = project_onto_ray(u0, StationaryRay(base), spec)
+        target = solve_stationary(spec, u0)
         report = check_convergence(spec, u0, StepConfig(dt=0.05, t_end=0.1),
                                    target, threshold=1e-12)
         assert not report.passed
