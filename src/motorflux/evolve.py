@@ -27,12 +27,11 @@ K = I - dt*M once and reuses the factors for every step of that size.  M is
 the assembled block operator of a linear problem, or one species' transport
 operator under IMEX.  K is formed on the DIA diagonals of M: -dt*m off the
 main diagonal and 1 - dt*m on it, the roundings of a CSR difference
-eye - dt*M.  Every factorization reads K's diagonals (SuperLU gets CSC
-arrays built from them, one pass per offset), and the residual matvec reads
-K itself.  `run_batch` hands the stepper a generator of freshly assembled
-operators, and the stepper forms every K before it factors any, so no M is
-held while K is factored.  A remainder step, with its own dt, assembles M
-again.
+eye - dt*M.  The 1-D factorizations read K's diagonals, SuperLU takes
+K.tocsc(), and the residual matvec reads K itself.  `run_batch` hands the
+stepper a generator of freshly assembled operators, and the stepper forms
+every K before it factors any, so no M is held while K is factored.  A
+remainder step, with its own dt, assembles M again.
 
 How K is factored depends only on K and on whether the grid is 1-D; there
 are three kinds.  The Scharfetter-Gummel fluxes satisfy detailed balance,
@@ -111,9 +110,11 @@ of them in one multi-RHS call, one column per trajectory, and each column is
 checked against its own bound.  It is a generator that yields each snapshot
 as it is reached, one State per trajectory, so a caller reduces it and drops
 it, and no command holds a whole trajectory: `simulate` writes each snapshot
-at once, the checks in `verify` keep scalar series.  A failure in any
-trajectory raises at the first failing step, with ``.time`` set to that step.
-`run` collects the snapshots of one trajectory into a `Trajectory`.
+at once, the checks in `verify` keep scalar series.  The trajectories
+start at the common time t0 of their initial states, and step k ends at
+t0 + k*dt.  A failure in any trajectory raises at the first failing step,
+with ``.time`` set to that step.  `run` collects the snapshots of one
+trajectory into a `Trajectory`.
 """
 
 from __future__ import annotations
@@ -354,31 +355,6 @@ def _implicit_matrix(matrix: sparse.sparray, dt: float) -> sparse.dia_array:
     return sparse.dia_array((data, offsets), shape=m.shape)
 
 
-def _csc(k: sparse.dia_array) -> sparse.csc_array:
-    """The CSC arrays of k.tocsc() read straight off the diagonals, one pass per offset.
-
-    Column j holds row j - off of each offset, so descending offsets give
-    ascending rows; zero entries are left out, as tocsc leaves them out.
-    """
-    n = k.shape[0]
-    cols = np.arange(n)
-    kept = [(off, row, (row != 0.0) & (cols >= off) & (cols < n + off))
-            for off, row in zip(k.offsets[::-1].tolist(), k.data[::-1])]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    for _, _, keep in kept:
-        indptr[1:] += keep
-    np.cumsum(indptr, out=indptr)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    place = indptr[:-1].copy()  # the next free slot of each column
-    for off, row, keep in kept:
-        at = place[keep]
-        indices[at] = cols[keep] - off
-        data[at] = row[keep]
-        place += keep
-    return sparse.csc_array((data, indices, indptr), shape=k.shape)
-
-
 def _column_defect_and_norm(k: sparse.dia_array, w: np.ndarray) -> tuple[np.ndarray, float]:
     """|w^T K - w^T| and ||K||_inf, one diagonal at a time; its temporaries are
     freed before K is factored.  The row sums are added in the stored order of
@@ -414,7 +390,7 @@ class _Factored:
                             or (_CellMajorBand.factor(k, w, cells) if cells
                                 # minimum-degree ordering on K^T+K and no supernodes
                                 # keep SuperLU's factors near band size
-                                else splu(_csc(k), permc_spec="MMD_AT_PLUS_A",
+                                else splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                           panel_size=1, relax=1)))
         except RuntimeError as err:  # a nonsingular M-matrix in exact arithmetic
             raise ScalingError(f"K = I - dt*M is singular in double precision ({err}): the "
@@ -494,12 +470,11 @@ class _Factored:
                    for start, stop, weight in self._segments)
 
     def _project(self, b_j: np.ndarray, x_j: np.ndarray, bound: float,
-                 out_j: np.ndarray, x_max: float | None = None) -> None:
+                 out_j: np.ndarray, x_max: float) -> None:
         """Write x_j * (w.b_j)/(w.x_j) to out_j, after the guard of the module docstring.
 
-        ``bound`` is the column's backward-error bound.  Given ``x_max`` =
-        max|x_j|, it may be the lazy bound, and the guard takes the full bound
-        before it raises.
+        ``bound`` is the column's lazy or full backward-error bound and
+        ``x_max`` = max|x_j|; the guard takes the full bound before it raises.
         """
         wb = self._weighted_sum(b_j)
         wx = self._weighted_sum(x_j)
@@ -511,9 +486,8 @@ class _Factored:
         # the full bound and the defect term each cost a pass, so they are
         # taken only when needed
         if not gap <= limit:
-            if x_max is not None:
-                bound = self._full_bound(x_max, b_j)
-            limit = self._w_norm * bound + float(np.dot(self._defect, np.abs(x_j)))
+            limit = (self._w_norm * self._full_bound(x_max, b_j)
+                     + float(np.dot(self._defect, np.abs(x_j))))
             if not gap <= limit:
                 raise SolverError(
                     f"conservative projection: weighted mass of the solve is off "
@@ -548,8 +522,6 @@ class _Stepper:
 
     def __init__(self, matrices, weights, cells: int | None, dt: float, lin_tol: float,
                  reactions: ProblemSpec | None = None):
-        if not dt > 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
         self._dt = dt
         self._reactions = reactions
         # the reaction stage's coupling, dt*alpha_i*lam[i,j], scaled once per step size
@@ -677,7 +649,7 @@ def run(spec: ProblemSpec, cfg: StepConfig, initial: State | None = None) -> Tra
 
     Linear problems use the assembled block operator; any nonlinear reaction
     switches the run to IMEX splitting.  ``initial`` overrides the sampled
-    initial data (used by the verification checks).  This collects the
+    initial data, and the run continues from its time.  This collects the
     snapshots that `run_batch` yields for one trajectory.
     """
     return Trajectory(tuple(state for (state,) in run_batch(spec, cfg, (initial,))))
@@ -704,11 +676,12 @@ def run_batch(spec: ProblemSpec, cfg: StepConfig,
               initials) -> Iterator[tuple[State, ...]]:
     """Advance one trajectory per entry of ``initials`` in lockstep, as `run` does.
 
-    A generator: it yields a tuple with one State per trajectory at t = 0,
-    after every ``stride``-th step and after the last step.  An entry of None
-    stands for the sampled initial data.  All trajectories share each
-    factorization and each solve call.  A failure in any of them raises at
-    the first failing step, with ``.time`` set to that step.
+    A generator: it yields a tuple with one State per trajectory at their
+    common initial time t0, after every ``stride``-th step and after the last
+    step.  Step k ends at t0 + k*dt and the last step at t0 + t_end.  An
+    entry of None stands for the sampled initial data, at t0 = 0.  All
+    trajectories share each factorization and each solve call.  A failure in
+    any of them raises at the first failing step, with ``.time`` set to that step.
     """
     report = validate(spec)
     if not report.ok:
@@ -720,6 +693,9 @@ def run_batch(spec: ProblemSpec, cfg: StepConfig,
         _require_physical(state)
         if state.fields.shape != (spec.n_species, spec.grid.size):
             raise ValueError("initial state does not match the problem layout")
+    t0 = states[0].t
+    if any(state.t != t0 for state in states):
+        raise ValueError("the initial states of a batch must share their time")
     yield states
 
     n_full, n_steps = _step_count(cfg)
@@ -735,7 +711,7 @@ def run_batch(spec: ProblemSpec, cfg: StepConfig,
             stepper = _Stepper(_operators(spec), weights, _cells_1d(spec),
                                cfg.dt if full else cfg.t_end - n_full * cfg.dt,
                                cfg.lin_tol, reactions)
-        t_next = k * cfg.dt if full else cfg.t_end
+        t_next = t0 + (k * cfg.dt if full else cfg.t_end)
         try:
             u = stepper.step(u)
         except MotorfluxError as err:

@@ -15,17 +15,21 @@ halves each entry that the step would make non-positive, rescales to the
 initial weighted mass, and sets tau_{k+1} = tau_k ||F_k||/||F_{k+1}||
 (switched evolution relaxation), or tau_k/2 after a step with a halved
 entry; halving the whole step instead can shrink it to nothing for one
-entry near zero.  The nonlinear step solves for
-the increment: with the state as right-hand side, tau*(F - J u) carries
-rounding that the slow modes amplify, and the iterates wander by 1e-6 at
-4,096 cells.  tau*||J||_inf starts at _FIRST_STEP and stays below
-_CONDITION_CAP, where K keeps its identity in rounding; a linear problem
-takes the cap at once, which lets inverse iteration pass deep potential
-wells.  The iteration stops once the residual is near its floor and the
-update reaches round-off, 4 eps max(u), or stops shrinking; after
-_MAX_STEPS steps NonConvergenceError names the residual.  The M-matrix
-solve adds terms of one sign, so a species fed only through a rate far
-below the others (1e-17 beside O(1)) stays positive.
+entry near zero.  The nonlinear step solves for the increment: with the
+state as right-hand side, tau*(F - J u) carries rounding that the slow modes
+amplify, and the iterates wander by 1e-6 at 4,096 cells.  It solves for d/s,
+with s a power of two at or above max(u): the scaling is exact, and the
+increment of data near 1e-300 stays clear of subnormal numbers, whose
+absolute rounding would miss the relative backward-error bound of the solve.
+tau*||J||_inf starts at _FIRST_STEP and stays below _CONDITION_CAP, where K
+keeps its identity in rounding; a linear problem takes the cap at once,
+which lets inverse iteration pass deep potential wells.  The iteration stops
+once the residual is near its floor and the update reaches round-off,
+4 eps max(u), or stops shrinking; after _MAX_STEPS steps NonConvergenceError
+names the residual.  The gate of `solve_stationary` reads ||F||_inf and
+||J||_inf off the last step.  The M-matrix solve adds terms of one sign, so a
+species fed only through a rate far below the others (1e-17 beside O(1))
+stays positive.
 
 Stationary states of one weighted mass are unique, as L1 contraction implies.
 Pre-checks keep their exits: a coupling graph that is not strongly connected
@@ -143,9 +147,10 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
     """Positive null vector of the linear block operator A, under ``normalization``.
 
     The continuation runs in the physical gauge from a constant start, for a
-    Neumann-gauge A too.  The result must satisfy ||A v||_inf <= tol *
-    ||A||_inf, or NonConvergenceError is raised; one that is not strictly
-    positive raises IrreducibilityError, and the pre-checks raise as well.
+    Neumann-gauge A too; the result is in A's gauge.  It must satisfy
+    ||A v||_inf <= tol * ||A||_inf, or NonConvergenceError is raised; one that
+    is not strictly positive raises IrreducibilityError, and the pre-checks
+    raise as well.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -156,7 +161,7 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
         d = _gauge_factors(spec).ravel()
         matrix = sparse.dia_array(sparse.diags_array(1.0 / d) @ matrix @ sparse.diags_array(d))
     try:
-        x = _continuation(spec, A.transports, np.ones(matrix.shape[0]), matrix)
+        x, _, _ = _continuation(spec, A.transports, np.ones(matrix.shape[0]), matrix)
     except ScalingError as err:
         # with tau*||A|| capped, I - tau*A keeps its identity for any A with w^T A = 0
         raise IrreducibilityError(
@@ -175,7 +180,7 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
             "is not irreducible"
         )
     residual = _gated(float(np.abs(A.matrix @ v).max()), tol * _inf_norm(A.matrix))
-    state = State(spec.grid, v.reshape(A.n, A.cells), t=0.0, gauge="physical")
+    state = State(spec.grid, v.reshape(A.n, A.cells), t=0.0, gauge=A.gauge)
     return StationaryState(state=state, residual=residual,
                            normalization=normalization, constraint_value=1.0)
 
@@ -198,10 +203,8 @@ def solve_stationary(spec: ProblemSpec, u0: State, tol: float = 1e-13) -> Statio
     u = u0.fields.ravel().copy()
     if not u.min() > 0.0:
         u = 0.5 * (u + mass / _block_weights(spec, 1)[0].sum())
-    u = _continuation(spec, transports, u, matrix)
-    jacobian, excess = _linearization(spec, transports, u, matrix)
-    residual = _gated(float(np.abs(jacobian @ u + excess).max()),
-                      tol * _inf_norm(jacobian) * float(u.max()))
+    u, norm_f, norm_j = _continuation(spec, transports, u, matrix)
+    residual = _gated(norm_f, tol * norm_j * float(u.max()))
     state = State(spec.grid, u.reshape(spec.n_species, -1), t=0.0, gauge="physical")
     return StationaryState(state=state, residual=residual,
                            normalization="mass_matched", constraint_value=mass)
@@ -222,8 +225,10 @@ def _linearization(spec: ProblemSpec, transports, u: np.ndarray, matrix=None):
     return _block_matrix(spec, transports, slopes), (coupling @ excess).ravel()
 
 
-def _continuation(spec: ProblemSpec, transports, u: np.ndarray, matrix=None) -> np.ndarray:
-    """The stationary state with the weighted mass of the positive flat state u.
+def _continuation(spec: ProblemSpec, transports, u: np.ndarray,
+                  matrix=None) -> tuple[np.ndarray, float, float]:
+    """The stationary state with the weighted mass of the positive flat state u,
+    with ||F||_inf and ||J||_inf at that state.
 
     ``matrix`` is the block operator of a linear problem, None for a
     nonlinear one; the steps are those of the module docstring.
@@ -235,7 +240,7 @@ def _continuation(spec: ProblemSpec, transports, u: np.ndarray, matrix=None) -> 
     jacobian, excess = _linearization(spec, transports, u, matrix)
     norm_j = _inf_norm(jacobian)
     residual = jacobian @ u + excess
-    norm_f = float(np.abs(residual).max())
+    norm_f, top = float(np.abs(residual).max()), float(u.max())
     tau = _FIRST_STEP / norm_j if matrix is None else math.inf
     factored, out, update = None, np.empty((1, u.size)), math.inf
     for _ in range(_MAX_STEPS):
@@ -244,8 +249,12 @@ def _continuation(spec: ProblemSpec, transports, u: np.ndarray, matrix=None) -> 
             factored = _Factored(_implicit_matrix(jacobian, tau), w, tau, _LIN_TOL, cells)
         if matrix is None:
             residual -= (w @ residual) / (w @ w) * w
-            finite = factored.solve((tau * residual)[None], out, project=False)
+            # solved for d/s, s a power of two >= max(u): exact, and d keeps
+            # clear of subnormals where the data are tiny
+            scale = math.ldexp(1.0, math.frexp(top)[1])
+            finite = factored.solve((tau * residual / scale)[None], out, project=False)
             step = out[0]
+            step *= scale
         else:
             finite = factored.solve(u[None], out)
             step = out[0] - u
@@ -266,7 +275,7 @@ def _continuation(spec: ProblemSpec, transports, u: np.ndarray, matrix=None) -> 
         norm_f, norm_was = float(np.abs(residual).max()), norm_f
         top = float(u.max())
         if norm_f <= _STALL * norm_j * top and (update <= 4.0 * eps * top or update >= previous):
-            return u
+            return u, norm_f, norm_j
         tau *= 0.5 if clipped else (norm_was / norm_f if norm_f > 0.0 else math.inf)
     raise NonConvergenceError(
         f"stationary iteration did not converge in {_MAX_STEPS} steps: residual "

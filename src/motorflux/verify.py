@@ -186,13 +186,12 @@ def check_convergence(spec: ProblemSpec, u0: State, cfg: StepConfig,
 
     The distance must also be nonincreasing along the way: the target is a
     fixed point, so its distance to the trajectory is a Lyapunov function.
-    ``target`` is a stationary-state record; its ``state`` field is used.
+    ``target`` is a `StationaryState`; its ``state`` field is used.
     """
-    target_state = target.state if hasattr(target, "state") else target
     times, dists = [], []
     for (state,) in run(spec, cfg, (u0,)):
         times.append(state.t)
-        dists.append(weighted_l1_distance(state, target_state, spec))
+        dists.append(weighted_l1_distance(state, target.state, spec))
 
     slack = MONOTONE_SLACK * (1.0 + dists[0])
     worst_inc, argmax = _largest_increase(times, dists)

@@ -226,6 +226,37 @@ t_end = 1.0
 """
 
 
+#: nonlinear data near 1e-300: the continuation increments were subnormal,
+#: and their absolute rounding missed the relative backward-error bound
+TINY_DATA_CONFIG = """\
+[domain]
+lo = 0.0
+hi = 1.0
+cells = 4
+[species.1]
+sigma = 1.0
+alpha = 1.0
+potential.kind = cosine
+reaction.kind = power
+reaction.params = exponent=1.0
+[species.2]
+sigma = 1.0
+alpha = 1.0
+potential.kind = linear
+initial.kind = tabulated
+initial.params = xs=0.0 0.25, values=0.0 1e-300
+[coupling]
+row.1 = -1.0, 1.0
+row.2 = 1.0, -1.0
+[time]
+dt = 0.1
+t_end = 1.0
+"""
+TINY_DATA_2D_CONFIG = (TINY_DATA_CONFIG.replace("lo = 0.0", "lo = 0.0, 0.0")
+                       .replace("hi = 1.0", "hi = 1.0, 1.0").replace("cells = 4", "cells = 2, 2")
+                       .replace("exponent=1.0", "exponent=2.0"))
+
+
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -774,17 +805,19 @@ def _assert_same_config(got, want):
 
 @st.composite
 def stationary_configs(draw):
-    """An admissible 1-D config text with a strongly connected coupling.
+    """An admissible 1-D or 2-D config text with a strongly connected coupling.
 
-    1-4 species with linear and power reactions, at most 1,024 unknowns, and
-    the domain, sigma, alpha and profile spans of `table_configs`.  A cycle
+    1-4 species with linear and power reactions, at most 1,024 unknowns in
+    1-D and 12 x 12 cells in 2-D, and the domain, sigma, alpha and profile
+    spans of `table_configs`; a 2-D profile follows either axis.  A cycle
     through every species, each rate at least 0.01, keeps the coupling graph
     strongly connected; the other rates are 0 or drawn up to 3.
     """
-    n = draw(st.integers(1, 4))
-    lo = draw(st.floats(-5.0, 5.0))
-    hi = lo + draw(st.floats(0.5, 10.0))
-    bound = max(abs(lo), abs(hi))
+    n, dim = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    lo = draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim))
+    hi = [a + draw(st.floats(0.5, 10.0)) for a in lo]
+    bound = max(map(abs, lo + hi))
+    most_cells = 1024 // n if dim == 1 else 12
     lam = np.zeros((n, n))
     for j in range(n):
         for i in range(n):
@@ -793,8 +826,9 @@ def stationary_configs(draw):
             elif i != j:
                 lam[i, j] = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
     lam -= np.diag(lam.sum(axis=0))
-    lines = ["[domain]", f"lo = {lo!r}", f"hi = {hi!r}",
-             f"cells = {draw(st.integers(2, 1024 // n))}"]
+    cells = draw(st.lists(st.integers(2, most_cells), min_size=dim, max_size=dim))
+    lines = ["[domain]", "lo = " + ", ".join(map(repr, lo)), "hi = " + ", ".join(map(repr, hi)),
+             "cells = " + ", ".join(map(str, cells))]
     kinds = sorted(motorflux.cli._POTENTIAL_PARAMS.kinds)
     for i in range(n):
         lines += [f"[species.{i + 1}]", f"sigma = {draw(st.floats(0.1, 10.0))!r}",
@@ -835,9 +869,11 @@ class TestStationaryProperty:
     @settings(max_examples=40, deadline=None)
     @example(text=LAMBDA23_CONFIG)
     @example(text=VANISHING_STEP_CONFIG)
+    @example(text=TINY_DATA_CONFIG)
+    @example(text=TINY_DATA_2D_CONFIG)
     @given(text=stationary_configs())
     def test_steady_meets_its_gate(self, text):
-        """steady runs on every admissible, strongly connected 1-D problem."""
+        """steady runs on every admissible, strongly connected problem."""
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.ini"
@@ -851,10 +887,16 @@ class TestStationaryProperty:
             assert code == 0, err.getvalue()
             table = np.loadtxt(Path(tmp) / "o" / "stationary.csv", delimiter=",", skiprows=1,
                                ndmin=2)
-        fields = table[:, 1:].T
+        fields = table[:, spec.grid.dim:].T
         assert fields.min() > 0.0
         residual, scale = _stationary_gate(spec, fields)
         assert residual <= 1e-13 * scale
+
+    @pytest.mark.parametrize("text", [TINY_DATA_CONFIG, TINY_DATA_2D_CONFIG], ids=["1d", "2d"])
+    def test_verify_convergence_on_tiny_data(self, tmp_path, capsys, text):
+        code = main(["verify-convergence", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0, capsys.readouterr().err
 
 
 class TestSteppingProperty:

@@ -29,7 +29,6 @@ from motorflux.cli import MASS_DRIFT_TOL
 from motorflux.evolve import (
     MAX_STEPS,
     _CellMajorBand,
-    _csc,
     _Factored,
     _implicit_matrix,
     _Stepper,
@@ -319,6 +318,19 @@ class TestRun:
         with pytest.raises(StepSizeError) as exc_info:
             run(spec, StepConfig(dt=0.5, t_end=2.0))
         assert exc_info.value.time == pytest.approx(0.5)
+        later = initial_state(spec).with_fields(initial_state(spec).fields, t=1.0)
+        with pytest.raises(StepSizeError) as exc_info:
+            run(spec, StepConfig(dt=0.5, t_end=2.0), later)
+        assert exc_info.value.time == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_a_run_continues_from_its_initial_time(self, linear):
+        spec = symmetric_motor(16) if linear else reversible_problem(cells=16, p=2.0)
+        first = run(spec, StepConfig(dt=0.1, t_end=0.2))
+        second = run(spec, StepConfig(dt=0.1, t_end=0.2), first.final)
+        whole = run(spec, StepConfig(dt=0.1, t_end=0.4))
+        assert second.times == pytest.approx(whole.times[2:])
+        assert second.final.fields.tobytes() == whole.final.fields.tobytes()
 
     def test_2d_run_conserves_mass(self, rng):
         spec = random_problem(rng, n=2, cells=12, dim=2)
@@ -365,6 +377,12 @@ class TestRunBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             list(run_batch(symmetric_motor(8), StepConfig(dt=0.1, t_end=0.2), ()))
+
+    def test_initial_times_must_agree(self):
+        spec = symmetric_motor(8)
+        later = initial_state(spec).with_fields(initial_state(spec).fields, t=0.5)
+        with pytest.raises(ValueError, match="share their time"):
+            list(run_batch(spec, StepConfig(dt=0.1, t_end=0.2), (None, later)))
 
     def test_step_size_error_from_second_trajectory(self):
         spec = reversible_problem(cells=16, p=3.0)
@@ -495,15 +513,16 @@ class TestConservativeProjection:
                 run(spec, StepConfig(dt=0.1, t_end=0.1, lin_tol=1.0))
 
     def test_guard_rejects_mass_change_beyond_bound(self):
-        # K = I has no rounding defect, so the guard allows ||w||_1 * bound
+        # K = I has no rounding defect, so the guard allows ||w||_1 = 1 times
+        # the full bound tol * (max|x| + max|b|); the mass is off by 1e-3
         n = 4
-        factored = _factor(sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, 0.0)
-        b = np.ones(n)
-        out = np.empty(n)
-        factored._project(b, np.full(n, 1.0 + 1e-3), 1e-3, out)
+        b, x, out = np.ones(n), np.full(n, 1.0 + 1e-3), np.empty(n)
+        factored = _factor(sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, 1e-3)
+        factored._project(b, x, 1e-3 * (1.0 + 1e-3), out, 1.0 + 1e-3)
         assert np.dot(np.full(n, 0.25), out) == pytest.approx(1.0, rel=1e-15)
-        with pytest.raises(SolverError, match="projection"):
-            factored._project(b, np.full(n, 1.0 + 1e-3), 1e-4, out)
+        factored = _factor(sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, 4e-4)
+        with pytest.raises(SolverError, match="projection"):  # full bound 8.0e-4
+            factored._project(b, x, 4e-4 * (1.0 + 1e-3), out, 1.0 + 1e-3)
 
     def test_k_matches_csr_difference(self, rng):
         # K = I - dt*M on the DIA data rounds like the CSR eye - dt*M of the
@@ -590,8 +609,6 @@ class TestLazyBound:
         lazy = self.TOL * (1.0 * x_max)
         factored._project(b, x, lazy, out, x_max)
         assert np.dot(np.full(4, 0.25), out) == pytest.approx(1.0, rel=1e-15)
-        with pytest.raises(SolverError, match="projection"):  # lazy taken as the full bound
-            factored._project(b, x, lazy, out)
 
         x = np.full(4, 1.0 + 2.5)  # beyond the full bound 2.25
         x_max = float(x.max())
@@ -792,18 +809,6 @@ class TestCellMajorBand:
         # where the identity is lost in rounding, that is named instead
         with pytest.raises(ScalingError, match="loses the identity"):
             _factor(assemble_system(symmetric_motor(8)).matrix, np.ones(16), 1e30, 1e-12, 8)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_csc_arrays_equal_tocsc(rng, n):
-    spec = random_problem(rng, n=n, cells=int(rng.integers(2, 12)), dim=2)
-    matrix = assemble_system(spec).matrix
-    for dt in (1e-3, 10.0):
-        k = _implicit_matrix(matrix, dt)
-        expected, ours = k.tocsc(), _csc(k)
-        for name in ("indptr", "indices", "data"):
-            assert getattr(ours, name).dtype == getattr(expected, name).dtype
-            assert getattr(ours, name).tobytes() == getattr(expected, name).tobytes()
 
 
 def _tamper_solves(monkeypatch, tamper):

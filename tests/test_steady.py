@@ -132,6 +132,13 @@ class TestNullVector:
         dv /= spec.grid.cell_volume * dv.sum()
         assert np.abs(dv - w.fields).max() <= 1e-9
 
+    def test_neumann_result_keeps_its_gauge(self):
+        spec = sawtooth_motor(16)
+        w = solve_null_vector(conjugate_to_neumann(assemble_system(spec), spec)).state
+        assert w.gauge == "neumann"
+        with pytest.raises(ValueError, match="physical-gauge state"):
+            run(spec, StepConfig(dt=0.1, t_end=1.0), w)
+
     def test_residual_contract_failure(self):
         spec = sawtooth_motor(32)
         A = assemble_system(spec)
