@@ -30,7 +30,7 @@ from .discretize import assemble_system
 from .errors import ConfigError, MotorfluxError, UnsupportedConfigurationError
 # `run` here is the stepping generator, the name that perfbench/spans.py
 # traces; `motorflux.run` is the library call that collects it into a Trajectory
-from .evolve import MAX_STEPS, StepConfig, _step_count, run_batch as run
+from .evolve import StepConfig, _step_count, run_batch as run
 from .model import (
     CouplingMatrix,
     Grid,
@@ -63,10 +63,6 @@ class RunConfig:
     problem: ProblemSpec
     step: StepConfig
     out_dir: str
-    steady_normalization: str
-    steady_tol: float
-    verify_threshold: float
-    oracle_t: float
     initial2: tuple[PotentialSpec, ...] | None
     seed: int = 0
     #: `validate` warnings on the problem; every command prints them to stderr
@@ -92,30 +88,6 @@ def _as_floats(text: str, what: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse {what}: {text!r}") from err
 
 
-def _as_nonnegative(text: str, what: str) -> float:
-    value = _as_float(text, what)
-    if not 0.0 <= value < float("inf"):
-        raise ConfigError(f"{what} must be finite and >= 0, got {text!r}")
-    return value
-
-
-def _as_oracle_time(text: str, what: str) -> float:
-    """A positive multiple of the coarsest oracle step, within oracle_compare's 1e-9,
-    that the finest oracle step reaches within MAX_STEPS steps."""
-    value = _as_float(text, what)
-    coarsest = verify.ORACLE_DTS[0]
-    if not (0.0 < value < float("inf") and round(value / coarsest) >= 1
-            and verify._divides(coarsest, value)):
-        raise ConfigError(
-            f"{what} must be a finite positive multiple of {coarsest!r}, got {text!r}"
-        )
-    if not value / verify.ORACLE_DTS[-1] <= MAX_STEPS:
-        raise ConfigError(
-            f"{what} = {text!r} needs more than {MAX_STEPS} steps of {verify.ORACLE_DTS[-1]!r}"
-        )
-    return value
-
-
 def _exact_int(value: float, what: str, low: int, high: float = float("inf")) -> int:
     """An integer in [low, high]; 2.5 is an error, not a truncation to 2."""
     if not (low <= value <= high and value.is_integer()):
@@ -134,14 +106,6 @@ class _Type(NamedTuple):
 
 def _int(low: int, high: float = float("inf")) -> _Type:
     return _Type(lambda text, what: _exact_int(_as_float(text, what), what, low, high), str)
-
-
-def _enum(*choices: str) -> _Type:
-    def read(text: str, what: str) -> str:
-        if text not in choices:
-            raise ConfigError(f"{what} must be {' or '.join(choices)}, got {text!r}")
-        return text
-    return _Type(read, str)
 
 
 def _floats(sep: str) -> _Type:
@@ -263,12 +227,6 @@ _KEYS = (
     _Key("time", "stride", _int(1), "1", lambda c, i: c.step.stride),
     _Key("time", "lin_tol", _FLOAT, "1e-12", lambda c, i: c.step.lin_tol),
     _Key("output", "dir", _Type(lambda text, what: text, str), "out", lambda c, i: c.out_dir),
-    _Key("steady", "normalization", _enum("total", "alpha_weighted"), "total",
-         lambda c, i: c.steady_normalization),
-    # the residual bound of the stationary solve (motorflux.steady)
-    _Key("steady", "tol", _Type(_as_nonnegative), "1e-13", lambda c, i: c.steady_tol),
-    _Key("verify", "threshold", _Type(_as_nonnegative), "1e-6", lambda c, i: c.verify_threshold),
-    _Key("verify", "oracle_t", _Type(_as_oracle_time), "1.0", lambda c, i: c.oracle_t),
 )
 
 
@@ -337,7 +295,7 @@ def parse_config(path) -> RunConfig:
     layout = _layout(n)
     for section in parser.sections():
         if section not in layout:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ConfigError(f"unknown section [{section}] with keys {parser.options(section)}")
         known = {ini for name, key, _i in layout[section] for ini in _ini_keys(name, key)}
         for name in parser.options(section):
             if name not in known:
@@ -368,16 +326,10 @@ def parse_config(path) -> RunConfig:
     report = validate(problem)
     if not report.ok:
         raise ConfigError("invalid problem: " + "; ".join(report.violations))
-
-    steady, checks = values["steady"], values["verify"]
     return RunConfig(
         problem=problem,
         step=StepConfig(**values["time"]),
         out_dir=values["output"]["dir"],
-        steady_normalization=steady["normalization"],
-        steady_tol=steady["tol"],
-        verify_threshold=checks["threshold"],
-        oracle_t=checks["oracle_t"],
         initial2=None if None in initial2 else initial2,
         warnings=report.warnings,
     )
@@ -506,16 +458,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_steady(cfg: RunConfig) -> int:
-    """Write the stationary state: the null vector under ``[steady] normalization``
-    with linear reactions, the state with the initial data's weighted mass with
+    """Write the stationary state: the null vector of total integral 1 with
+    linear reactions, the state with the initial data's weighted mass with
     nonlinear ones."""
     out = _output_dir(cfg)
     spec = cfg.problem
     if spec.is_linear:
-        ss = solve_null_vector(assemble_system(spec), tol=cfg.steady_tol,
-                               normalization=cfg.steady_normalization)
+        ss = solve_null_vector(assemble_system(spec))
     else:
-        ss = solve_stationary(spec, initial_state(spec), tol=cfg.steady_tol)
+        ss = solve_stationary(spec, initial_state(spec))
     _write_state_csv(out / "stationary.csv", ss.state)
     with open(out / "steady.ndjson", "w", encoding="ascii") as fh:
         fh.write(_json_line({
@@ -586,11 +537,9 @@ def cmd_verify(cfg: RunConfig, check: str) -> int:
     elif check == "comparison":
         report = verify.check_comparison(spec, u0, _second_state(cfg, check), cfg.step)
     elif check == "convergence":
-        target = solve_stationary(spec, u0, tol=cfg.steady_tol)
-        report = verify.check_convergence(spec, u0, cfg.step, target,
-                                          threshold=cfg.verify_threshold)
+        report = verify.check_convergence(spec, u0, cfg.step, solve_stationary(spec, u0))
     else:  # argparse admits no other check
-        report = verify.oracle_compare(spec, cfg.step, cfg.oracle_t)
+        report = verify.oracle_compare(spec, cfg.step)
 
     verify.write_reports_ndjson([report], out / f"check_{check}.ndjson")
     if not report.passed:
@@ -623,10 +572,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override lin_tol, the bound on the backward error "
-                            "of each implicit solve, and [steady] tol, the "
-                            "stationary residual bound")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for synthesized random fixtures")
     return parser
@@ -638,9 +583,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
-        if args.tol is not None:
-            cfg = replace(cfg, step=replace(cfg.step, lin_tol=args.tol),
-                          steady_tol=args.tol)
         if args.seed < 0:
             raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)

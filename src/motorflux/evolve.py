@@ -355,18 +355,34 @@ def _implicit_matrix(matrix: sparse.sparray, dt: float) -> sparse.dia_array:
     return sparse.dia_array((data, offsets), shape=m.shape)
 
 
+def _diagonals(k: sparse.sparray):
+    """(rows, cols, values) of each stored diagonal of the square matrix k, in
+    stored order: values[j] is the entry (rows.start + j, cols.start + j).  A
+    DIA matrix is read in place; another format is converted."""
+    k = sparse.dia_array(k)
+    n, width = k.shape[0], k.data.shape[1]
+    for off, row in zip(k.offsets.tolist(), k.data):
+        cols = slice(max(off, 0), min(n + min(off, 0), width))
+        yield slice(cols.start - off, cols.stop - off), cols, row[cols]
+
+
+def _inf_norm(k: sparse.sparray) -> float:
+    """||k||_inf with the row sums added in the stored order of the diagonals,
+    the order of abs(k).sum(axis=1), without its copy of k."""
+    row_sums, magnitude = np.zeros(k.shape[0]), np.empty(k.shape[0])
+    for rows, _cols, values in _diagonals(k):
+        row_sums[rows] += np.abs(values, out=magnitude[rows])
+    return float(row_sums.max())
+
+
 def _column_defect_and_norm(k: sparse.dia_array, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """|w^T K - w^T| and ||K||_inf, one diagonal at a time; its temporaries are
-    freed before K is factored.  The row sums are added in the stored order of
-    the diagonals, the order of abs(k).sum(axis=1), without its copy of K."""
+    """|w^T K - w^T| and `_inf_norm` of K in one pass; its temporaries are
+    freed before K is factored."""
     n = len(w)
     wk, row_sums, magnitude = np.zeros(n), np.zeros(n), np.empty(n)
-    for off, row in zip(k.offsets.tolist(), k.data):
-        cols = slice(max(off, 0), n + min(off, 0))
-        rows = slice(cols.start - off, cols.stop - off)
-        wk[cols] += w[rows] * row[cols]
-        np.abs(row[cols], out=magnitude[cols])
-        row_sums[rows] += magnitude[cols]
+    for rows, cols, values in _diagonals(k):
+        wk[cols] += w[rows] * values
+        row_sums[rows] += np.abs(values, out=magnitude[rows])
     return np.abs(wk - w), float(row_sums.max())
 
 
@@ -678,8 +694,10 @@ def run_batch(spec: ProblemSpec, cfg: StepConfig,
 
     A generator: it yields a tuple with one State per trajectory at their
     common initial time t0, after every ``stride``-th step and after the last
-    step.  Step k ends at t0 + k*dt and the last step at t0 + t_end.  An
-    entry of None stands for the sampled initial data, at t0 = 0.  All
+    step.  Step k ends at t0 + k*dt and the last step at t0 + t_end; where t0
+    dwarfs dt so that two snapshot times round to one, ValueError is raised
+    before the first yield.  An entry of None stands for the sampled initial
+    data, at t0 = 0.  All
     trajectories share each factorization and each solve call.  A failure in
     any of them raises at the first failing step, with ``.time`` set to that step.
     """
@@ -696,9 +714,17 @@ def run_batch(spec: ProblemSpec, cfg: StepConfig,
     t0 = states[0].t
     if any(state.t != t0 for state in states):
         raise ValueError("the initial states of a batch must share their time")
+    n_full, n_steps = _step_count(cfg)
+    # the yielded steps and their times, by the loop's formula below
+    ks = np.minimum(np.arange(0, n_steps + cfg.stride, cfg.stride), n_steps)
+    times = t0 + np.where(ks <= n_full, ks * cfg.dt, cfg.t_end)
+    repeated = np.flatnonzero(np.diff(times) <= 0.0)
+    if repeated.size:
+        raise ValueError(f"a run from t0 = {t0!r} with dt = {cfg.dt!r} stamps two snapshots "
+                         f"with the time {times[repeated[0] + 1].item()!r}: t0 + k*dt rounds to "
+                         "the same double")
     yield states
 
-    n_full, n_steps = _step_count(cfg)
     blocks = 1 if spec.is_linear else spec.n_species
     reactions = None if spec.is_linear else spec
     weights = _block_weights(spec, blocks)

@@ -56,7 +56,7 @@ from .errors import (
     ScalingError,
     SolverError,
 )
-from .evolve import _block_weights, _cells_1d, _Factored, _implicit_matrix
+from .evolve import _block_weights, _cells_1d, _Factored, _implicit_matrix, _inf_norm
 from .model import ProblemSpec, State, _samples, _strongly_connected
 from .verify import weighted_mass
 
@@ -66,13 +66,12 @@ __all__ = [
     "solve_stationary",
     "adjoint_null_check",
     "boltzmann_profile",
-    "NORMALIZATIONS",
+    "STATIONARY_TOL",
 ]
 
-#: 'total' pins sum_i integral(v_i) = 1; 'alpha_weighted' pins
-#: sum_i (1/alpha_i) integral(v_i) = 1.  Both constraints are legitimate and
-#: differ only by the scale of the result, so the choice is always explicit.
-NORMALIZATIONS = ("total", "alpha_weighted")
+#: residual bound of a stationary state, relative to the operator's inf-norm
+#: (and to max u for `solve_stationary`)
+STATIONARY_TOL = 1e-13
 
 #: most continuation steps (solves of a linear problem) before NonConvergenceError
 _MAX_STEPS = 200
@@ -104,10 +103,6 @@ def _left_null_vector(A: SystemOperator) -> np.ndarray:
     if A.gauge == "neumann":
         w = w / _gauge_factors(A.spec).ravel()
     return w
-
-
-def _inf_norm(matrix) -> float:
-    return float(abs(matrix).sum(axis=1).max())
 
 
 def _gated(residual: float, bound: float) -> float:
@@ -142,9 +137,9 @@ def _require_solvable(spec: ProblemSpec, transports) -> None:
                            f"although the coupling graph is strongly connected: {lost[0]}")
 
 
-def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
-                      normalization: str = "total") -> StationaryState:
-    """Positive null vector of the linear block operator A, under ``normalization``.
+def solve_null_vector(A: SystemOperator, tol: float = STATIONARY_TOL) -> StationaryState:
+    """Positive null vector of the linear block operator A, of total integral
+    sum_i integral(v_i) = 1.
 
     The continuation runs in the physical gauge from a constant start, for a
     Neumann-gauge A too; the result is in A's gauge.  It must satisfy
@@ -152,8 +147,6 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
     is not strictly positive raises IrreducibilityError, and the pre-checks
     raise as well.
     """
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalization!r}")
     spec = A.spec
     _require_solvable(spec, A.transports)
     matrix = A.matrix
@@ -169,11 +162,7 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
             "so it is not the operator of an irreducible configuration") from err
     if A.gauge == "neumann":
         x *= d
-    if normalization == "total":
-        scale = float(spec.grid.cell_volume * x.sum())
-    else:
-        scale = float(_left_null_vector(A) @ x)
-    v = x / scale
+    v = x / float(spec.grid.cell_volume * x.sum())
     if not v.min() > 0.0:
         raise IrreducibilityError(
             "computed null vector is not strictly positive; the configuration "
@@ -182,10 +171,11 @@ def solve_null_vector(A: SystemOperator, tol: float = 1e-13, *,
     residual = _gated(float(np.abs(A.matrix @ v).max()), tol * _inf_norm(A.matrix))
     state = State(spec.grid, v.reshape(A.n, A.cells), t=0.0, gauge=A.gauge)
     return StationaryState(state=state, residual=residual,
-                           normalization=normalization, constraint_value=1.0)
+                           normalization="total", constraint_value=1.0)
 
 
-def solve_stationary(spec: ProblemSpec, u0: State, tol: float = 1e-13) -> StationaryState:
+def solve_stationary(spec: ProblemSpec, u0: State,
+                     tol: float = STATIONARY_TOL) -> StationaryState:
     """The stationary state with u0's weighted mass, for any admissible problem:
     the long-time limit of the trajectory started at u0.
 

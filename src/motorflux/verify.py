@@ -58,6 +58,10 @@ SIGN_THRESHOLD = 1e-8
 MONOTONE_SLACK = 1e-10
 #: step sizes of the oracle fit, coarsest first
 ORACLE_DTS = (0.1, 0.05, 0.025)
+#: time at which the oracle fit compares
+ORACLE_T = 1.0
+#: weighted L1 distance to the stationary target that a converged run reaches
+CONVERGENCE_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ def check_comparison(spec: ProblemSpec, u0_low: State, u0_high: State,
 
 
 def check_convergence(spec: ProblemSpec, u0: State, cfg: StepConfig,
-                      target, threshold: float = 1e-6) -> CheckReport:
+                      target, threshold: float = CONVERGENCE_THRESHOLD) -> CheckReport:
     """Assert the distance to a stationary target decays below ``threshold``.
 
     The distance must also be nonincreasing along the way: the target is a
@@ -231,18 +235,14 @@ def oracle_expm(A: SystemOperator, t: float, u0: State) -> State:
     return u0.with_fields(propagated.reshape(u0.fields.shape), t=u0.t + t)
 
 
-def _divides(dt: float, t: float) -> bool:
-    """Is the finite t a whole number of steps dt, to 1e-9 relative?"""
-    return abs(round(t / dt) * dt - t) <= 1e-9 * max(t, 1.0)
-
-
-def oracle_compare(spec: ProblemSpec, cfg: StepConfig, t: float,
+def oracle_compare(spec: ProblemSpec, cfg: StepConfig,
                    dts: tuple[float, ...] = ORACLE_DTS) -> CheckReport:
     """Fit the temporal order of the implicit stepper against the dense oracle.
 
-    Runs the stepper to time ``t`` once per dt, measures weighted L1 errors
-    against exp(t*A) u0, and passes when the fitted order is at least 0.9.
+    Runs the stepper to time t = ORACLE_T once per dt, measures weighted L1
+    errors against exp(t*A) u0, and passes when the fitted order is at least 0.9.
     """
+    t = ORACLE_T
     A = assemble_system(spec)
     u0 = initial_state(spec)
     ref = oracle_expm(A, t, u0)
@@ -250,10 +250,10 @@ def oracle_compare(spec: ProblemSpec, cfg: StepConfig, t: float,
 
     errors = []
     for dt in sorted(dts, reverse=True):
-        if not _divides(dt, t):
-            raise ValueError(f"dt={dt} does not divide t={t}")
         steps = round(t / dt)
-        sub = replace(cfg, dt=dt, t_end=t, stride=max(steps, 1))
+        if not abs(steps * dt - t) <= 1e-9 * max(t, 1.0):
+            raise ValueError(f"dt={dt} does not divide t={t}")
+        sub = replace(cfg, dt=dt, t_end=t, stride=steps)
         for (final,) in run(spec, sub, (u0,)):
             pass
         errors.append(weighted_l1_distance(final, ref, spec))

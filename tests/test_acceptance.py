@@ -207,7 +207,7 @@ def test_criterion_7_oracle_agreement():
         initial=(PotentialSpec("cosine", amplitude=0.4, offset=1.0),
                  PotentialSpec("cosine", amplitude=0.3, offset=0.8, period=0.5)),
     )
-    rep = mf.oracle_compare(spec, StepConfig(dt=0.1, t_end=1.0), 1.0,
+    rep = mf.oracle_compare(spec, StepConfig(dt=0.1, t_end=1.0),
                             dts=(0.1, 0.05, 0.025))
     assert rep.passed
     order = float(rep.notes.split("fitted order ")[1].split(";")[0])

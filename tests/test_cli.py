@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
 import gc
+import importlib.util
 import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -294,8 +296,6 @@ class TestParseConfig:
         assert cfg.step.stride == 1          # documented default
         assert cfg.step.lin_tol == 1e-12     # documented default
         assert cfg.out_dir == "out"
-        assert cfg.steady_normalization == "total"
-        assert cfg.steady_tol == 1e-13
 
     def test_minimal_single_species(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, SAWTOOTH_SINGLE))
@@ -536,10 +536,13 @@ class TestSimulate:
             assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
     def test_non_finite_tol_flag_exits_2(self, tmp_path, capsys):
-        code = main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
-                     "--out", str(tmp_path / "o"), "--tol", "nan"])
-        assert code == 2
-        assert "lin_tol" in capsys.readouterr().err
+        # no flag sets a tolerance: lin_tol is set in the file, the check gates are fixed
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
+                  "--out", str(tmp_path / "o"), "--tol", "nan"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --tol nan" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "steady"])
     @pytest.mark.parametrize("old,new,hypothesis", [
@@ -562,8 +565,9 @@ class TestSimulate:
 
 MOTOR_8 = MOTOR_CONFIG.replace("cells = 64", "cells = 8").replace("t_end = 1.0", "t_end = 0.1")
 
-#: each key's section and the command that reads it
+#: each removed key's section and the command that read it
 _KEY_COMMANDS = {
+    "normalization": ("steady", "steady"),
     "tol": ("steady", "steady"),
     "threshold": ("verify", "verify-convergence"),
     "oracle_t": ("verify", "oracle-compare"),
@@ -589,7 +593,7 @@ _WILD_NUMBERS = {
     "dt": st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-320, -1.0]),
                     st.floats(min_value=0.01, max_value=10.0)),
 }
-_WILD_TEXTS = {"normalization": ["total", "alpha_weighted", "bogus", ""], "dir": ["out"]}
+_WILD_TEXTS = {"dir": ["out"]}
 
 #: admissible potential parameters; an initial profile also gets the offset it needs
 _PARAM_VALUES = {
@@ -692,10 +696,6 @@ def table_configs(draw, fuzz: bool = False, stepping: bool = False):
             "stride": lambda: str(draw(st.integers(1, 50))),
             "lin_tol": lambda: repr(draw(st.floats(1e-14 if stepping else 0.0, 1e-6))),
             "dir": lambda: draw(st.sampled_from(["out", "runs/a", "o-1"])),
-            "normalization": lambda: draw(st.sampled_from(["total", "alpha_weighted"])),
-            "tol": lambda: repr(draw(st.floats(0.0, 1.0))),
-            "threshold": lambda: repr(draw(st.floats(0.0, 1.0))),
-            "oracle_t": lambda: repr(draw(st.integers(1, 30)) * 0.1),
         }[key.name]()  # a new table key needs its draw here
 
     lines = []
@@ -732,33 +732,26 @@ def table_configs(draw, fuzz: bool = False, stepping: bool = False):
 
 class TestSectionValues:
     @pytest.mark.parametrize("key,value", [
-        ("tol", "nan"), ("tol", "inf"), ("tol", "-1e-13"),
-        ("threshold", "nan"), ("threshold", "inf"), ("threshold", "-1e-6"),
+        ("normalization", "total"), ("normalization", "alpha_weighted"),
+        ("tol", "nan"), ("tol", "inf"), ("tol", "-1e-13"), ("tol", "1e-10"),
+        ("threshold", "nan"), ("threshold", "inf"), ("threshold", "-1e-6"), ("threshold", "0"),
         ("oracle_t", "0.33"), ("oracle_t", "-1"), ("oracle_t", "inf"),
         ("oracle_t", "nan"), ("oracle_t", "0"), ("oracle_t", "0.01"),
-        ("oracle_t", "1e12"),
+        ("oracle_t", "1e12"), ("oracle_t", "0.3"), ("oracle_t", "2.0"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, key, value):
+        """The check gates are constants: a removed key's section is unknown, so
+        the key exits 2 and is named, whatever its value, before the output
+        directory is made."""
         section, command = _KEY_COMMANDS[key]
         text = MOTOR_8 + f"\n[{section}]\n{key} = {value}\n"
         code = main([command, "--config", write_config(tmp_path, text),
                      "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"[{section}] {key}" in err
+        assert f"config error: unknown section [{section}] with keys ['{key}']" in err
         assert "Traceback" not in err
-
-    @pytest.mark.parametrize("key,value", [
-        ("tol", "1e-10"), ("threshold", "0"), ("oracle_t", "0.3"), ("oracle_t", "2.0"),
-    ])
-    def test_admissible_values_run(self, tmp_path, key, value):
-        section, command = _KEY_COMMANDS[key]
-        text = MOTOR_8 + f"\n[{section}]\n{key} = {value}\n"
-        code = main([command, "--config", write_config(tmp_path, text),
-                     "--out", str(tmp_path / "o")])
-        assert code in (0, 3)
-        if key == "oracle_t":
-            assert code == 0
+        assert not (tmp_path / "o").exists()
 
     @settings(max_examples=150, deadline=None)
     @given(command=st.sampled_from(_COMMANDS), text=table_configs(fuzz=True))
@@ -944,6 +937,23 @@ class TestConfigTable:
         _assert_same_config(again, cfg)
         assert format_effective_config(again) == echo
 
+    @pytest.mark.parametrize("name", ["snap1d", "imex1d", "stationary1d"])
+    def test_benchmark_configs_parse_back(self, tmp_path, monkeypatch, name):
+        """The configs that perfbench/workloads.py writes parse, and their echo parses back."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(module_spec)
+        monkeypatch.setitem(sys.modules, module_spec.name, workloads)  # for its dataclasses
+        module_spec.loader.exec_module(workloads)
+        configs = workloads.write_configs(workloads.build(name, seed=1, tiny=True), tmp_path)
+        assert configs
+        for config in configs.values():
+            cfg = parse_config(config)
+            echo = format_effective_config(cfg)
+            again = parse_config(write_config(tmp_path, echo, "echo.ini"))
+            _assert_same_config(again, cfg)
+            assert format_effective_config(again) == echo
+
 
 class TestUnusableArguments:
     @pytest.mark.parametrize("command", _COMMANDS)
@@ -1080,14 +1090,6 @@ class TestSteady:
         lines = (tmp_path / "s" / "stationary.csv").read_text().strip().split("\n")[1:]
         got = np.array([float(line.split(",")[1]) for line in lines])
         assert np.abs(got - expected).max() <= 1e-10
-
-    def test_alpha_weighted_normalization(self, tmp_path):
-        text = MOTOR_CONFIG + "\n[steady]\nnormalization = alpha_weighted\n"
-        code = main(["steady", "--config", write_config(tmp_path, text),
-                     "--out", str(tmp_path / "s")])
-        assert code == 0
-        rec = json.loads((tmp_path / "s" / "steady.ndjson").read_text())
-        assert rec["normalization"] == "alpha_weighted"
 
     def test_reversible_pair_output(self, tmp_path, capsys):
         # the state of weighted mass 2 is the constant pair (1, 1) of the closed form
@@ -1298,8 +1300,8 @@ class TestVerifyCommands:
         assert code == 0
 
     def test_failed_check_exit_code(self, tmp_path):
-        text = MOTOR_CONFIG + "\n[verify]\nthreshold = 1e-15\n"
-        text = text.replace("t_end = 1.0", "t_end = 0.1")
+        # one step of 0.1 stays far from the stationary state
+        text = MOTOR_CONFIG.replace("t_end = 1.0", "t_end = 0.1")
         code = main(["verify-convergence", "--config", write_config(tmp_path, text),
                      "--out", str(tmp_path / "v")])
         assert code == 3
@@ -1322,6 +1324,7 @@ class TestVerifyCommands:
         assert "[time]" in out
         assert "stride = 1" in out      # default filled in
         assert "lin_tol = 1e-12" in out
+        assert "[steady]" not in out and "[verify]" not in out
 
 
 TWO_D_CONFIG = """\
@@ -1360,8 +1363,9 @@ class TestEdgeCases:
         assert (x0, y0) == (pytest.approx(0.05), pytest.approx(1.0 / 16.0))
 
     def test_2d_lin_tol_miss_exits_4(self, tmp_path, capsys):
-        code = main(["simulate", "--config", write_config(tmp_path, TWO_D_CONFIG),
-                     "--out", str(tmp_path / "o"), "--tol", "0"])
+        text = TWO_D_CONFIG.replace("lin_tol = 1e-13", "lin_tol = 0")
+        code = main(["simulate", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
         assert code == 4
         err = capsys.readouterr().err
         assert "solver failure" in err and "lin_tol" in err
@@ -1383,8 +1387,9 @@ class TestEdgeCases:
         assert "dt_max" in err and "Traceback" not in err
 
     def test_pair_lin_tol_miss_exits_4(self, tmp_path, capsys):
-        code = main(["verify-comparison", "--config", write_config(tmp_path, SAWTOOTH_MOTOR_CONFIG),
-                     "--out", str(tmp_path / "o"), "--tol", "0"])
+        text = SAWTOOTH_MOTOR_CONFIG + "lin_tol = 0\n"
+        code = main(["verify-comparison", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
         assert code == 4
         err = capsys.readouterr().err
         assert "solver failure" in err and "lin_tol" in err
@@ -1512,10 +1517,17 @@ class TestEdgeCases:
         err = capsys.readouterr().err
         assert "exp(t*A) u0 is not finite" in err and "Traceback" not in err
 
-    def test_tol_flag_overrides_solver_tolerances(self, tmp_path):
+    def test_tol_flag_overrides_solver_tolerances(self, tmp_path, capsys):
+        """No flag overrides a solver tolerance: steady rejects --tol before the
+        output directory is made, and the fixed stationary gate alone holds the
+        residual under the bound the flag once set."""
         cfg = write_config(tmp_path, MOTOR_CONFIG)
-        code = main(["steady", "--config", cfg, "--out", str(tmp_path / "s"),
-                     "--tol", "1e-10"])
+        with pytest.raises(SystemExit) as exit_:
+            main(["steady", "--config", cfg, "--out", str(tmp_path / "t"), "--tol", "1e-10"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+        code = main(["steady", "--config", cfg, "--out", str(tmp_path / "s")])
         assert code == 0
         rec = json.loads((tmp_path / "s" / "steady.ndjson").read_text())
         assert rec["residual"] <= 1e-10

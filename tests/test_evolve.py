@@ -26,11 +26,13 @@ from motorflux import (
 )
 import motorflux.evolve
 from motorflux.cli import MASS_DRIFT_TOL
+from motorflux.discretize import _block_matrix
 from motorflux.evolve import (
     MAX_STEPS,
     _CellMajorBand,
     _Factored,
     _implicit_matrix,
+    _inf_norm,
     _Stepper,
     _SymmetrizedTridiagonal,
 )
@@ -384,6 +386,14 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="share their time"):
             list(run_batch(spec, StepConfig(dt=0.1, t_end=0.2), (None, later)))
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_repeated_snapshot_times_raise_before_the_first_step(self, stride):
+        # t0 + 1.0 rounds to t0 = 1e17, the spacing of doubles there being 16
+        spec = symmetric_motor(8)
+        late = initial_state(spec).with_fields(initial_state(spec).fields, t=1e17)
+        with pytest.raises(ValueError, match=r"t0 = 1e\+17 with dt = 1\.0 .* time 1e\+17"):
+            next(run_batch(spec, StepConfig(dt=1.0, t_end=2.0, stride=stride), (late,)))
+
     def test_step_size_error_from_second_trajectory(self):
         spec = reversible_problem(cells=16, p=3.0)
         cfg = StepConfig(dt=0.1, t_end=1.0)
@@ -467,11 +477,16 @@ class TestOperatorRelease:
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_k_norm_equals_the_absolute_row_sums(rng, dim, n):
-    # ||K||_inf is read off the diagonals in the loop that forms w^T K
+    # ||K||_inf, and the ||J||_inf of the stationary solver, are read off the
+    # diagonals in the loop that forms w^T K, in the order of abs(k).sum(axis=1)
     spec = random_problem(rng, n=n, cells=48 if dim == 1 else 12, dim=dim)
     w = np.repeat(spec.grid.cell_volume / spec.alphas, spec.grid.size)
+    slopes = rng.uniform(0.0, 3.0, (n, spec.grid.size))  # a nonlinear Jacobian's r'(u)
+    jacobian = _block_matrix(spec, transports_for(spec), slopes)
+    assert _inf_norm(jacobian) == float(abs(jacobian).sum(axis=1).max())
     for matrix, weights in [(assemble_system(spec).matrix, w),
                             *zip((op.matrix for op in transports_for(spec)), w.reshape(n, -1))]:
+        assert _inf_norm(matrix) == float(abs(matrix).sum(axis=1).max())
         for dt in (1e-3, 1.0, 1e4):
             k = _implicit_matrix(matrix, dt)
             factored = _Factored(k, weights, dt, 1e-12, spec.grid.size if dim == 1 else None)

@@ -87,15 +87,11 @@ class TestNullVector:
         assert ss.state.fields.min() > 0.0
 
     def test_normalizations(self, rng):
+        # one normalization: total integral 1, recorded as such
         spec = random_problem(rng, n=2, cells=32)
-        A = assemble_system(spec)
-        vol = spec.grid.cell_volume
-        total = solve_null_vector(A, tol=1e-13, normalization="total")
-        assert vol * total.state.fields.sum() == pytest.approx(1.0, abs=1e-12)
-        aw = solve_null_vector(A, tol=1e-13, normalization="alpha_weighted")
-        assert weighted_mass(aw.state, spec) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            solve_null_vector(A, normalization="bogus")
+        ss = solve_null_vector(assemble_system(spec))
+        assert spec.grid.cell_volume * ss.state.fields.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (ss.normalization, ss.constraint_value) == ("total", 1.0)
 
     def test_matches_dense_null_space(self):
         spec = sawtooth_motor(48)
