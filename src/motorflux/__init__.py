@@ -17,7 +17,6 @@ from .discretize import (
     bernoulli,
     conjugate_to_neumann,
     gauge_transform,
-    write_matrix_market,
 )
 from .evolve import (
     StepConfig,
@@ -71,7 +70,7 @@ __all__ = [
     "initial_state",
     "bernoulli", "TransportOperator", "SystemOperator",
     "assemble_transport", "assemble_system", "conjugate_to_neumann",
-    "gauge_transform", "write_matrix_market",
+    "gauge_transform",
     "StepConfig", "Trajectory", "imex_dt_max", "run", "run_batch",
     "StationaryState", "solve_null_vector", "solve_stationary",
     "adjoint_null_check", "boltzmann_profile",

@@ -225,7 +225,6 @@ _KEYS = (
     _Key("time", "dt", _FLOAT, _REQUIRED, lambda c, i: c.step.dt),
     _Key("time", "t_end", _FLOAT, _REQUIRED, lambda c, i: c.step.t_end),
     _Key("time", "stride", _int(1), "1", lambda c, i: c.step.stride),
-    _Key("time", "lin_tol", _FLOAT, "1e-12", lambda c, i: c.step.lin_tol),
     _Key("output", "dir", _Type(lambda text, what: text, str), "out", lambda c, i: c.out_dir),
 )
 
@@ -539,7 +538,7 @@ def cmd_verify(cfg: RunConfig, check: str) -> int:
     elif check == "convergence":
         report = verify.check_convergence(spec, u0, cfg.step, solve_stationary(spec, u0))
     else:  # argparse admits no other check
-        report = verify.oracle_compare(spec, cfg.step)
+        report = verify.oracle_compare(spec)
 
     verify.write_reports_ndjson([report], out / f"check_{check}.ndjson")
     if not report.passed:

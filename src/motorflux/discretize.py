@@ -38,7 +38,6 @@ __all__ = [
     "assemble_system",
     "conjugate_to_neumann",
     "gauge_transform",
-    "write_matrix_market",
 ]
 
 #: below this magnitude B(x) is evaluated by its Taylor polynomial
@@ -266,16 +265,3 @@ def gauge_transform(state: State, spec: ProblemSpec, direction: str) -> State:
     if direction == "to_neumann":
         return state.with_fields(state.fields * factors, gauge="neumann")
     return state.with_fields(state.fields / factors, gauge="physical")
-
-
-def write_matrix_market(op, path) -> None:
-    """Dump an operator (or raw sparse matrix) as Matrix Market coordinate text."""
-    matrix = getattr(op, "matrix", op)
-    coo = sparse.coo_array(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    lines = ["%%MatrixMarket matrix coordinate real general",
-             f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    for k in order:
-        lines.append(f"{coo.row[k] + 1} {coo.col[k] + 1} {float(coo.data[k])!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")

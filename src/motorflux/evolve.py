@@ -64,20 +64,20 @@ does a row swap once the identity of K is found lost in rounding (below);
 any other row swap raises SolverError.  2-D blocks go to sparse LU
 (SuperLU).
 
-An exact solve inherits the M-matrix guarantees up to round-off; ``lin_tol``
-bounds the normwise backward error of each solve,
+An exact solve inherits the M-matrix guarantees up to round-off; the fixed
+gate LIN_TOL = 1e-12 bounds the normwise backward error of each solve,
 
-    ||b - K x||_inf <= lin_tol * (||K||_inf * ||x||_inf + ||b||_inf),
+    ||b - K x||_inf <= LIN_TOL * (||K||_inf * ||x||_inf + ||b||_inf),
 
 and a solve that misses it raises SolverError.  The bound is taken lazily:
-the residual is first held against lin_tol * ||K||_inf * ||x||_inf, and
-only when it exceeds that is ||b||_inf taken and the full bound tested.  For
-lin_tol >= 0 rounding is monotone, so the lazy bound is never above the full
-one and the two accept the same solves; error messages report the full
-bound.  A NaN in b reaches the residual, which then fails both.  The max|x|
-that the bound takes also checks finiteness: a NaN propagates through it and
-an inf shows, so a non-finite solution raises SolverError after the step's
-last solve, without a separate pass over the state.
+the residual is first held against LIN_TOL * ||K||_inf * ||x||_inf, and
+only when it exceeds that is ||b||_inf taken and the full bound tested.
+Rounding is monotone, so the lazy bound is never above the full one and the
+two accept the same solves; error messages report the full bound.  A NaN in
+b reaches the residual, which then fails both.  The max|x| that the bound
+takes also checks finiteness: a NaN propagates through it and an inf shows,
+so a non-finite solution raises SolverError after the step's last solve,
+without a separate pass over the state.
 
 Conservative projection.  Rounding in K (its weighted column sums miss 1 by
 up to 2.6e-9 relative at 65,536 cells) and inside the solve each drift the
@@ -148,6 +148,7 @@ from .model import (
 )
 
 __all__ = [
+    "LIN_TOL",
     "MAX_STEPS",
     "StepConfig",
     "Trajectory",
@@ -163,20 +164,19 @@ _NEG_SLACK = 1e-13
 #: error, so an absurd t_end or a tiny dt fails at once instead of running for days
 MAX_STEPS = 1_000_000
 
+#: normwise backward-error bound of every implicit solve (module docstring);
+#: `_Factored` reads it when it is built
+LIN_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Time-stepping parameters.
-
-    ``lin_tol`` bounds the normwise backward error of every implicit solve
-    (see the module docstring); 0 accepts only exact residuals.  ``t_end/dt``
-    may not exceed MAX_STEPS.
-    """
+    """Time-stepping parameters; ``t_end/dt`` may not exceed MAX_STEPS.
+    Every implicit solve meets the fixed bound LIN_TOL."""
 
     dt: float
     t_end: float
     stride: int = 1
-    lin_tol: float = 1e-12
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -187,8 +187,6 @@ class StepConfig:
             raise ConfigError(
                 f"t_end/dt = {self.t_end / self.dt:.6g} steps exceed the cap of {MAX_STEPS}"
             )
-        if not (self.lin_tol >= 0.0 and math.isfinite(self.lin_tol)):
-            raise ConfigError(f"lin_tol must be nonnegative and finite, got {self.lin_tol}")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
 
@@ -387,7 +385,7 @@ def _column_defect_and_norm(k: sparse.dia_array, w: np.ndarray) -> tuple[np.ndar
 
 
 class _Factored:
-    """K = I - dt*M factored once; every solve is checked against ``tol``
+    """K = I - dt*M factored once; every solve is checked against LIN_TOL
     and projected onto the conservation weights ``w`` (w^T M = 0).
 
     ``k`` is the DIA matrix of `_implicit_matrix`; ``cells`` is the cell count
@@ -395,9 +393,8 @@ class _Factored:
     step size in an error message.
     """
 
-    def __init__(self, k: sparse.dia_array, w: np.ndarray, dt: float, tol: float,
-                 cells: int | None):
-        self._tol = tol
+    def __init__(self, k: sparse.dia_array, w: np.ndarray, dt: float, cells: int | None):
+        self._tol = LIN_TOL
         self._w_norm = float(np.abs(w).sum())
         self._segments = _segments(w)
         self._defect, self._k_norm = _column_defect_and_norm(k, w)
@@ -458,7 +455,7 @@ class _Factored:
                 bound = self._full_bound(x_max, b_j)
                 if not residual <= bound:
                     raise SolverError(
-                        f"linear solve missed lin_tol={self._tol:g}: "
+                        f"linear solve missed LIN_TOL={self._tol:g}: "
                         f"residual {residual:.3e} > bound {bound:.3e}",
                         residual=residual,
                     )
@@ -473,7 +470,7 @@ class _Factored:
         return finite
 
     def _full_bound(self, x_max: float, b_j: np.ndarray) -> float:
-        """tol * (||K||_inf * max|x_j| + max|b_j|), the column's backward-error bound."""
+        """LIN_TOL * (||K||_inf * max|x_j| + max|b_j|), the column's backward-error bound."""
         return self._tol * (self._k_norm * x_max + max(float(b_j.max()), -float(b_j.min())))
 
     def _weighted_sum(self, v: np.ndarray) -> float:
@@ -536,7 +533,7 @@ class _Stepper:
     next step and is overwritten by the one after.
     """
 
-    def __init__(self, matrices, weights, cells: int | None, dt: float, lin_tol: float,
+    def __init__(self, matrices, weights, cells: int | None, dt: float,
                  reactions: ProblemSpec | None = None):
         self._dt = dt
         self._reactions = reactions
@@ -547,7 +544,7 @@ class _Stepper:
         # freshly assembled matrices, as `run_batch` does, the stepper holds
         # no M while K is factored
         ks = [_implicit_matrix(m, dt) for m in matrices]
-        self._factors = [_Factored(k, w, dt, lin_tol, cells) for k, w in zip(ks, weights)]
+        self._factors = [_Factored(k, w, dt, cells) for k, w in zip(ks, weights)]
         self._arrays = None
 
     def _buffers(self, shape) -> list[np.ndarray]:
@@ -735,8 +732,7 @@ def run_batch(spec: ProblemSpec, cfg: StepConfig,
         if k in (1, n_full + 1):  # factor for cfg.dt, and again for a remainder step
             stepper = None  # release the previous factors first
             stepper = _Stepper(_operators(spec), weights, _cells_1d(spec),
-                               cfg.dt if full else cfg.t_end - n_full * cfg.dt,
-                               cfg.lin_tol, reactions)
+                               cfg.dt if full else cfg.t_end - n_full * cfg.dt, reactions)
         t_next = t0 + (k * cfg.dt if full else cfg.t_end)
         try:
             u = stepper.step(u)

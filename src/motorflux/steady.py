@@ -83,8 +83,6 @@ _CONDITION_CAP = 1e12
 #: relative residual ||F(u)||/(||J|| max u) below which the iteration may stop,
 #: once its update reaches round-off or no longer shrinks; its floor is about 1e-16
 _STALL = 1e-13
-#: backward-error bound of each continuation solve, the default lin_tol of a run
-_LIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,9 @@ def solve_stationary(spec: ProblemSpec, u0: State,
     The continuation starts at u0, or halfway between u0 and the constant
     state of its mass where u0 is not positive.  The result must satisfy
     ||F(u)||_inf <= tol * ||J(u)||_inf * max(u), or NonConvergenceError is
-    raised; data without weighted mass raise DegenerateDataError.
+    raised; data without weighted mass raise DegenerateDataError.  The exact
+    state is strictly positive, so a zero entry, which only underflow leaves
+    (a power of data near 1e-309, say), raises ScalingError.
     """
     mass = weighted_mass(u0, spec)
     if not mass > 0.0:
@@ -194,6 +194,12 @@ def solve_stationary(spec: ProblemSpec, u0: State,
     if not u.min() > 0.0:
         u = 0.5 * (u + mass / _block_weights(spec, 1)[0].sum())
     u, norm_f, norm_j = _continuation(spec, transports, u, matrix)
+    if not u.min() > 0.0:
+        i, c = divmod(int(np.argmin(u)), spec.grid.size)
+        raise ScalingError(
+            "the stationary state is not resolved in double precision although the coupling "
+            f"graph is strongly connected: species {i + 1} underflows to {float(u.min())!r} at "
+            f"cell {c}, where the exact state is positive")
     residual = _gated(norm_f, tol * norm_j * float(u.max()))
     state = State(spec.grid, u.reshape(spec.n_species, -1), t=0.0, gauge="physical")
     return StationaryState(state=state, residual=residual,
@@ -236,7 +242,7 @@ def _continuation(spec: ProblemSpec, transports, u: np.ndarray,
     for _ in range(_MAX_STEPS):
         tau = min(tau, _CONDITION_CAP / norm_j)
         if factored is None or matrix is None:
-            factored = _Factored(_implicit_matrix(jacobian, tau), w, tau, _LIN_TOL, cells)
+            factored = _Factored(_implicit_matrix(jacobian, tau), w, tau, cells)
         if matrix is None:
             residual -= (w @ residual) / (w @ w) * w
             # solved for d/s, s a power of two >= max(u): exact, and d keeps

@@ -257,6 +257,39 @@ t_end = 1.0
 TINY_DATA_2D_CONFIG = (TINY_DATA_CONFIG.replace("lo = 0.0", "lo = 0.0, 0.0")
                        .replace("hi = 1.0", "hi = 1.0, 1.0").replace("cells = 4", "cells = 2, 2")
                        .replace("exponent=1.0", "exponent=2.0"))
+#: u2 = u1**2 of the exact stationary state, about 5e-618, underflows; the
+#: continuation leaves zeros in u2 (in every cell in 2-D, in two cells in 1-D)
+UNDERFLOW_2D_CONFIG = """\
+[domain]
+lo = 0.0, 0.0
+hi = 1.0, 1.0
+cells = 2, 2
+[species.1]
+sigma = 1.0
+alpha = 1.0
+reaction.kind = power
+reaction.params = exponent=2.0
+initial.kind = tabulated
+initial.params = xs=0.0 0.25, values=0.0 2.225073858507203e-309
+[species.2]
+sigma = 1.0
+alpha = 1.0
+[coupling]
+row.1 = -1.0, 1.0
+row.2 = 1.0, -1.0
+[time]
+dt = 0.1
+t_end = 1.0
+"""
+UNDERFLOW_1D_CONFIG = (UNDERFLOW_2D_CONFIG.replace("lo = 0.0, 0.0", "lo = 0.0")
+                       .replace("hi = 1.0, 1.0", "hi = 1.0").replace("cells = 2, 2", "cells = 4")
+                       .replace("[species.2]\nsigma = 1.0\nalpha = 1.0\n",
+                                "[species.2]\nsigma = 1.0\nalpha = 1.0\npotential.kind = linear\n"
+                                "potential.params = slope=1.0\n"))
+#: what `steady` and `verify-convergence` print for a stationary state that underflows
+UNDERFLOW_MESSAGE = re.compile(
+    r"config error: the stationary state is not resolved in double precision although the "
+    r"coupling graph is strongly connected: species (\d+) underflows to 0\.0 at cell \d+")
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -294,7 +327,6 @@ class TestParseConfig:
         assert cfg.problem.species[0].potential.kind == "zero"
         assert cfg.problem.species[0].reaction.kind == "linear"  # default
         assert cfg.step.stride == 1          # documented default
-        assert cfg.step.lin_tol == 1e-12     # documented default
         assert cfg.out_dir == "out"
 
     def test_minimal_single_species(self, tmp_path):
@@ -416,7 +448,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("line", [
         "dt = nan", "dt = inf", "t_end = nan", "t_end = inf",
+        # LIN_TOL is fixed: lin_tol is an unknown key, whatever its value
         "lin_tol = nan", "lin_tol = inf", "lin_tol = -1e-12",
+        "lin_tol = 1e-12", "lin_tol = 0", "lin_tol = 1e300",
         "stride = 2.5", "stride = inf", "stride = nan", "stride = 0",
         "t_end = 1e300", "dt = 1e-300",
     ])
@@ -536,7 +570,7 @@ class TestSimulate:
             assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
     def test_non_finite_tol_flag_exits_2(self, tmp_path, capsys):
-        # no flag sets a tolerance: lin_tol is set in the file, the check gates are fixed
+        # no flag or key sets a tolerance: LIN_TOL and the check gates are fixed
         with pytest.raises(SystemExit) as exit_:
             main(["simulate", "--config", write_config(tmp_path, MOTOR_CONFIG),
                   "--out", str(tmp_path / "o"), "--tol", "nan"])
@@ -648,8 +682,8 @@ def table_configs(draw, fuzz: bool = False, stepping: bool = False):
     ``stepping`` draws larger problems for the stepping commands: 1-4
     species, up to 1,024 unknowns in 1-D and 12 x 12 cells in 2-D, dt from
     1e-3 to 1e3 for linear reactions and from 1e-4 to 10 for nonlinear ones
-    (on both sides of the IMEX step bound), at most 8 steps, lin_tol >= 1e-14
-    and no ``initial2``.  psi/sigma spans up to 200 either way.
+    (on both sides of the IMEX step bound), at most 8 steps and no
+    ``initial2``.  psi/sigma spans up to 200 either way.
     """
     n, dim = draw(st.integers(1, 4 if stepping else 3)), draw(st.integers(1, 2))
     lo = draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim))
@@ -694,7 +728,6 @@ def table_configs(draw, fuzz: bool = False, stepping: bool = False):
             "t_end": lambda: repr(draw(st.floats(0.0, 10.0)) if not stepping
                                   else drawn["dt"] * draw(st.floats(0.0, 8.0))),
             "stride": lambda: str(draw(st.integers(1, 50))),
-            "lin_tol": lambda: repr(draw(st.floats(1e-14 if stepping else 0.0, 1e-6))),
             "dir": lambda: draw(st.sampled_from(["out", "runs/a", "o-1"])),
         }[key.name]()  # a new table key needs its draw here
 
@@ -864,9 +897,12 @@ class TestStationaryProperty:
     @example(text=VANISHING_STEP_CONFIG)
     @example(text=TINY_DATA_CONFIG)
     @example(text=TINY_DATA_2D_CONFIG)
+    @example(text=UNDERFLOW_1D_CONFIG)
+    @example(text=UNDERFLOW_2D_CONFIG)
     @given(text=stationary_configs())
     def test_steady_meets_its_gate(self, text):
-        """steady runs on every admissible, strongly connected problem."""
+        """steady runs on every admissible, strongly connected problem, or
+        names the species whose stationary values underflow with exit 2."""
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.ini"
@@ -877,6 +913,9 @@ class TestStationaryProperty:
             assume(spec.is_linear or weighted_mass(motorflux.initial_state(spec), spec) > 0.0)
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(["steady", "--config", str(path), "--out", str(Path(tmp) / "o")])
+            if code == 2:
+                assert UNDERFLOW_MESSAGE.search(err.getvalue()), err.getvalue()
+                return
             assert code == 0, err.getvalue()
             table = np.loadtxt(Path(tmp) / "o" / "stationary.csv", delimiter=",", skiprows=1,
                                ndmin=2)
@@ -890,6 +929,20 @@ class TestStationaryProperty:
         code = main(["verify-convergence", "--config", write_config(tmp_path, text),
                      "--out", str(tmp_path / "o")])
         assert code == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["steady", "verify-convergence"])
+    @pytest.mark.parametrize("text", [UNDERFLOW_1D_CONFIG, UNDERFLOW_2D_CONFIG],
+                             ids=["1d", "2d"])
+    def test_underflowing_state_exits_2(self, tmp_path, capsys, command, text):
+        """The coupling graph is strongly connected, so the exact state is
+        strictly positive: zeros that underflow leaves are a scale error."""
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        match = UNDERFLOW_MESSAGE.search(err)
+        assert match and match[1] == "2", err
+        assert not (tmp_path / "o" / "stationary.csv").exists()
 
 
 class TestSteppingProperty:
@@ -1323,7 +1376,7 @@ class TestVerifyCommands:
         out = capsys.readouterr().out
         assert "[time]" in out
         assert "stride = 1" in out      # default filled in
-        assert "lin_tol = 1e-12" in out
+        assert "lin_tol" not in out  # the solve bound is fixed, not a key
         assert "[steady]" not in out and "[verify]" not in out
 
 
@@ -1347,7 +1400,6 @@ row.1 = 0.0
 [time]
 dt = 0.02
 t_end = 0.1
-lin_tol = 1e-13
 """
 
 
@@ -1362,13 +1414,14 @@ class TestEdgeCases:
         x0, y0, _u = (float(v) for v in lines[1].split(","))
         assert (x0, y0) == (pytest.approx(0.05), pytest.approx(1.0 / 16.0))
 
-    def test_2d_lin_tol_miss_exits_4(self, tmp_path, capsys):
-        text = TWO_D_CONFIG.replace("lin_tol = 1e-13", "lin_tol = 0")
-        code = main(["simulate", "--config", write_config(tmp_path, text),
+    def test_2d_lin_tol_miss_exits_4(self, tmp_path, capsys, monkeypatch):
+        # LIN_TOL = 0 accepts only an exact residual, which round-off never gives
+        monkeypatch.setattr(motorflux.evolve, "LIN_TOL", 0.0)
+        code = main(["simulate", "--config", write_config(tmp_path, TWO_D_CONFIG),
                      "--out", str(tmp_path / "o")])
         assert code == 4
         err = capsys.readouterr().err
-        assert "solver failure" in err and "lin_tol" in err
+        assert "solver failure" in err and "LIN_TOL" in err
         assert "Traceback" not in err
 
     def test_pair_step_size_error_from_second_datum_exits_2(self, tmp_path, capsys):
@@ -1386,13 +1439,13 @@ class TestEdgeCases:
         err = capsys.readouterr().err
         assert "dt_max" in err and "Traceback" not in err
 
-    def test_pair_lin_tol_miss_exits_4(self, tmp_path, capsys):
-        text = SAWTOOTH_MOTOR_CONFIG + "lin_tol = 0\n"
-        code = main(["verify-comparison", "--config", write_config(tmp_path, text),
-                     "--out", str(tmp_path / "o")])
+    def test_pair_lin_tol_miss_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(motorflux.evolve, "LIN_TOL", 0.0)
+        code = main(["verify-comparison", "--config",
+                     write_config(tmp_path, SAWTOOTH_MOTOR_CONFIG), "--out", str(tmp_path / "o")])
         assert code == 4
         err = capsys.readouterr().err
-        assert "solver failure" in err and "lin_tol" in err
+        assert "solver failure" in err and "LIN_TOL" in err
         assert "Traceback" not in err
 
     def test_step_size_error_maps_to_config_exit(self, tmp_path):

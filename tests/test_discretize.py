@@ -17,7 +17,6 @@ from motorflux import (
     eval_potential,
     gauge_transform,
     initial_state,
-    write_matrix_market,
 )
 from motorflux.errors import ScalingError, UnsupportedConfigurationError
 
@@ -304,21 +303,3 @@ class TestGauge:
         s = initial_state(spec)
         with pytest.raises(ValueError):
             gauge_transform(s, spec, "to_physical")
-
-
-class TestMatrixMarket:
-    def test_dump_and_reparse(self, tmp_path):
-        g = Grid.interval(0.0, 1.0, 4)
-        T = assemble_transport(g, 1.0, PotentialSpec("cosine", amplitude=0.3))
-        path = tmp_path / "op.mtx"
-        write_matrix_market(T, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "%%MatrixMarket matrix coordinate real general"
-        rows, cols, nnz = (int(v) for v in lines[1].split())
-        assert (rows, cols) == (4, 4)
-        assert nnz == len(lines) - 2
-        rebuilt = np.zeros((rows, cols))
-        for line in lines[2:]:
-            i, j, v = line.split()
-            rebuilt[int(i) - 1, int(j) - 1] = float(v)
-        assert np.array_equal(rebuilt, T.matrix.toarray())

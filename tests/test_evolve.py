@@ -2,6 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import SuperLU, splu
 
@@ -15,6 +16,7 @@ from motorflux import (
     StepConfig,
     assemble_system,
     assemble_transport,
+    boltzmann_profile,
     eval_reaction,
     imex_dt_max,
     initial_state,
@@ -28,6 +30,7 @@ import motorflux.evolve
 from motorflux.cli import MASS_DRIFT_TOL
 from motorflux.discretize import _block_matrix
 from motorflux.evolve import (
+    LIN_TOL,
     MAX_STEPS,
     _CellMajorBand,
     _Factored,
@@ -70,10 +73,13 @@ def _one_problem_per_factor_kind() -> tuple[ProblemSpec, ...]:
     return reversible_problem(cells=8, p=2.0), symmetric_motor(8), _symmetric_motor_2d(4)
 
 
-def _factor(matrix, w, dt, tol, cells=None):
+def _factor(matrix, w, dt, cells=None, tol=LIN_TOL):
     """The stepper's factorization of K = I - dt*M for one block M; ``cells``
-    per species on a 1-D grid, None on a 2-D one."""
-    return _Factored(_implicit_matrix(matrix, dt), w, dt, tol, cells)
+    per species on a 1-D grid, None on a 2-D one.  ``tol`` stands in for
+    LIN_TOL, which `_Factored` reads when it is built."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(motorflux.evolve, "LIN_TOL", tol)
+        return _Factored(_implicit_matrix(matrix, dt), w, dt, cells)
 
 
 class TestStepConfig:
@@ -84,21 +90,24 @@ class TestStepConfig:
             StepConfig(dt=0.1, t_end=-1.0)
         with pytest.raises(ConfigError):
             StepConfig(dt=0.1, t_end=1.0, stride=0)
-        with pytest.raises(ConfigError):
-            StepConfig(dt=0.1, t_end=1.0, lin_tol=-1e-12)
-        assert StepConfig(dt=0.1, t_end=1.0, lin_tol=0.0).lin_tol == 0.0
 
     def test_step_count_cap(self):
         StepConfig(dt=1.0, t_end=float(MAX_STEPS))
         with pytest.raises(ConfigError, match="cap"):
             StepConfig(dt=1.0, t_end=MAX_STEPS + 1.0)
 
-    @pytest.mark.parametrize("field", ["dt", "t_end", "lin_tol"])
+    @pytest.mark.parametrize("field", ["dt", "t_end"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_values(self, field, value):
         kwargs = {"dt": 0.1, "t_end": 1.0, field: value}
         with pytest.raises(ConfigError, match=field):
             StepConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_lin_tol_is_no_field(self, value):
+        # every solve meets the fixed LIN_TOL; no run sets its own bound
+        with pytest.raises(TypeError, match="lin_tol"):
+            StepConfig(dt=0.1, t_end=1.0, lin_tol=value)
 
 
 class TestLinearStep:
@@ -192,7 +201,7 @@ class TestImexStep:
 
     @staticmethod
     def _stage(spec, u, dt):
-        coeff = motorflux.evolve._Stepper((), (), None, dt, 1e-12, spec)._coeff
+        coeff = motorflux.evolve._Stepper((), (), None, dt, spec)._coeff
         return motorflux.evolve._reaction_stage(u, spec, coeff, np.empty_like(u),
                                                 np.empty_like(u))
 
@@ -336,16 +345,17 @@ class TestRun:
 
     def test_2d_run_conserves_mass(self, rng):
         spec = random_problem(rng, n=2, cells=12, dim=2)
-        traj = run(spec, StepConfig(dt=0.02, t_end=0.2, lin_tol=1e-13))
+        traj = run(spec, StepConfig(dt=0.02, t_end=0.2))
         m = [weighted_mass(state, spec) for state in traj.states]
         assert max(abs(x - m[0]) for x in m) / m[0] <= 1e-10
         assert min(state.fields.min() for state in traj.states) >= -1e-11
 
-    def test_2d_solver_failure_raises(self, rng):
-        # lin_tol = 0 accepts only an exact residual, which round-off never gives
+    def test_2d_solver_failure_raises(self, rng, monkeypatch):
+        # LIN_TOL = 0 accepts only an exact residual, which round-off never gives
+        monkeypatch.setattr(motorflux.evolve, "LIN_TOL", 0.0)
         spec = random_problem(rng, n=2, cells=16, dim=2)
         with pytest.raises(SolverError) as exc_info:
-            run(spec, StepConfig(dt=0.05, t_end=0.2, lin_tol=0.0))
+            run(spec, StepConfig(dt=0.05, t_end=0.2))
         assert exc_info.value.time == pytest.approx(0.05)
         assert exc_info.value.residual > 0.0
 
@@ -406,9 +416,10 @@ class TestRunBatch:
         assert exc_info.value.dt_max == pytest.approx(1.0 / 12.0)
         assert exc_info.value.time == pytest.approx(0.1)
 
-    def test_pair_solver_failure_raises(self, rng):
+    def test_pair_solver_failure_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(motorflux.evolve, "LIN_TOL", 0.0)
         spec = random_problem(rng, n=2, cells=32)
-        cfg = StepConfig(dt=0.05, t_end=0.2, lin_tol=0.0)
+        cfg = StepConfig(dt=0.05, t_end=0.2)
         with pytest.raises(SolverError) as exc_info:
             list(run_batch(spec, cfg, (None, smooth_state(spec, rng))))
         assert exc_info.value.time == pytest.approx(0.05)
@@ -438,8 +449,71 @@ class TestRunBatch:
             large = small.with_fields(1e8 * small.fields)
             # under IMEX the large state bounds dt by 1/(p*max u) = 3.3e-9
             dt = 0.1 if spec.is_linear else 1e-9
-            with pytest.raises(SolverError, match="lin_tol"):
+            with pytest.raises(SolverError, match="LIN_TOL"):
                 list(run_batch(spec, StepConfig(dt=dt, t_end=dt), (small, large)))
+
+
+def _product_form_errors(cells: int, sigma: float, amplitude: float, alpha: float, lam,
+                         c0, dt: float, steps: int) -> list[tuple[float, float]]:
+    """(entrywise relative error, bound) of each implicit step from product-form data.
+
+    Every species has the same sigma, cosine potential on [0, 4] and alpha,
+    so the transport T annihilates the Boltzmann profile B of all of them,
+    and the data c0_i*B(x) stay B(x)*c_k with c_{k+1} = (I - dt*alpha*lam)^-1 c_k.
+    The bound 64*eps*k*(1 + dt*||A||_inf) after k steps is a conditioning
+    bound, not a measured one.
+    """
+    n = len(c0)
+    potential = PotentialSpec("cosine", amplitude=amplitude)
+    spec = ProblemSpec(grid=Grid.interval(0.0, 4.0, cells),
+                       species=(SpeciesSpec(sigma, alpha, potential),) * n,
+                       coupling=CouplingMatrix(lam), initial=(ZERO,) * n)
+    profile = boltzmann_profile(spec)
+    c = np.asarray(c0, dtype=float)
+    step = np.eye(n) - dt * alpha * np.asarray(lam)
+    unit = 64.0 * np.finfo(float).eps * (1.0 + dt * _inf_norm(assemble_system(spec).matrix))
+    u0 = State(spec.grid, np.outer(c, profile))
+    errors = []
+    for k, (state,) in enumerate(run_batch(spec, StepConfig(dt=dt, t_end=steps * dt), (u0,))):
+        if k:
+            c = np.linalg.solve(step, c)
+            exact = np.outer(c, profile)
+            errors.append((float((np.abs(state.fields - exact) / exact).max()), k * unit))
+    return errors
+
+
+@st.composite
+def _product_form_cases(draw) -> dict:
+    """1-4 species on 16-4,096 cells, psi/sigma spans up to 80, dt from 1e-3 to 100."""
+    n = draw(st.integers(1, 4))
+    sigma = 10.0 ** draw(st.floats(-1.0, 1.0))
+    lam = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n * n, max_size=n * n)))
+    lam = lam.reshape(n, n) * (1.0 - np.eye(n))
+    lam -= np.diag(lam.sum(axis=0))
+    return dict(cells=draw(st.integers(16, 4096)), sigma=sigma,
+                amplitude=draw(st.floats(0.0, 40.0)) * sigma,
+                alpha=10.0 ** draw(st.floats(-1.0, 1.0)), lam=lam,
+                c0=draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)),
+                dt=10.0 ** draw(st.floats(-3.0, 2.0)), steps=draw(st.integers(1, 5)))
+
+
+class TestProductFormOracle:
+    """Implicit steps from product-form data against their exact trajectory."""
+
+    def test_four_species_at_65536_cells(self):
+        lam = [[-1.0, 0.5, 0.0, 2.0], [1.0, -1.5, 0.3, 0.0],
+               [0.0, 1.0, -0.3, 1.0], [0.0, 0.0, 0.0, -3.0]]
+        errors = _product_form_errors(65536, 1.0, 0.5, 1.0, lam, [1.0, 2.0, 3.0, 4.0],
+                                      dt=1.0, steps=5)
+        assert len(errors) == 5
+        assert all(error <= bound for error, bound in errors), errors
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_product_form_cases())
+    def test_random_problems(self, case):
+        errors = _product_form_errors(**case)
+        assert len(errors) == case["steps"]
+        assert all(error <= bound for error, bound in errors), errors
 
 
 class TestOperatorRelease:
@@ -489,7 +563,7 @@ def test_k_norm_equals_the_absolute_row_sums(rng, dim, n):
         assert _inf_norm(matrix) == float(abs(matrix).sum(axis=1).max())
         for dt in (1e-3, 1.0, 1e4):
             k = _implicit_matrix(matrix, dt)
-            factored = _Factored(k, weights, dt, 1e-12, spec.grid.size if dim == 1 else None)
+            factored = _Factored(k, weights, dt, spec.grid.size if dim == 1 else None)
             assert factored._k_norm == float(abs(k).sum(axis=1).max())
 
 
@@ -518,24 +592,25 @@ class TestConservativeProjection:
         assert exc_info.value.time == pytest.approx(0.05)
 
     def test_zero_weighted_mass_solution_raises(self, monkeypatch):
-        # with lin_tol = 1 a zero column passes the backward-error check
+        # with LIN_TOL = 1 a zero column passes the backward-error check
         def zero_first_column(x):
             x[:, 0] = 0.0
 
         _tamper_solves(monkeypatch, zero_first_column)
+        monkeypatch.setattr(motorflux.evolve, "LIN_TOL", 1.0)
         for spec in _one_problem_per_factor_kind():
             with pytest.raises(SolverError, match="projection"):
-                run(spec, StepConfig(dt=0.1, t_end=0.1, lin_tol=1.0))
+                run(spec, StepConfig(dt=0.1, t_end=0.1))
 
     def test_guard_rejects_mass_change_beyond_bound(self):
         # K = I has no rounding defect, so the guard allows ||w||_1 = 1 times
         # the full bound tol * (max|x| + max|b|); the mass is off by 1e-3
         n = 4
         b, x, out = np.ones(n), np.full(n, 1.0 + 1e-3), np.empty(n)
-        factored = _factor(sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, 1e-3)
+        factored = _factor(sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, tol=1e-3)
         factored._project(b, x, 1e-3 * (1.0 + 1e-3), out, 1.0 + 1e-3)
         assert np.dot(np.full(n, 0.25), out) == pytest.approx(1.0, rel=1e-15)
-        factored = _factor(sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, 4e-4)
+        factored = _factor(sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, tol=4e-4)
         with pytest.raises(SolverError, match="projection"):  # full bound 8.0e-4
             factored._project(b, x, 4e-4 * (1.0 + 1e-3), out, 1.0 + 1e-3)
 
@@ -547,7 +622,7 @@ class TestConservativeProjection:
             matrix = assemble_system(spec).matrix
             w = np.repeat(spec.grid.cell_volume / spec.alphas, spec.grid.size)
             for dt in (1e-3, 0.1, 10.0):
-                factored = _factor(matrix, w, dt, 1e-12)
+                factored = _factor(matrix, w, dt)
                 expected = sparse.csc_array(sparse.eye_array(matrix.shape[0], format="csr")
                                             - dt * coo_system(spec))
                 ours = factored._k.tocsc()
@@ -573,7 +648,7 @@ class TestLazyBound:
 
     def identity(self, x=None):
         """K = I on 4 cells (||K|| = 1, no rounding defect), whose solve returns ``x``."""
-        factored = _factor(sparse.csr_array((4, 4)), np.full(4, 0.25), 0.1, self.TOL)
+        factored = _factor(sparse.csr_array((4, 4)), np.full(4, 0.25), 0.1, tol=self.TOL)
         if x is not None:
             class Fixed:
                 def solve(self, b):
@@ -591,7 +666,7 @@ class TestLazyBound:
         assert self.identity(x).solve(b, np.empty_like(b))
 
         x[0, 0] = 1.0 + 2.5  # beyond the full bound 2.25
-        with pytest.raises(SolverError, match="lin_tol") as exc_info:
+        with pytest.raises(SolverError, match="LIN_TOL") as exc_info:
             self.identity(x).solve(b, np.empty_like(b))
         assert f"bound {self.full_bound(x, b):.3e}" in str(exc_info.value)
 
@@ -667,7 +742,7 @@ class TestTridiagonalSolve:
             sigma = float(rng.uniform(0.5, 1.5))
             matrix = assemble_transport(grid, sigma, _potential_with_span(rng, span, sigma)).matrix
             dt = float(10.0 ** rng.uniform(-5.0, -1.0))
-            factored = _factor(matrix, np.full(cells, grid.cell_volume), dt, 1e-12)
+            factored = _factor(matrix, np.full(cells, grid.cell_volume), dt)
             assert isinstance(factored._solver, _SymmetrizedTridiagonal)
 
             k = sparse.csc_array(sparse.eye_array(cells) - dt * matrix)
@@ -685,7 +760,7 @@ class TestTridiagonalSolve:
 
     def test_other_blocks_keep_superlu(self, rng):
         spec_2d = random_problem(rng, n=1, cells=8, dim=2)
-        factored = _factor(transports_for(spec_2d)[0].matrix, np.ones(64), 0.01, 1e-12)
+        factored = _factor(transports_for(spec_2d)[0].matrix, np.ones(64), 0.01)
         assert isinstance(factored._solver, SuperLU)
         b = rng.random((1, 64))
         out = np.empty_like(b)
@@ -698,7 +773,7 @@ class TestTridiagonalSolve:
         steep = assemble_transport(grid, 1.0, PotentialSpec("linear", slope=1000.0)).matrix
         for matrix, w, cells in [(assemble_system(coupled).matrix, np.ones(32), 16),
                                  (steep, np.ones(64), 64)]:
-            factored = _factor(matrix, w, 0.01, 1e-12, cells)
+            factored = _factor(matrix, w, 0.01, cells)
             assert isinstance(factored._solver, _CellMajorBand)
             b = rng.random((1, len(w)))
             out = np.empty_like(b)
@@ -743,7 +818,7 @@ class TestTridiagonalSolve:
             blocks = 1 if spec.is_linear else spec.n_species
             stepper = _Stepper(motorflux.evolve._operators(spec),
                                motorflux.evolve._block_weights(spec, blocks),
-                               motorflux.evolve._cells_1d(spec), 0.1, 1e-12,
+                               motorflux.evolve._cells_1d(spec), 0.1,
                                None if spec.is_linear else spec)
             kinds.append({type(f._solver) for f in stepper._factors})
         assert kinds == [{_SymmetrizedTridiagonal}, {_CellMajorBand}, {SuperLU}]
@@ -808,7 +883,7 @@ class TestCellMajorBand:
         monkeypatch.setattr(motorflux.evolve, "dgbtrf",
                             lambda *args, **kwargs: (*gbtrf(*args, **kwargs)[:2], 5))
         with pytest.raises(ScalingError, match="singular.*band pivot 5 is exactly zero"):
-            _factor(assemble_system(symmetric_motor(8)).matrix, np.ones(16), 0.1, 1e-12, 8)
+            _factor(assemble_system(symmetric_motor(8)).matrix, np.ones(16), 0.1, 8)
 
     def test_row_swap_is_a_solver_error(self, monkeypatch):
         gbtrf = motorflux.evolve.dgbtrf
@@ -820,10 +895,10 @@ class TestCellMajorBand:
 
         monkeypatch.setattr(motorflux.evolve, "dgbtrf", swapped)
         with pytest.raises(SolverError, match="swapped row 3"):
-            _factor(assemble_system(symmetric_motor(8)).matrix, np.ones(16), 0.1, 1e-12, 8)
+            _factor(assemble_system(symmetric_motor(8)).matrix, np.ones(16), 0.1, 8)
         # where the identity is lost in rounding, that is named instead
         with pytest.raises(ScalingError, match="loses the identity"):
-            _factor(assemble_system(symmetric_motor(8)).matrix, np.ones(16), 1e30, 1e-12, 8)
+            _factor(assemble_system(symmetric_motor(8)).matrix, np.ones(16), 1e30, 8)
 
 
 def _tamper_solves(monkeypatch, tamper):

@@ -216,7 +216,7 @@ class TestOracle:
 
     def test_fitted_order_in_range(self, rng):
         spec = random_problem(rng, n=2, cells=8)
-        report = oracle_compare(spec, StepConfig(dt=0.1, t_end=1.0))
+        report = oracle_compare(spec)
         assert report.passed
         order = float(report.notes.split("fitted order ")[1].split(";")[0])
         assert 0.9 <= order <= 1.2
@@ -236,7 +236,7 @@ class TestOracle:
         spec = ProblemSpec(grid=spec0.grid, species=spec0.species,
                            coupling=spec0.coupling,
                            initial=(PotentialSpec("zero"), PotentialSpec("zero")))
-        report = oracle_compare(spec, StepConfig(dt=0.1, t_end=1.0))
+        report = oracle_compare(spec)
         assert report.passed
         assert max(report.series["error"]) == 0.0
 
