@@ -49,7 +49,6 @@ from .steady import (
 )
 from .verify import (
     CheckReport,
-    DifferenceSeries,
     check_comparison,
     check_contraction,
     check_convergence,
@@ -74,7 +73,7 @@ __all__ = [
     "StepConfig", "Trajectory", "imex_dt_max", "run", "run_batch",
     "StationaryState", "solve_null_vector", "solve_stationary",
     "adjoint_null_check", "boltzmann_profile",
-    "CheckReport", "DifferenceSeries", "weighted_mass", "weighted_l1_norm",
+    "CheckReport", "weighted_mass", "weighted_l1_norm",
     "weighted_l1_distance", "check_contraction", "check_comparison",
     "check_convergence", "oracle_expm", "oracle_compare",
 ]

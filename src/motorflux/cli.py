@@ -532,7 +532,7 @@ def cmd_verify(cfg: RunConfig, check: str) -> int:
     u0 = initial_state(spec)
 
     if check == "contraction":
-        report, _series = verify.check_contraction(spec, u0, _second_state(cfg, check), cfg.step)
+        report = verify.check_contraction(spec, u0, _second_state(cfg, check), cfg.step)
     elif check == "comparison":
         report = verify.check_comparison(spec, u0, _second_state(cfg, check), cfg.step)
     elif check == "convergence":

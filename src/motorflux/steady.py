@@ -104,7 +104,7 @@ def _left_null_vector(A: SystemOperator) -> np.ndarray:
 
 
 def _gated(residual: float, bound: float) -> float:
-    if not residual <= bound:  # a NaN tol fails too
+    if not residual <= bound:  # a NaN bound fails too
         raise NonConvergenceError(
             f"stationary residual {residual:.3e} exceeds its bound {bound:.3e}", residual=residual)
     return residual
@@ -135,15 +135,15 @@ def _require_solvable(spec: ProblemSpec, transports) -> None:
                            f"although the coupling graph is strongly connected: {lost[0]}")
 
 
-def solve_null_vector(A: SystemOperator, tol: float = STATIONARY_TOL) -> StationaryState:
+def solve_null_vector(A: SystemOperator) -> StationaryState:
     """Positive null vector of the linear block operator A, of total integral
     sum_i integral(v_i) = 1.
 
     The continuation runs in the physical gauge from a constant start, for a
     Neumann-gauge A too; the result is in A's gauge.  It must satisfy
-    ||A v||_inf <= tol * ||A||_inf, or NonConvergenceError is raised; one that
-    is not strictly positive raises IrreducibilityError, and the pre-checks
-    raise as well.
+    ||A v||_inf <= STATIONARY_TOL * ||A||_inf, or NonConvergenceError is
+    raised; one that is not strictly positive raises IrreducibilityError, and
+    the pre-checks raise as well.
     """
     spec = A.spec
     _require_solvable(spec, A.transports)
@@ -166,23 +166,24 @@ def solve_null_vector(A: SystemOperator, tol: float = STATIONARY_TOL) -> Station
             "computed null vector is not strictly positive; the configuration "
             "is not irreducible"
         )
-    residual = _gated(float(np.abs(A.matrix @ v).max()), tol * _inf_norm(A.matrix))
+    residual = _gated(float(np.abs(A.matrix @ v).max()), STATIONARY_TOL * _inf_norm(A.matrix))
     state = State(spec.grid, v.reshape(A.n, A.cells), t=0.0, gauge=A.gauge)
     return StationaryState(state=state, residual=residual,
                            normalization="total", constraint_value=1.0)
 
 
-def solve_stationary(spec: ProblemSpec, u0: State,
-                     tol: float = STATIONARY_TOL) -> StationaryState:
+def solve_stationary(spec: ProblemSpec, u0: State) -> StationaryState:
     """The stationary state with u0's weighted mass, for any admissible problem:
     the long-time limit of the trajectory started at u0.
 
     The continuation starts at u0, or halfway between u0 and the constant
     state of its mass where u0 is not positive.  The result must satisfy
-    ||F(u)||_inf <= tol * ||J(u)||_inf * max(u), or NonConvergenceError is
-    raised; data without weighted mass raise DegenerateDataError.  The exact
-    state is strictly positive, so a zero entry, which only underflow leaves
-    (a power of data near 1e-309, say), raises ScalingError.
+    ||F(u)||_inf <= STATIONARY_TOL * ||J(u)||_inf * max(u), or
+    NonConvergenceError is raised; data without weighted mass raise
+    DegenerateDataError.  The exact state is strictly positive, so an entry
+    that underflows to zero or below the smallest normal double (a power of
+    data near 1e-300, say, whose image the gate cannot see beside max(u))
+    raises ScalingError.
     """
     mass = weighted_mass(u0, spec)
     if not mass > 0.0:
@@ -194,13 +195,13 @@ def solve_stationary(spec: ProblemSpec, u0: State,
     if not u.min() > 0.0:
         u = 0.5 * (u + mass / _block_weights(spec, 1)[0].sum())
     u, norm_f, norm_j = _continuation(spec, transports, u, matrix)
-    if not u.min() > 0.0:
+    if not u.min() >= np.finfo(float).tiny:
         i, c = divmod(int(np.argmin(u)), spec.grid.size)
         raise ScalingError(
             "the stationary state is not resolved in double precision although the coupling "
             f"graph is strongly connected: species {i + 1} underflows to {float(u.min())!r} at "
             f"cell {c}, where the exact state is positive")
-    residual = _gated(norm_f, tol * norm_j * float(u.max()))
+    residual = _gated(norm_f, STATIONARY_TOL * norm_j * float(u.max()))
     state = State(spec.grid, u.reshape(spec.n_species, -1), t=0.0, gauge="physical")
     return StationaryState(state=state, residual=residual,
                            normalization="mass_matched", constraint_value=mass)

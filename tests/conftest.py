@@ -164,6 +164,11 @@ def smooth_state(spec: ProblemSpec, rng, floor: float = 0.1) -> State:
     return State(spec.grid, np.stack(rows), t=0.0, gauge="physical")
 
 
+def changes_sign(diff: np.ndarray) -> tuple[bool, ...]:
+    """Per species: does the difference of two states take both signs beyond 1e-8?"""
+    return tuple(bool(row.min() < -1e-8 and row.max() > 1e-8) for row in diff)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250811)

@@ -20,6 +20,7 @@ from motorflux import (
 )
 
 from conftest import (
+    changes_sign,
     random_problem,
     reversible_problem,
     sawtooth_motor,
@@ -64,7 +65,7 @@ def test_criterion_2_positivity_and_comparison():
         else:
             dt = 0.4 * mf.imex_dt_max(high, spec)
             cfg = StepConfig(dt=dt, t_end=25 * dt, stride=5)
-        rep = mf.check_comparison(spec, low, high, cfg, tol=1e-12)
+        rep = mf.check_comparison(spec, low, high, cfg)
         worst = max(worst, rep.worst)
         assert rep.passed, f"case {case}: worst violation {rep.worst:.3e}"
     report("2 positivity+comparison", f"worst violation {worst:.3e} over 20 ordered pairs")
@@ -83,7 +84,7 @@ def test_criterion_3_weak_and_strict_contraction():
         else:
             dt = 0.4 * min(mf.imex_dt_max(a, spec), mf.imex_dt_max(b, spec))
             cfg = StepConfig(dt=dt, t_end=25 * dt, stride=5)
-        rep, _series = mf.check_contraction(spec, a, b, cfg)
+        rep = mf.check_contraction(spec, a, b, cfg)
         worst_inc = max(worst_inc, rep.worst)
         assert rep.passed, f"case {case}: increase {rep.worst:.3e}"
 
@@ -94,11 +95,10 @@ def test_criterion_3_weak_and_strict_contraction():
         wiggle = 0.3 * np.cos(2.0 * np.pi * (1 + case % 3) * spec.grid.centers()
                               + rng.uniform(0.0, np.pi))
         other = u0.with_fields(np.maximum(u0.fields + wiggle, 0.0))
-        rep, series = mf.check_contraction(spec, u0, other,
-                                           StepConfig(dt=0.02, t_end=1.0, stride=10))
+        rep = mf.check_contraction(spec, u0, other, StepConfig(dt=0.02, t_end=1.0, stride=10))
         assert rep.passed
-        assert any(series.sign_change[0]), "fixture must start with a sign change"
-        ratio = series.norms[-1] / series.norms[0]
+        assert any(changes_sign(u0.fields - other.fields)), "fixture must start with a sign change"
+        ratio = rep.series["distance"][-1] / rep.series["distance"][0]
         worst_ratio = max(worst_ratio, ratio)
         assert ratio < 0.99, f"case {case}: ratio {ratio:.4f} at t=1"
     report("3 contraction", f"worst increase {worst_inc:.3e}; "
@@ -116,8 +116,8 @@ def test_criterion_4_equality_case():
         else:
             dt = 0.4 * mf.imex_dt_max(high, spec)
             cfg = StepConfig(dt=dt, t_end=5.0, stride=10)
-        _rep, series = mf.check_contraction(spec, high, low, cfg)
-        spread = max(abs(v - series.norms[0]) for v in series.norms)
+        distances = mf.check_contraction(spec, high, low, cfg).series["distance"]
+        spread = max(abs(v - distances[0]) for v in distances)
         worst = max(worst, spread)
         assert spread <= 1e-10, f"case {case}: series moved by {spread:.3e}"
     report("4 equality case", f"worst |series - series(0)| = {worst:.3e} up to t=5")
@@ -126,7 +126,7 @@ def test_criterion_4_equality_case():
 def test_criterion_5_stationary_solver():
     # (a) symmetric zero-potential motor
     spec = symmetric_motor(64)
-    ss = mf.solve_null_vector(mf.assemble_system(spec), tol=1e-13)
+    ss = mf.solve_null_vector(mf.assemble_system(spec))
     dev_a = np.abs(ss.state.fields - 0.5).max()
     assert dev_a <= 1e-10
 
@@ -138,7 +138,7 @@ def test_criterion_5_stationary_solver():
         coupling=CouplingMatrix([[0.0]]),
         initial=(PotentialSpec("linear", offset=1.0),),
     )
-    ssb = mf.solve_null_vector(mf.assemble_system(single), tol=1e-13)
+    ssb = mf.solve_null_vector(mf.assemble_system(single))
     dev_b = np.abs(ssb.state.fields[0] - mf.boltzmann_profile(single)).max()
     assert dev_b <= 1e-10
 
@@ -146,7 +146,7 @@ def test_criterion_5_stationary_solver():
     rng = np.random.default_rng(1005)
     spec3 = random_problem(rng, n=3, cells=64)
     A3 = mf.assemble_system(spec3)
-    ss3 = mf.solve_null_vector(A3, tol=1e-12)
+    ss3 = mf.solve_null_vector(A3)
     residual = float(np.abs(A3.matrix @ ss3.state.fields.ravel()).max())
     assert residual <= 1e-10
     assert ss3.state.fields.min() > 0.0
@@ -172,8 +172,7 @@ def test_criterion_6_stabilization():
     spec = sawtooth_motor(64)
     u0 = smooth_state(spec, rng)
     target = mf.solve_stationary(spec, u0)
-    rep = mf.check_convergence(spec, u0, StepConfig(dt=0.05, t_end=50.0, stride=50),
-                               target, threshold=1e-6)
+    rep = mf.check_convergence(spec, u0, StepConfig(dt=0.05, t_end=50.0, stride=50), target)
     final_lin = rep.series["distance"][-1]
     assert rep.passed, f"linear motor: final distance {final_lin:.3e}"
 
@@ -221,9 +220,9 @@ def test_criterion_7_oracle_agreement():
 def test_criterion_8_gauge_coherence():
     spec = sawtooth_motor(48)
     A = mf.assemble_system(spec)
-    v = mf.solve_null_vector(A, tol=1e-13).state
+    v = mf.solve_null_vector(A).state
     An = mf.conjugate_to_neumann(A, spec)
-    w = mf.solve_null_vector(An, tol=1e-13).state
+    w = mf.solve_null_vector(An).state
     pts = spec.grid.centers()
     dv = np.stack([
         v.fields[i] * np.exp(

@@ -254,6 +254,8 @@ row.2 = 1.0, -1.0
 dt = 0.1
 t_end = 1.0
 """
+#: with u1**2 in 2-D: u2 = u1**2 of the exact state, about 1e-600, underflows;
+#: the continuation left u2 = 4.6e-316 in every cell
 TINY_DATA_2D_CONFIG = (TINY_DATA_CONFIG.replace("lo = 0.0", "lo = 0.0, 0.0")
                        .replace("hi = 1.0", "hi = 1.0, 1.0").replace("cells = 4", "cells = 2, 2")
                        .replace("exponent=1.0", "exponent=2.0"))
@@ -286,10 +288,16 @@ UNDERFLOW_1D_CONFIG = (UNDERFLOW_2D_CONFIG.replace("lo = 0.0, 0.0", "lo = 0.0")
                        .replace("[species.2]\nsigma = 1.0\nalpha = 1.0\n",
                                 "[species.2]\nsigma = 1.0\nalpha = 1.0\npotential.kind = linear\n"
                                 "potential.params = slope=1.0\n"))
-#: what `steady` and `verify-convergence` print for a stationary state that underflows
+#: without species 2's potential the continuation leaves the subnormal
+#: u2 = 5e-324 in every cell, where the exact state is about 4e-618
+UNDERFLOW_SUBNORMAL_CONFIG = UNDERFLOW_1D_CONFIG.replace(
+    "potential.kind = linear\npotential.params = slope=1.0\n", "")
+#: what `steady` and `verify-convergence` print for a stationary state that
+#: underflows to zero or to a subnormal number
 UNDERFLOW_MESSAGE = re.compile(
     r"config error: the stationary state is not resolved in double precision although the "
-    r"coupling graph is strongly connected: species (\d+) underflows to 0\.0 at cell \d+")
+    r"coupling graph is strongly connected: species (\d+) underflows to (0\.0|[\d.]+e-3\d\d) "
+    r"at cell \d+")
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -899,6 +907,7 @@ class TestStationaryProperty:
     @example(text=TINY_DATA_2D_CONFIG)
     @example(text=UNDERFLOW_1D_CONFIG)
     @example(text=UNDERFLOW_2D_CONFIG)
+    @example(text=UNDERFLOW_SUBNORMAL_CONFIG)
     @given(text=stationary_configs())
     def test_steady_meets_its_gate(self, text):
         """steady runs on every admissible, strongly connected problem, or
@@ -920,22 +929,31 @@ class TestStationaryProperty:
             table = np.loadtxt(Path(tmp) / "o" / "stationary.csv", delimiter=",", skiprows=1,
                                ndmin=2)
         fields = table[:, spec.grid.dim:].T
-        assert fields.min() > 0.0
+        assert fields.min() >= np.finfo(float).tiny
         residual, scale = _stationary_gate(spec, fields)
         assert residual <= 1e-13 * scale
 
-    @pytest.mark.parametrize("text", [TINY_DATA_CONFIG, TINY_DATA_2D_CONFIG], ids=["1d", "2d"])
-    def test_verify_convergence_on_tiny_data(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, expected", [(TINY_DATA_CONFIG, 0), (TINY_DATA_2D_CONFIG, 2)],
+                             ids=["1d", "2d"])
+    def test_verify_convergence_on_tiny_data(self, tmp_path, capsys, text, expected):
+        """Data near 1e-300 reach the end of the continuation (no exit 4); in
+        2-D the square of u1 underflows, and u2 is named."""
         code = main(["verify-convergence", "--config", write_config(tmp_path, text),
                      "--out", str(tmp_path / "o")])
-        assert code == 0, capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == expected, err
+        if expected == 2:
+            match = UNDERFLOW_MESSAGE.search(err)
+            assert match and match.group(1, 2) == ("2", "4.60578904e-316"), err
 
     @pytest.mark.parametrize("command", ["steady", "verify-convergence"])
-    @pytest.mark.parametrize("text", [UNDERFLOW_1D_CONFIG, UNDERFLOW_2D_CONFIG],
-                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("text", [UNDERFLOW_1D_CONFIG, UNDERFLOW_2D_CONFIG,
+                                      UNDERFLOW_SUBNORMAL_CONFIG],
+                             ids=["1d", "2d", "1d-subnormal"])
     def test_underflowing_state_exits_2(self, tmp_path, capsys, command, text):
         """The coupling graph is strongly connected, so the exact state is
-        strictly positive: zeros that underflow leaves are a scale error."""
+        strictly positive: zeros or subnormal values that underflow leaves are
+        a scale error."""
         code = main([command, "--config", write_config(tmp_path, text),
                      "--out", str(tmp_path / "o")])
         assert code == 2

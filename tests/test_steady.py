@@ -54,7 +54,7 @@ def wl1(spec, fields_a, fields_b):
 class TestNullVector:
     def test_symmetric_motor_constants(self):
         spec = symmetric_motor(64)
-        ss = solve_null_vector(assemble_system(spec), tol=1e-13)
+        ss = solve_null_vector(assemble_system(spec))
         assert np.abs(ss.state.fields - 0.5).max() <= 1e-10
         assert ss.normalization == "total"
 
@@ -65,13 +65,13 @@ class TestNullVector:
                            species=(SpeciesSpec(0.8, 1.0, pot),),
                            coupling=CouplingMatrix([[0.0]]),
                            initial=(PotentialSpec("linear", offset=1.0),))
-        ss = solve_null_vector(assemble_system(spec), tol=1e-13)
+        ss = solve_null_vector(assemble_system(spec))
         assert np.abs(ss.state.fields[0] - boltzmann_profile(spec)).max() <= 1e-10
 
     def test_residual_contract_random_spec(self, rng):
         spec = random_problem(rng, n=3, cells=64)
         A = assemble_system(spec)
-        ss = solve_null_vector(A, tol=1e-10)
+        ss = solve_null_vector(A)
         norm_a = float(np.abs(A.matrix).sum(axis=1).max())
         assert ss.residual <= 1e-10 * norm_a
         assert ss.state.fields.min() > 0.0
@@ -96,7 +96,7 @@ class TestNullVector:
     def test_matches_dense_null_space(self):
         spec = sawtooth_motor(48)
         A = assemble_system(spec)
-        base = solve_null_vector(A, tol=1e-13)
+        base = solve_null_vector(A)
         dense = null_space(A.matrix.toarray())
         assert dense.shape[1] == 1
         ref = dense[:, 0] * np.sign(dense[:, 0].sum())
@@ -106,7 +106,7 @@ class TestNullVector:
 
     def test_stationary_under_evolver(self):
         spec = sawtooth_motor(48)
-        v = solve_null_vector(assemble_system(spec), tol=1e-13).state
+        v = solve_null_vector(assemble_system(spec)).state
         for dt in (0.01, 0.1, 1.0):
             stepped = one_step(spec, v, dt)
             assert wl1(spec, stepped.fields, v.fields) <= 1e-11
@@ -114,9 +114,9 @@ class TestNullVector:
     def test_gauge_consistent_null_vector(self):
         spec = sawtooth_motor(48)
         A = assemble_system(spec)
-        v = solve_null_vector(A, tol=1e-13).state
+        v = solve_null_vector(A).state
         An = conjugate_to_neumann(A, spec)
-        w = solve_null_vector(An, tol=1e-13).state
+        w = solve_null_vector(An).state
         # D*v and w span the same direction; compare after matching scale
         from motorflux.model import eval_potential
         pts = spec.grid.centers()
@@ -135,17 +135,19 @@ class TestNullVector:
         with pytest.raises(ValueError, match="physical-gauge state"):
             run(spec, StepConfig(dt=0.1, t_end=1.0), w)
 
-    def test_residual_contract_failure(self):
+    def test_residual_contract_failure(self, monkeypatch):
         spec = sawtooth_motor(32)
         A = assemble_system(spec)
+        monkeypatch.setattr(motorflux.steady, "STATIONARY_TOL", 0.0)
         with pytest.raises(NonConvergenceError):
-            solve_null_vector(A, tol=0.0)
+            solve_null_vector(A)
 
-    def test_nan_tol_fails_residual_contract(self):
+    def test_nan_tol_fails_residual_contract(self, monkeypatch):
         # residual > nan*||A|| is false, so the check must not be written that way
         A = assemble_system(sawtooth_motor(32))
+        monkeypatch.setattr(motorflux.steady, "STATIONARY_TOL", float("nan"))
         with pytest.raises(NonConvergenceError):
-            solve_null_vector(A, tol=float("nan"))
+            solve_null_vector(A)
 
     @pytest.mark.parametrize("lam", [[[0.0, 0.0], [0.0, 0.0]],
                                      [[-1.0, 0.0], [1.0, 0.0]]])
@@ -239,10 +241,11 @@ class TestStationaryState:
         with pytest.raises(NonConvergenceError, match="did not converge in 1 steps: residual"):
             solve_stationary(spec, initial_state(spec))
 
-    def test_gate_failure(self):
+    def test_gate_failure(self, monkeypatch):
         spec = imex3_problem(32)
+        monkeypatch.setattr(motorflux.steady, "STATIONARY_TOL", 0.0)
         with pytest.raises(NonConvergenceError, match="exceeds its bound"):
-            solve_stationary(spec, initial_state(spec), tol=0.0)
+            solve_stationary(spec, initial_state(spec))
 
     def test_zero_mass_rejected(self):
         spec = imex3_problem(16)
@@ -335,7 +338,7 @@ class TestRayProjection:
 
     def test_identity_and_linearity(self):
         spec = sawtooth_motor(32)
-        base = solve_null_vector(assemble_system(spec), tol=1e-13).state
+        base = solve_null_vector(assemble_system(spec)).state
         same = solve_stationary(spec, base)
         assert same.constraint_value == pytest.approx(weighted_mass(base, spec), rel=1e-15)
         assert np.allclose(same.state.fields, base.fields, rtol=1e-12)

@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import motorflux.verify
 from motorflux import (
+    CouplingMatrix,
+    Grid,
+    PotentialSpec,
+    ProblemSpec,
+    SpeciesSpec,
     State,
     StepConfig,
     assemble_system,
+    boltzmann_profile,
     check_comparison,
     check_contraction,
     check_convergence,
     initial_state,
     oracle_compare,
     oracle_expm,
+    run_batch,
     solve_null_vector,
     solve_stationary,
     weighted_l1_distance,
@@ -23,6 +31,7 @@ from motorflux.errors import OracleScopeError
 from motorflux.verify import report_to_json, write_reports_ndjson
 
 from conftest import (
+    changes_sign,
     random_problem,
     reversible_problem,
     sawtooth_motor,
@@ -94,36 +103,121 @@ class TestContraction:
     def test_identical_data_gives_zero_series(self):
         spec = symmetric_motor(32)
         u0 = initial_state(spec)
-        report, series = check_contraction(spec, u0, u0, StepConfig(dt=0.05, t_end=0.5))
+        report = check_contraction(spec, u0, u0, StepConfig(dt=0.05, t_end=0.5))
         assert report.passed
-        assert all(v == 0.0 for v in series.norms)
+        assert all(v == 0.0 for v in report.series["distance"])
 
     def test_ordered_data_gives_constant_series(self, rng):
         spec = sawtooth_motor(48)
         u0 = smooth_state(spec, rng)
         hi = u0.with_fields(u0.fields + 0.3)
-        report, series = check_contraction(spec, hi, u0, StepConfig(dt=0.02, t_end=2.0, stride=5))
+        cfg = StepConfig(dt=0.02, t_end=2.0, stride=5)
+        report = check_contraction(spec, hi, u0, cfg)
         assert report.passed
-        spread = max(series.norms) - min(series.norms)
+        spread = max(report.series["distance"]) - min(report.series["distance"])
         assert spread <= 1e-10
-        assert not any(any(flags) for flags in series.sign_change)
+        assert not any(any(changes_sign(a.fields - b.fields))
+                       for a, b in run_batch(spec, cfg, (hi, u0)))
 
     def test_sign_changing_difference_contracts_strictly(self, rng):
         spec = sawtooth_motor(64)
         u0 = smooth_state(spec, rng)
         wiggle = 0.3 * np.cos(2 * np.pi * spec.grid.centers())
         other = u0.with_fields(np.maximum(u0.fields + wiggle, 0.0))
-        report, series = check_contraction(spec, u0, other, StepConfig(dt=0.02, t_end=1.0, stride=5))
+        report = check_contraction(spec, u0, other, StepConfig(dt=0.02, t_end=1.0, stride=5))
         assert report.passed
-        assert any(series.sign_change[0])
-        assert series.norms[-1] < 0.99 * series.norms[0]
+        assert any(changes_sign(u0.fields - other.fields))
+        assert report.series["distance"][-1] < 0.99 * report.series["distance"][0]
 
     def test_nonlinear_pair_contracts(self, rng):
         spec = reversible_problem(cells=32, p=2.0)
         u0 = smooth_state(spec, rng)
         other = smooth_state(spec, rng)
-        report, _series = check_contraction(spec, u0, other, StepConfig(dt=0.02, t_end=1.0, stride=5))
+        report = check_contraction(spec, u0, other, StepConfig(dt=0.02, t_end=1.0, stride=5))
         assert report.passed
+
+
+#: one coupling for every product-form case: strongly connected, not symmetric
+PRODUCT_LAM = [[-1.0, 0.5, 0.2], [0.7, -0.5, 0.8], [0.3, 0.0, -1.0]]
+
+
+def _product_form_distances(c0, c0_other) -> list[float]:
+    """The exact distances of c0*B(x) and c0_other*B(x) over 20 steps of 0.1,
+    once `check_contraction` has passed and matched each of them.
+
+    Every species has sigma 0.5, alpha 2 and the same cosine potential on
+    [0, 4], so the transport annihilates the normalized Boltzmann profile B
+    of each and the difference stays B(x)*d_k, d_k = (I - dt*alpha*lam)^-k d_0.
+    B has unit integral, so the exact weighted L1 distance is
+    sum_i |d_k,i|/alpha.  The bound is that of `TestProductFormOracle`,
+    (k + 1)*64*eps*(1 + dt*||A||_inf) relative to each state, here times the
+    two weighted masses.
+    """
+    alpha, lam, dt, steps = 2.0, np.asarray(PRODUCT_LAM), 0.1, 20
+    species = SpeciesSpec(0.5, alpha, PotentialSpec("cosine", amplitude=1.0))
+    spec = ProblemSpec(grid=Grid.interval(0.0, 4.0, 64), species=(species,) * 3,
+                       coupling=CouplingMatrix(PRODUCT_LAM),
+                       initial=(PotentialSpec("zero"),) * 3)
+    profile = boltzmann_profile(spec)
+    a = State(spec.grid, np.outer(c0, profile))
+    b = State(spec.grid, np.outer(c0_other, profile))
+    report = check_contraction(spec, a, b, StepConfig(dt=dt, t_end=steps * dt))
+    assert report.passed
+    unit = 64.0 * np.finfo(float).eps * (
+        1.0 + dt * float(abs(assemble_system(spec).matrix).sum(axis=1).max()))
+    masses = (np.sum(c0) + np.sum(c0_other)) / alpha
+    step = np.eye(3) - dt * alpha * lam
+    d = np.subtract(c0, c0_other, dtype=float)
+    exact = []
+    for k, got in enumerate(report.series["distance"]):
+        if k:
+            d = np.linalg.solve(step, d)
+        exact.append(float(np.abs(d).sum() / alpha))
+        assert abs(got - exact[-1]) <= (k + 1) * unit * masses, (k, got, exact[-1])
+    assert len(exact) == steps + 1
+    return exact
+
+
+class TestProductFormContraction:
+    """`check_contraction`'s distance series against its closed form."""
+
+    def test_one_signed_difference_keeps_its_distance(self):
+        # the equality case: a nonnegative difference stays nonnegative and
+        # its distance is its conserved weighted mass
+        exact = _product_form_distances([1.0, 2.0, 3.0], [0.5, 1.5, 1.0])
+        assert max(exact) - min(exact) <= 1e-15 * exact[0]
+
+    def test_sign_changing_difference_decreases_strictly(self):
+        # a difference of zero weighted mass changes sign at every step
+        exact = _product_form_distances([1.0, 2.0, 3.0], [3.0, 1.0, 2.0])
+        assert all(after < before for before, after in zip(exact, exact[1:]))
+        assert exact[-1] < 0.5 * exact[0]
+
+
+class TestGatesAreConstants:
+    """Each gate is a module constant that its function reads when called."""
+
+    @pytest.mark.parametrize("call", [
+        lambda spec, u0, cfg: solve_null_vector(assemble_system(spec), tol=1e-13),
+        lambda spec, u0, cfg: solve_stationary(spec, u0, tol=1e-13),
+        lambda spec, u0, cfg: check_convergence(spec, u0, cfg, None, threshold=1e-6),
+        lambda spec, u0, cfg: check_comparison(spec, u0, u0, cfg, tol=1e-12),
+    ], ids=["solve_null_vector", "solve_stationary", "check_convergence", "check_comparison"])
+    def test_tolerance_arguments_raise_type_error(self, call):
+        spec = symmetric_motor(8)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call(spec, initial_state(spec), StepConfig(dt=0.1, t_end=0.2))
+
+    def test_comparison_gate_is_read_when_called(self, monkeypatch):
+        spec = sawtooth_motor(16)
+        u0 = initial_state(spec)
+        zero = State(spec.grid, np.zeros_like(u0.fields))
+        cfg = StepConfig(dt=0.05, t_end=0.2)
+        assert check_comparison(spec, zero, u0, cfg).tolerance == 1e-12
+        monkeypatch.setattr(motorflux.verify, "COMPARISON_TOL", -1.0)
+        report = check_comparison(spec, zero, u0, cfg)
+        assert not report.passed
+        assert report.tolerance == -1.0
 
 
 class TestComparison:
@@ -136,7 +230,7 @@ class TestComparison:
 
     def test_stationary_dome(self, rng):
         spec = sawtooth_motor(48)
-        v = solve_null_vector(assemble_system(spec), tol=1e-13).state
+        v = solve_null_vector(assemble_system(spec)).state
         dome = v.with_fields(5.0 * v.fields)
         below = dome.with_fields(dome.fields * rng.uniform(0.2, 1.0, dome.fields.shape))
         report = check_comparison(spec, below, dome, StepConfig(dt=0.05, t_end=1.0, stride=4))
@@ -161,8 +255,7 @@ class TestConvergence:
     def test_starting_at_target_stays_there(self):
         spec = sawtooth_motor(32)
         target = solve_stationary(spec, initial_state(spec))
-        report = check_convergence(spec, target.state, StepConfig(dt=0.1, t_end=1.0),
-                                   target, threshold=1e-9)
+        report = check_convergence(spec, target.state, StepConfig(dt=0.1, t_end=1.0), target)
         assert report.passed
         assert max(report.series["distance"]) <= 1e-10
 
@@ -170,16 +263,15 @@ class TestConvergence:
         spec = sawtooth_motor(64)
         u0 = smooth_state(spec, rng)
         target = solve_stationary(spec, u0)
-        report = check_convergence(spec, u0, StepConfig(dt=0.05, t_end=50.0, stride=100),
-                                   target, threshold=1e-6)
+        report = check_convergence(spec, u0, StepConfig(dt=0.05, t_end=50.0, stride=100), target)
         assert report.passed
 
-    def test_threshold_failure_reported(self, rng):
+    def test_threshold_failure_reported(self, rng, monkeypatch):
         spec = sawtooth_motor(32)
         u0 = smooth_state(spec, rng)
         target = solve_stationary(spec, u0)
-        report = check_convergence(spec, u0, StepConfig(dt=0.05, t_end=0.1),
-                                   target, threshold=1e-12)
+        monkeypatch.setattr(motorflux.verify, "CONVERGENCE_THRESHOLD", 1e-12)
+        report = check_convergence(spec, u0, StepConfig(dt=0.05, t_end=0.1), target)
         assert not report.passed
         assert report.worst > 0.0
 
@@ -225,7 +317,7 @@ class TestOracle:
         from motorflux import run
         spec = sawtooth_motor(8)
         A = assemble_system(spec)
-        base = solve_null_vector(A, tol=1e-13)
+        base = solve_null_vector(A)
         traj = run(spec, StepConfig(dt=0.1, t_end=1.0), initial=base.state)
         ref = oracle_expm(A, 1.0, base.state)
         assert weighted_l1_distance(traj.final, ref, spec) <= 1e-10
@@ -245,8 +337,8 @@ class TestReportSerialization:
     def test_ndjson_roundtrip(self, tmp_path, rng):
         spec = symmetric_motor(16)
         u0 = initial_state(spec)
-        report, _ = check_contraction(spec, u0, smooth_state(spec, rng),
-                                      StepConfig(dt=0.1, t_end=0.5))
+        report = check_contraction(spec, u0, smooth_state(spec, rng),
+                                   StepConfig(dt=0.1, t_end=0.5))
         path = tmp_path / "reports.ndjson"
         write_reports_ndjson([report], path)
         lines = path.read_text().strip().split("\n")
@@ -261,6 +353,6 @@ class TestReportSerialization:
     def test_report_json_fields(self):
         spec = symmetric_motor(8)
         u0 = initial_state(spec)
-        report, _ = check_contraction(spec, u0, u0, StepConfig(dt=0.1, t_end=0.2))
+        report = check_contraction(spec, u0, u0, StepConfig(dt=0.1, t_end=0.2))
         obj = report_to_json(report)
         assert obj["pass"] and obj["worst"] == 0.0
