@@ -527,14 +527,15 @@ def _require_ordered(low: State, high: State) -> None:
 
 
 def cmd_verify(cfg: RunConfig, check: str) -> int:
-    out = _output_dir(cfg)
     spec = cfg.problem
     u0 = initial_state(spec)
+    second = _second_state(cfg, check) if check in ("contraction", "comparison") else None
+    out = _output_dir(cfg)
 
     if check == "contraction":
-        report = verify.check_contraction(spec, u0, _second_state(cfg, check), cfg.step)
+        report = verify.check_contraction(spec, u0, second, cfg.step)
     elif check == "comparison":
-        report = verify.check_comparison(spec, u0, _second_state(cfg, check), cfg.step)
+        report = verify.check_comparison(spec, u0, second, cfg.step)
     elif check == "convergence":
         report = verify.check_convergence(spec, u0, cfg.step, solve_stationary(spec, u0))
     else:  # argparse admits no other check
@@ -596,7 +597,8 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, "oracle")
         return cmd_verify(cfg, args.command.removeprefix("verify-"))
     except MotorfluxError as err:  # each error type names its own exit code
-        print(f"{err.label}: {err}", file=sys.stderr)
+        at = "" if err.time is None else f" (at t = {err.time!r})"
+        print(f"{err.label}: {err}{at}", file=sys.stderr)
         return err.exit_code
 
 

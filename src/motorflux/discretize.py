@@ -78,10 +78,6 @@ class TransportOperator:
     grid: Grid
     gauge: str = "physical"
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 @dataclass(frozen=True)
 class SystemOperator:
@@ -96,18 +92,6 @@ class SystemOperator:
     matrix: sparse.dia_array
     spec: ProblemSpec
     gauge: str = "physical"
-
-    @property
-    def n(self) -> int:
-        return len(self.transports)
-
-    @property
-    def cells(self) -> int:
-        return self.transports[0].grid.size
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 def assemble_transport(grid: Grid, sigma: float, psi: PotentialSpec,

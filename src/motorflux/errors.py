@@ -10,7 +10,7 @@ class MotorfluxError(Exception):
     """Base class for all motorflux errors.
 
     The evolver sets ``time`` on exceptions that surface mid-trajectory so
-    callers can see when a run failed.
+    callers can see when a run failed; the command line prints it too.
     """
 
     exit_code = 4

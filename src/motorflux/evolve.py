@@ -79,6 +79,13 @@ takes also checks finiteness: a NaN propagates through it and an inf shows,
 so a non-finite solution raises SolverError after the step's last solve,
 without a separate pass over the state.
 
+Near underflow the bound falls below the spacing of subnormal numbers, and
+b/s of the symmetrized solve can underflow.  So a column that misses the
+bound with max|b_j| < 1/2 is solved once more for the exact multiple b_j*2^k,
+max|b_j|*2^k in [1/2, 1) and k <= 1023 (2^k finite), checked against the same
+bound, projected in that scale and divided by 2^k; a column that meets the
+bound is solved once.
+
 Conservative projection.  Rounding in K (its weighted column sums miss 1 by
 up to 2.6e-9 relative at 65,536 cells) and inside the solve each drift the
 weighted mass by about 1e-10 over 40 steps.  So every checked solution
@@ -217,7 +224,8 @@ class Trajectory:
 
 #: log s is centred and capped at 256*ln 2, so s and 1/s stay within 2^(+-256):
 #: b/s and s*y cannot overflow for any |b| below 1e231, and the rounding of the
-#: neighbour ratios s_{i+1}/s_i (a few ulps times |log s|) stays below 1e-13
+#: neighbour ratios s_{i+1}/s_i (a few ulps times |log s|) stays below 1e-13.
+#: b/s of a tiny b can underflow; the rescale of `_Factored.solve` covers that
 _LOG_SCALE_CAP = 256 * math.log(2.0)
 
 
@@ -434,31 +442,26 @@ class _Factored:
         last block, so a later block's residual failure still takes precedence.
         Without ``project`` each checked x_j is written as it is: a right-hand
         side without weighted mass, such as a Newton increment, has no mass
-        to scale onto.
+        to scale onto.  A column that misses its bound may be solved once
+        more for b_j*2^k (module docstring).
         """
         # b.T is a Fortran-ordered view: one RHS column per trajectory, no copy
         x = self._solver.solve(b.T).T
         finite = True
         for b_j, x_j, out_j in zip(b, x, out):
-            # each column keeps its own bound: a max over the batch would let
-            # one trajectory's scale hide another's miss.  Normwise backward
-            # error, since a plain ||r||/||b|| reads 2.6e-9 from round-off
-            # alone at 65,536 cells.  max|a| is max(a.max(), -a.min()): no
-            # abs temporaries, and a NaN still propagates
-            r = self._k @ x_j
-            r -= b_j
-            residual = max(float(r.max()), -float(r.min()))
-            x_max = max(float(x_j.max()), -float(x_j.min()))
-            # the lazy bound: max|b_j| is a pass over b_j, taken only when needed
-            bound = self._tol * (self._k_norm * x_max)
+            residual, bound, x_max = self._checked(b_j, x_j)
+            # on a miss, k lifts max|b_j|*2^k into [1/2, 1) and keeps 2^k finite
+            shift = 0 if residual <= bound else min(-math.frexp(np.abs(b_j).max())[1], 1023)
+            if shift > 0:
+                b_j = np.ldexp(b_j, shift)
+                x_j = self._solver.solve(b_j[:, None])[:, 0]
+                residual, bound, x_max = self._checked(b_j, x_j)
             if not residual <= bound:
-                bound = self._full_bound(x_max, b_j)
-                if not residual <= bound:
-                    raise SolverError(
-                        f"linear solve missed LIN_TOL={self._tol:g}: "
-                        f"residual {residual:.3e} > bound {bound:.3e}",
-                        residual=residual,
-                    )
+                raise SolverError(
+                    f"linear solve missed LIN_TOL={self._tol:g}: "
+                    f"residual {residual:.3e} > bound {bound:.3e}",
+                    residual=residual,
+                )
             # an inf entry can make the residual and the bound inf, which passes
             if not math.isfinite(x_max):
                 finite = False
@@ -467,7 +470,26 @@ class _Factored:
                 self._project(b_j, x_j, bound, out_j, x_max)
             else:
                 out_j[...] = x_j
+            if shift > 0:
+                np.ldexp(out_j, -shift, out=out_j)
         return finite
+
+    def _checked(self, b_j: np.ndarray, x_j: np.ndarray) -> tuple[float, float, float]:
+        """(max|b_j - K x_j|, the lazy bound or, above it, the full bound, max|x_j|)."""
+        # each column keeps its own bound: a max over the batch would let
+        # one trajectory's scale hide another's miss.  Normwise backward
+        # error, since a plain ||r||/||b|| reads 2.6e-9 from round-off
+        # alone at 65,536 cells.  max|a| is max(a.max(), -a.min()): no abs
+        # temporaries, and a NaN still propagates
+        r = self._k @ x_j
+        r -= b_j
+        residual = max(float(r.max()), -float(r.min()))
+        x_max = max(float(x_j.max()), -float(x_j.min()))
+        # the lazy bound: max|b_j| is a pass over b_j, taken only when needed
+        bound = self._tol * (self._k_norm * x_max)
+        if not residual <= bound:
+            bound = self._full_bound(x_max, b_j)
+        return residual, bound, x_max
 
     def _full_bound(self, x_max: float, b_j: np.ndarray) -> float:
         """LIN_TOL * (||K||_inf * max|x_j| + max|b_j|), the column's backward-error bound."""

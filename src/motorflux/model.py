@@ -246,10 +246,6 @@ class CouplingMatrix:
     def __hash__(self):
         return hash(tuple(map(tuple, self.lam.tolist())))
 
-    @property
-    def n(self) -> int:
-        return self.lam.shape[0]
-
     def column_sums(self) -> np.ndarray:
         return self.lam.sum(axis=0)
 
@@ -563,7 +559,7 @@ def _check(spec: ProblemSpec) -> ValidationReport:
         sums = spec.coupling.column_sums()
         for j, s in enumerate(sums, start=1):
             if abs(s) > COLUMN_SUM_TOL:
-                violations.append(f"H2: column {j} sums to {s!r} (must be 0)")
+                violations.append(f"H2: column {j} sums to {float(s)!r} (must be 0)")
         if not _strongly_connected(lam):
             warnings.append(
                 "coupling graph is not strongly connected; the stationary-state "
@@ -580,7 +576,7 @@ def _check(spec: ProblemSpec) -> ValidationReport:
                 violations.append(f"H4: species {i} initial data not finite")
             elif vals.min() < 0.0:
                 violations.append(
-                    f"H4: species {i} initial data negative (min {vals.min()!r})"
+                    f"H4: species {i} initial data negative (min {float(vals.min())!r})"
                 )
 
     return ValidationReport(tuple(violations), tuple(warnings))

@@ -17,13 +17,10 @@ initial weighted mass, and sets tau_{k+1} = tau_k ||F_k||/||F_{k+1}||
 entry; halving the whole step instead can shrink it to nothing for one
 entry near zero.  The nonlinear step solves for the increment: with the
 state as right-hand side, tau*(F - J u) carries rounding that the slow modes
-amplify, and the iterates wander by 1e-6 at 4,096 cells.  It solves for d/s,
-with s a power of two at or above max(u): the scaling is exact, and the
-increment of data near 1e-300 stays clear of subnormal numbers, whose
-absolute rounding would miss the relative backward-error bound of the solve.
-tau*||J||_inf starts at _FIRST_STEP and stays below _CONDITION_CAP, where K
-keeps its identity in rounding; a linear problem takes the cap at once,
-which lets inverse iteration pass deep potential wells.  The iteration stops
+amplify, and the iterates wander by 1e-6 at 4,096 cells.  tau*||J||_inf
+starts at _FIRST_STEP and stays below _CONDITION_CAP, where K keeps its
+identity in rounding; a linear problem takes the cap at once, which lets
+inverse iteration pass deep potential wells.  The iteration stops
 once the residual is near its floor and the update reaches round-off,
 4 eps max(u), or stops shrinking; after _MAX_STEPS steps NonConvergenceError
 names the residual.  The gate of `solve_stationary` reads ||F||_inf and
@@ -167,7 +164,7 @@ def solve_null_vector(A: SystemOperator) -> StationaryState:
             "is not irreducible"
         )
     residual = _gated(float(np.abs(A.matrix @ v).max()), STATIONARY_TOL * _inf_norm(A.matrix))
-    state = State(spec.grid, v.reshape(A.n, A.cells), t=0.0, gauge=A.gauge)
+    state = State(spec.grid, v.reshape(spec.n_species, -1), t=0.0, gauge=A.gauge)
     return StationaryState(state=state, residual=residual,
                            normalization="total", constraint_value=1.0)
 
@@ -237,7 +234,7 @@ def _continuation(spec: ProblemSpec, transports, u: np.ndarray,
     jacobian, excess = _linearization(spec, transports, u, matrix)
     norm_j = _inf_norm(jacobian)
     residual = jacobian @ u + excess
-    norm_f, top = float(np.abs(residual).max()), float(u.max())
+    norm_f = float(np.abs(residual).max())
     tau = _FIRST_STEP / norm_j if matrix is None else math.inf
     factored, out, update = None, np.empty((1, u.size)), math.inf
     for _ in range(_MAX_STEPS):
@@ -246,12 +243,8 @@ def _continuation(spec: ProblemSpec, transports, u: np.ndarray,
             factored = _Factored(_implicit_matrix(jacobian, tau), w, tau, cells)
         if matrix is None:
             residual -= (w @ residual) / (w @ w) * w
-            # solved for d/s, s a power of two >= max(u): exact, and d keeps
-            # clear of subnormals where the data are tiny
-            scale = math.ldexp(1.0, math.frexp(top)[1])
-            finite = factored.solve((tau * residual / scale)[None], out, project=False)
+            finite = factored.solve((tau * residual)[None], out, project=False)
             step = out[0]
-            step *= scale
         else:
             finite = factored.solve(u[None], out)
             step = out[0] - u

@@ -10,6 +10,7 @@ from motorflux import (
     Grid,
     PotentialSpec,
     ProblemSpec,
+    ReactionSpec,
     SpeciesSpec,
     CouplingMatrix,
     State,
@@ -720,6 +721,76 @@ class TestLazyBound:
                 assert not accepted, e
             else:
                 assert accepted, e
+
+
+def _tiny_problems() -> tuple[ProblemSpec, ...]:
+    """A 1-D linear problem with a potential (the band), a 1-D IMEX problem with
+    a linear power law (pttrs) and a 2-D linear one (SuperLU)."""
+    return sawtooth_motor(8), reversible_problem(cells=8, p=1.0), _symmetric_motor_2d(4)
+
+
+def _count_checks(monkeypatch) -> list:
+    """One entry per residual check of a solved column."""
+    calls, checked = [], _Factored._checked
+    monkeypatch.setattr(_Factored, "_checked",
+                        lambda self, b, x: calls.append(None) or checked(self, b, x))
+    return calls
+
+
+class TestUnderflowRescale:
+    """A column that misses LIN_TOL with max|b| below 1/2 is solved once more as
+    the exact multiple b*2^k, against the same bound."""
+
+    CFG = StepConfig(dt=0.1, t_end=0.5)
+
+    @pytest.mark.parametrize("spec", _tiny_problems(), ids=["band", "pttrs", "superlu"])
+    @pytest.mark.parametrize("shift", [1040, 1060])
+    def test_subnormal_data_step_as_the_scaled_run(self, monkeypatch, spec, shift):
+        # data near 1e-313 and 1e-319 missed the bound in subnormal rounding (exit 4)
+        u0 = initial_state(spec)
+        scaled = np.ldexp(run(spec, self.CFG, u0).final.fields, -shift)
+        checks = _count_checks(monkeypatch)
+        tiny = run(spec, self.CFG, u0.with_fields(np.ldexp(u0.fields, -shift))).final.fields
+        blocks = 1 if spec.is_linear else spec.n_species
+        assert len(checks) > 5 * blocks  # the rescale ran
+        # each of the 5 steps rounds to the spacing 2^-1074 of subnormal numbers
+        assert np.abs(tiny - scaled).max() <= 5 * 2.0 ** -1074
+
+    def test_deep_well_data_near_1e_280_step_exactly_as_the_scaled_run(self, monkeypatch):
+        # psi/sigma spans 350: pttrs solves for b/s with s up to 2^126, and b/s
+        # of data near 1e-280 underflowed (exit 4); the rescaled solves are the
+        # exact power-of-two image of the unscaled run's
+        sp = SpeciesSpec(1.0, 1.0, PotentialSpec("linear", slope=350.0),
+                         ReactionSpec("power", exponent=1.0))
+        spec = ProblemSpec(grid=Grid.interval(0.0, 1.0, 64), species=(sp, sp),
+                           coupling=CouplingMatrix([[-1.0, 1.0], [1.0, -1.0]]),
+                           initial=(PotentialSpec("cosine", amplitude=0.4, offset=1.0),) * 2)
+        u0 = initial_state(spec)
+        scaled = np.ldexp(run(spec, self.CFG, u0).final.fields, -930)
+        checks = _count_checks(monkeypatch)
+        tiny = run(spec, self.CFG, u0.with_fields(np.ldexp(u0.fields, -930))).final.fields
+        assert len(checks) > 5 * 2
+        assert np.array_equal(tiny, scaled)
+
+    @pytest.mark.parametrize("spec", _tiny_problems(), ids=["band", "pttrs", "superlu"])
+    def test_normal_data_check_each_column_once(self, monkeypatch, spec):
+        checks = _count_checks(monkeypatch)
+        run(spec, self.CFG)
+        assert len(checks) == 5 * (1 if spec.is_linear else spec.n_species)
+
+    @pytest.mark.parametrize("spec", _tiny_problems(), ids=["band", "pttrs", "superlu"])
+    def test_a_wrong_solve_of_tiny_data_still_raises(self, monkeypatch, spec):
+        def double(x):
+            x *= 2.0
+
+        _tamper_solves(monkeypatch, double)
+        u0 = initial_state(spec)
+        with pytest.raises(SolverError, match="LIN_TOL") as exc_info:
+            run(spec, self.CFG, u0.with_fields(np.ldexp(u0.fields, -1050)))
+        # the second check, in the scale of b*2^k, raised: its bound is normal
+        bound = float(str(exc_info.value).rsplit("bound ", 1)[1])
+        assert bound >= np.finfo(float).tiny
+        assert exc_info.value.time == pytest.approx(0.1)
 
 
 def _potential_with_span(rng, span: float, sigma: float) -> PotentialSpec:

@@ -244,6 +244,8 @@ class TestValidate:
         report = validate(bad)
         assert not report.ok
         assert any("H2" in v and "column 2" in v for v in report.violations)
+        # a plain float repr, not numpy 2's np.float64(...)
+        assert "H2: column 2 sums to -1.0 (must be 0)" in report.violations
 
     def test_low_power_violation(self):
         spec = symmetric_motor(16)
@@ -275,6 +277,7 @@ class TestValidate:
         report = validate(ProblemSpec(grid=spec.grid, species=spec.species,
                                       coupling=spec.coupling, initial=bad_init))
         assert any("H4" in v and "negative" in v for v in report.violations)
+        assert "H4: species 1 initial data negative (min -0.21875)" in report.violations
 
     def test_idempotent(self):
         spec = symmetric_motor(16)

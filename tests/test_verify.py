@@ -250,6 +250,26 @@ class TestComparison:
         report = check_comparison(spec, low, high, StepConfig(dt=0.02, t_end=1.0, stride=10))
         assert report.passed
 
+    def test_a_crossing_that_heals_fails_at_its_snapshot(self, monkeypatch):
+        # the pair crosses by 0.25 in one cell at t = 0.1 and is ordered again after
+        spec = symmetric_motor(4)
+        low = initial_state(spec)
+        high = low.with_fields(low.fields + 1.0)
+        crossed = low.fields.copy()
+        crossed[1, 2] = high.fields[1, 2] + 0.25
+
+        def pairs(spec, cfg, states):
+            yield low, high
+            yield low.with_fields(crossed, t=0.1), high.with_fields(high.fields, t=0.1)
+            yield low.with_fields(low.fields, t=0.2), high.with_fields(high.fields, t=0.2)
+
+        monkeypatch.setattr(motorflux.verify, "run", pairs)
+        report = check_comparison(spec, low, high, StepConfig(dt=0.1, t_end=0.2))
+        assert not report.passed
+        assert report.worst == float(crossed[1, 2] - high.fields[1, 2])
+        assert report.argmax_time == 0.1
+        assert report.series["times"] == (0.0, 0.1, 0.2)
+
 
 class TestConvergence:
     def test_starting_at_target_stays_there(self):
