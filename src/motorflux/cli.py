@@ -554,12 +554,8 @@ def cmd_verify(cfg: RunConfig, check: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="motorflux",
-        description="Structure-preserving solver and verification harness for "
-                    "coupled drift-diffusion-reaction systems",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    """One parser: the command is a positional choice, and every command takes
+    the same three options."""
     commands = {
         "simulate": "run the time evolution and write snapshots",
         "steady": "compute a stationary state",
@@ -568,12 +564,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-convergence": "check decay towards the stationary target",
         "oracle-compare": "compare the stepper against the dense exponential",
     }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for synthesized random fixtures")
+    parser = argparse.ArgumentParser(
+        prog="motorflux",
+        description="Structure-preserving solver and verification harness for\n"
+                    "coupled drift-diffusion-reaction systems",
+        epilog="commands:\n" + "\n".join(f"  {name:<20}{text}" for name, text in commands.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=commands, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", required=True, help="path to the config file")
+    parser.add_argument("--out", default=None, help="override the output directory")
+    parser.add_argument("--seed", type=int, default=0, help="seed for synthesized random fixtures")
     return parser
 
 

@@ -77,7 +77,11 @@ two accept the same solves; error messages report the full bound.  A NaN in
 b reaches the residual, which then fails both.  The max|x| that the bound
 takes also checks finiteness: a NaN propagates through it and an inf shows,
 so a non-finite solution raises SolverError after the step's last solve,
-without a separate pass over the state.
+without a separate pass over the state.  A column that meets the lazy bound
+and the lazy guard (below) is checked and projected inline, in the loop of
+`_Factored.solve`; the full bound, the rescale and the guard's fallback
+are calls taken only on a miss, since a call costs about as much as a
+small column's arithmetic.
 
 Near underflow the bound falls below the spacing of subnormal numbers, and
 b/s of the symmetrized solve can underflow.  So a column that misses the
@@ -293,6 +297,8 @@ class _CellMajorBand:
         self._ratio = ratio
         self._z = np.empty(lower.shape[1])  # the interleaved column
         self._x = None  # the solutions, reused while the batch size is unchanged
+        # made with _x: (b slice, z view, ratio) per species, x views per column
+        self._pieces = self._x_parts = None
 
     @classmethod
     def factor(cls, k: sparse.dia_array, w: np.ndarray, cells: int) -> _CellMajorBand:
@@ -327,27 +333,32 @@ class _CellMajorBand:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x for each column of the Fortran-ordered (n, m) ``b``, valid until the next solve."""
-        species, n = len(self._ratio), b.shape[0]
-        cells = n // species
         if self._x is None or self._x.shape[0] != b.shape[1]:
+            # per-species strided views, built once per batch width: a transposed
+            # view would loop over S inside
             self._x = np.empty(b.shape[::-1])
-        z = self._z
-        for b_j, x_j in zip(b.T, self._x):
-            # per-species strided copies: a transposed view would loop over S inside
-            for s, r in enumerate(self._ratio):
-                np.multiply(b_j[s * cells:(s + 1) * cells], r, out=z[s::species])
+            species = len(self._ratio)
+            cells = b.shape[0] // species
+            parts = [slice(s * cells, (s + 1) * cells) for s in range(species)]
+            self._pieces = [(part, self._z[s::species], r)
+                            for s, (part, r) in enumerate(zip(parts, self._ratio.tolist()))]
+            self._x_parts = [[x_j[part] for part in parts] for x_j in self._x]
+        pieces, z, species = self._pieces, self._z, len(self._pieces)
+        for b_j, x_js in zip(b.T, self._x_parts):
+            for part, z_s, r in pieces:
+                np.multiply(b_j[part], r, out=z_s)
             dtbsv(species, self._lower, z, lower=1, diag=1, overwrite_x=1)
             z *= self._inverse_pivots
             dtbsv(species, self._upper, z, diag=1, overwrite_x=1)
-            for s, r in enumerate(self._ratio):
-                np.divide(z[s::species], r, out=x_j[s * cells:(s + 1) * cells])
+            for (_part, z_s, r), x_s in zip(pieces, x_js):
+                np.divide(z_s, r, out=x_s)
         return self._x.T
 
 
-def _segments(w: np.ndarray) -> tuple[tuple[int, int, float], ...]:
-    """(start, stop, weight) over the runs of equal entries of ``w``."""
+def _segments(w: np.ndarray) -> tuple[tuple[slice, float], ...]:
+    """(slice, weight) over the runs of equal entries of ``w``."""
     edges = [0, *(np.flatnonzero(np.diff(w)) + 1).tolist(), len(w)]
-    return tuple((a, b, float(w[a])) for a, b in zip(edges, edges[1:]))
+    return tuple((slice(a, b), float(w[a])) for a, b in zip(edges, edges[1:]))
 
 
 def _implicit_matrix(matrix: sparse.sparray, dt: float) -> sparse.dia_array:
@@ -447,32 +458,61 @@ class _Factored:
         """
         # b.T is a Fortran-ordered view: one RHS column per trajectory, no copy
         x = self._solver.solve(b.T).T
+        k, tol, k_norm = self._k, self._tol, self._k_norm
+        w_norm, segments = self._w_norm, self._segments
         finite = True
         for b_j, x_j, out_j in zip(b, x, out):
-            residual, bound, x_max = self._checked(b_j, x_j)
-            # on a miss, k lifts max|b_j|*2^k into [1/2, 1) and keeps 2^k finite
-            shift = 0 if residual <= bound else min(-math.frexp(np.abs(b_j).max())[1], 1023)
-            if shift > 0:
-                b_j = np.ldexp(b_j, shift)
-                x_j = self._solver.solve(b_j[:, None])[:, 0]
-                residual, bound, x_max = self._checked(b_j, x_j)
+            # `_checked` and `_project` inline, as long as their lazy bounds hold
+            r = k @ x_j
+            r -= b_j
+            residual = max(float(r.max()), -float(r.min()))
+            x_max = max(float(x_j.max()), -float(x_j.min()))
+            bound = tol * (k_norm * x_max)
             if not residual <= bound:
-                raise SolverError(
-                    f"linear solve missed LIN_TOL={self._tol:g}: "
-                    f"residual {residual:.3e} > bound {bound:.3e}",
-                    residual=residual,
-                )
-            # an inf entry can make the residual and the bound inf, which passes
-            if not math.isfinite(x_max):
+                finite = self._missed(b_j, x_j, out_j, residual, x_max, project) and finite
+            elif not math.isfinite(x_max):  # an inf entry can make both inf, which passes
                 finite = False
-                continue
-            if project:
-                self._project(b_j, x_j, bound, out_j, x_max)
-            else:
+            elif not project:
                 out_j[...] = x_j
-            if shift > 0:
-                np.ldexp(out_j, -shift, out=out_j)
+            else:
+                wb = wx = 0.0
+                for part, weight in segments:
+                    wb += weight * float(b_j[part].sum())
+                    wx += weight * float(x_j[part].sum())
+                if wb == wx:  # nothing to correct; all-zero blocks would give 0/0
+                    out_j[...] = x_j
+                elif wx != 0.0 and abs(wb - wx) <= w_norm * bound and 0.0 < wb / wx < math.inf:
+                    np.multiply(x_j, wb / wx, out=out_j)
+                else:
+                    self._project(b_j, x_j, bound, out_j, x_max)
         return finite
+
+    def _missed(self, b_j: np.ndarray, x_j: np.ndarray, out_j: np.ndarray, residual: float,
+                x_max: float, project: bool) -> bool:
+        """The column of `solve` whose residual missed the lazy bound: the full
+        bound, the rescale, then the checks.  Returns whether x_j is finite."""
+        bound = self._full_bound(x_max, b_j)
+        # on a miss, k lifts max|b_j|*2^k into [1/2, 1) and keeps 2^k finite
+        shift = 0 if residual <= bound else min(-math.frexp(np.abs(b_j).max())[1], 1023)
+        if shift > 0:
+            b_j = np.ldexp(b_j, shift)
+            x_j = self._solver.solve(b_j[:, None])[:, 0]
+            residual, bound, x_max = self._checked(b_j, x_j)
+        if not residual <= bound:
+            raise SolverError(
+                f"linear solve missed LIN_TOL={self._tol:g}: "
+                f"residual {residual:.3e} > bound {bound:.3e}",
+                residual=residual,
+            )
+        if not math.isfinite(x_max):
+            return False
+        if project:
+            self._project(b_j, x_j, bound, out_j, x_max)
+        else:
+            out_j[...] = x_j
+        if shift > 0:
+            np.ldexp(out_j, -shift, out=out_j)
+        return True
 
     def _checked(self, b_j: np.ndarray, x_j: np.ndarray) -> tuple[float, float, float]:
         """(max|b_j - K x_j|, the lazy bound or, above it, the full bound, max|x_j|)."""
@@ -501,8 +541,10 @@ class _Factored:
         numpy's pairwise sums use no BLAS, whose ddot wakes its threads at this
         size, and give each column the same result in a batch as alone.
         """
-        return sum(weight * float(v[start:stop].sum())
-                   for start, stop, weight in self._segments)
+        total = 0.0
+        for part, weight in self._segments:
+            total += weight * float(v[part].sum())
+        return total
 
     def _project(self, b_j: np.ndarray, x_j: np.ndarray, bound: float,
                  out_j: np.ndarray, x_max: float) -> None:

@@ -23,7 +23,10 @@ identity in rounding; a linear problem takes the cap at once, which lets
 inverse iteration pass deep potential wells.  The iteration stops
 once the residual is near its floor and the update reaches round-off,
 4 eps max(u), or stops shrinking; after _MAX_STEPS steps NonConvergenceError
-names the residual.  The gate of `solve_stationary` reads ||F||_inf and
+names the residual.  A linear iteration runs on the exact power-of-two image
+of its start with max in [1/2, 1), and the state and ||F||_inf are scaled
+back: otherwise the stop test of data near 1e-314 compares subnormal numbers
+and never holds.  The gate of `solve_stationary` reads ||F||_inf and
 ||J||_inf off the last step.  The M-matrix solve adds terms of one sign, so a
 species fed only through a rate far below the others (1e-17 beside O(1))
 stays positive.
@@ -228,6 +231,10 @@ def _continuation(spec: ProblemSpec, transports, u: np.ndarray,
     nonlinear one; the steps are those of the module docstring.
     """
     eps = np.finfo(float).eps
+    # a linear iteration runs on the exact image u*2^k with max in [1/2, 1), so
+    # that its stop test never compares subnormal numbers
+    shift = 0 if matrix is None else -math.frexp(float(u.max()))[1]
+    u = np.ldexp(u, shift)
     w = _block_weights(spec, 1)[0]
     mass = float(w @ u)
     cells = _cells_1d(spec)
@@ -265,8 +272,9 @@ def _continuation(spec: ProblemSpec, transports, u: np.ndarray,
         norm_f, norm_was = float(np.abs(residual).max()), norm_f
         top = float(u.max())
         if norm_f <= _STALL * norm_j * top and (update <= 4.0 * eps * top or update >= previous):
-            return u, norm_f, norm_j
+            return np.ldexp(u, -shift), math.ldexp(norm_f, -shift), norm_j
         tau *= 0.5 if clipped else (norm_was / norm_f if norm_f > 0.0 else math.inf)
+    norm_f, update = math.ldexp(norm_f, -shift), math.ldexp(update, -shift)
     raise NonConvergenceError(
         f"stationary iteration did not converge in {_MAX_STEPS} steps: residual "
         f"||F(u)||_inf = {norm_f:.3e}, last update {update:.3e}", residual=norm_f)

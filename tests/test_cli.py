@@ -464,8 +464,16 @@ class TestParseConfig:
           ("\n\n[coupling]", "\ninitial2.kind = linear\ninitial2.params = offset=1.0\n\n"
                               "[coupling]")],
          "invalid initial2 data: H4: species 1 initial data negative (min -1.0)"),
+        ([("potential.kind = zero\ninitial.kind = cosine\ninitial.params = amplitude=0.4",
+           "potential.kind = wobble\ninitial.kind = cosine\ninitial.params = amplitude=0.4")],
+         "[species.1] potential: unknown kind 'wobble'; expected one of "
+         "['cosine', 'linear', 'sawtooth_smoothed', 'tabulated', 'zero']"),
+        ([("initial.kind = cosine\ninitial.params = amplitude=0.4, offset=1.0, period=1.0",
+           "initial.kind = linear\ninitial.params = slope=1e308, offset=1e308")],
+         "invalid problem: H4: species 1 initial data not finite"),
     ], ids=["number-list", "params-entry", "duplicate-param", "table-lengths",
-            "no-species", "species-gap", "row-length", "negative-initial2"])
+            "no-species", "species-gap", "row-length", "negative-initial2",
+            "potential-kind", "non-finite-initial"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, edits, message):
         text = MOTOR_CONFIG
         for old, new in edits:
@@ -685,6 +693,32 @@ class TestSimulate:
         assert exit_.value.code == 2
         assert "unrecognized arguments: --tol nan" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        for name, text in [
+            ("simulate", "run the time evolution and write snapshots"),
+            ("steady", "compute a stationary state"),
+            ("verify-contraction", "check that the weighted L1 distance of two runs never grows"),
+            ("verify-comparison", "check cellwise ordering and nonnegativity"),
+            ("verify-convergence", "check decay towards the stationary target"),
+            ("oracle-compare", "compare the stepper against the dense exponential"),
+        ]:
+            assert re.search(rf"^  {name} +{text}$", out, re.MULTILINE), (name, out)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulated", "--config", "run.ini"], "argument command: invalid choice: 'simulated'"),
+        (["steady"], "the following arguments are required: --config"),
+        ([], "the following arguments are required: command, --config"),
+    ], ids=["unknown-command", "missing-config", "nothing"])
+    def test_bad_arguments_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "steady"])
     @pytest.mark.parametrize("old,new,hypothesis", [
@@ -1033,18 +1067,24 @@ class TestStationaryProperty:
         residual, scale = _stationary_gate(spec, fields)
         assert residual <= 1e-13 * scale
 
-    @pytest.mark.parametrize("text, expected", [(TINY_DATA_CONFIG, 0), (TINY_DATA_2D_CONFIG, 2)],
-                             ids=["1d", "2d"])
-    def test_verify_convergence_on_tiny_data(self, tmp_path, capsys, text, expected):
+    @pytest.mark.parametrize("text, underflow", [
+        (TINY_DATA_CONFIG, None), (TINY_DATA_2D_CONFIG, ("2", "4.60578904e-316")),
+        # linear data near 1e-314: the stop test compared subnormal numbers (exit 4)
+        (TINY_LINEAR_CONFIG, ("1", "1.053695494e-314")),
+        (TINY_LINEAR_2D_CONFIG, ("1", "1.053695494e-314")),
+        (TINY_LINEAR_32_CONFIG, ("1", "1.01737797e-314")),
+    ], ids=["1d", "2d", "linear-1d", "linear-8x4", "linear-32x32"])
+    def test_verify_convergence_on_tiny_data(self, tmp_path, capsys, text, underflow):
         """Data near 1e-300 reach the end of the continuation (no exit 4); in
-        2-D the square of u1 underflows, and u2 is named."""
+        2-D the square of u1 underflows, and u2 is named.  The stationary
+        states of the linear data near 1e-314 are subnormal: exit 2, naming u1."""
         code = main(["verify-convergence", "--config", write_config(tmp_path, text),
                      "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
-        assert code == expected, err
-        if expected == 2:
+        assert code == (0 if underflow is None else 2), err
+        if underflow is not None:
             match = UNDERFLOW_MESSAGE.search(err)
-            assert match and match.group(1, 2) == ("2", "4.60578904e-316"), err
+            assert match and match.group(1, 2) == underflow, err
 
     @pytest.mark.xfail(strict=True, raises=NonConvergenceError,
                        reason="the continuation stalls in this deep-well linear problem; "

@@ -723,18 +723,58 @@ class TestLazyBound:
                 assert accepted, e
 
 
+def test_a_column_that_meets_its_bound_is_still_guarded():
+    """`_Factored.solve` projects inside its own loop, so the guard must run
+    there too.  K = I and a solve off by 1% meet the bound 0.5*max|x|; read
+    with weights 400 times the conserved ones, the weighted mass is off by 4,
+    beyond the guard's full bound 1.005."""
+    factored = _factor(sparse.csr_array((4, 4)), np.full(4, 0.25), 0.1, tol=0.5)
+
+    class OffByOnePercent:
+        def solve(self, b):
+            return 1.01 * b
+
+    factored._solver = OffByOnePercent()
+    factored._segments = ((slice(0, 4), 100.0),)
+    b = np.ones((1, 4))
+    with pytest.raises(SolverError, match="projection: weighted mass of the solve is off by "
+                                          "4.000e[+]00 > bound 1.005e[+]00"):
+        factored.solve(b, np.empty_like(b))
+
+
 def _tiny_problems() -> tuple[ProblemSpec, ...]:
     """A 1-D linear problem with a potential (the band), a 1-D IMEX problem with
     a linear power law (pttrs) and a 2-D linear one (SuperLU)."""
     return sawtooth_motor(8), reversible_problem(cells=8, p=1.0), _symmetric_motor_2d(4)
 
 
-def _count_checks(monkeypatch) -> list:
-    """One entry per residual check of a solved column."""
-    calls, checked = [], _Factored._checked
-    monkeypatch.setattr(_Factored, "_checked",
-                        lambda self, b, x: calls.append(None) or checked(self, b, x))
-    return calls
+class _Counted:
+    """A factorization's solver or its K, counting its solve calls or its
+    residual matvecs K x, one per check of a solved column."""
+
+    def __init__(self, inner, calls: list):
+        self._inner, self._calls = inner, calls
+
+    def solve(self, b):
+        self._calls.append(None)
+        return self._inner.solve(b)
+
+    def __matmul__(self, x):
+        self._calls.append(None)
+        return self._inner @ x
+
+
+def _count_solves_and_checks(monkeypatch) -> tuple[list, list]:
+    """One entry per solve call of every later factorization, and one per
+    residual check of a solved column."""
+    solves, checks, init = [], [], _Factored.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        self._solver, self._k = _Counted(self._solver, solves), _Counted(self._k, checks)
+
+    monkeypatch.setattr(_Factored, "__init__", counted)
+    return solves, checks
 
 
 class TestUnderflowRescale:
@@ -749,10 +789,10 @@ class TestUnderflowRescale:
         # data near 1e-313 and 1e-319 missed the bound in subnormal rounding (exit 4)
         u0 = initial_state(spec)
         scaled = np.ldexp(run(spec, self.CFG, u0).final.fields, -shift)
-        checks = _count_checks(monkeypatch)
+        solves, checks = _count_solves_and_checks(monkeypatch)
         tiny = run(spec, self.CFG, u0.with_fields(np.ldexp(u0.fields, -shift))).final.fields
         blocks = 1 if spec.is_linear else spec.n_species
-        assert len(checks) > 5 * blocks  # the rescale ran
+        assert len(solves) > 5 * blocks and len(checks) > 5 * blocks  # the rescale ran
         # each of the 5 steps rounds to the spacing 2^-1074 of subnormal numbers
         assert np.abs(tiny - scaled).max() <= 5 * 2.0 ** -1074
 
@@ -767,16 +807,17 @@ class TestUnderflowRescale:
                            initial=(PotentialSpec("cosine", amplitude=0.4, offset=1.0),) * 2)
         u0 = initial_state(spec)
         scaled = np.ldexp(run(spec, self.CFG, u0).final.fields, -930)
-        checks = _count_checks(monkeypatch)
+        solves, checks = _count_solves_and_checks(monkeypatch)
         tiny = run(spec, self.CFG, u0.with_fields(np.ldexp(u0.fields, -930))).final.fields
-        assert len(checks) > 5 * 2
+        assert len(solves) > 5 * 2 and len(checks) > 5 * 2
         assert np.array_equal(tiny, scaled)
 
     @pytest.mark.parametrize("spec", _tiny_problems(), ids=["band", "pttrs", "superlu"])
     def test_normal_data_check_each_column_once(self, monkeypatch, spec):
-        checks = _count_checks(monkeypatch)
+        solves, checks = _count_solves_and_checks(monkeypatch)
         run(spec, self.CFG)
-        assert len(checks) == 5 * (1 if spec.is_linear else spec.n_species)
+        # one column per run: one solve and one check per block and step
+        assert len(solves) == len(checks) == 5 * (1 if spec.is_linear else spec.n_species)
 
     @pytest.mark.parametrize("spec", _tiny_problems(), ids=["band", "pttrs", "superlu"])
     def test_a_wrong_solve_of_tiny_data_still_raises(self, monkeypatch, spec):

@@ -2,9 +2,34 @@ import contextlib
 import importlib
 import io
 import re
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from motorflux import (
+    CouplingMatrix,
+    Grid,
+    PotentialSpec,
+    ProblemSpec,
+    ReactionSpec,
+    SpeciesSpec,
+    State,
+    StepConfig,
+    Trajectory,
+    assemble_system,
+    assemble_transport,
+    conjugate_to_neumann,
+    eval_potential,
+    gauge_transform,
+    initial_state,
+    oracle_expm,
+    reaction_lipschitz,
+    run,
+    run_batch,
+)
+from motorflux.errors import ConfigError, OutOfDomainError, UnsupportedConfigurationError
 
 
 @pytest.mark.parametrize("name", ["motorflux", "motorflux.discretize", "motorflux.evolve",
@@ -37,3 +62,59 @@ def test_readme_constants_match_the_modules():
     for module, name, value in quoted:
         assert getattr(importlib.import_module(f"motorflux.{module}"), name) == float(value), \
             (module, name, value)
+
+
+GRID = Grid.interval(0.0, 1.0, 8)
+ZERO = PotentialSpec("zero")
+#: two zero-potential species with unit exchange on GRID
+MOTOR = ProblemSpec(grid=GRID, species=(SpeciesSpec(1.0, 1.0, ZERO),) * 2,
+                    coupling=CouplingMatrix([[-1.0, 1.0], [1.0, -1.0]]),
+                    initial=(PotentialSpec("linear", offset=1.0),) * 2)
+STEP = StepConfig(dt=0.1, t_end=0.1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: assemble_transport(GRID, 0.0, ZERO),
+                 ValueError, "sigma must be positive, got 0.0", id="transport-sigma"),
+    pytest.param(lambda: conjugate_to_neumann(MOTOR, MOTOR),
+                 TypeError, "cannot conjugate object of type ProblemSpec",
+                 id="conjugate-non-operator"),
+    pytest.param(lambda: conjugate_to_neumann(
+                     conjugate_to_neumann(assemble_system(MOTOR), MOTOR), MOTOR),
+                 ValueError, "operator is already in the Neumann gauge", id="conjugate-neumann"),
+    pytest.param(lambda: gauge_transform(initial_state(MOTOR), MOTOR, "sideways"),
+                 ValueError, "unknown direction 'sideways'", id="gauge-direction"),
+    pytest.param(lambda: oracle_expm(assemble_system(MOTOR), -1.0, initial_state(MOTOR)),
+                 ValueError, "oracle_expm needs t >= 0", id="oracle-negative-t"),
+    pytest.param(lambda: Grid((0.0,) * 3, (1.0,) * 3, (2,) * 3),
+                 ValueError, "only 1-D intervals and 2-D rectangles are supported",
+                 id="grid-3-axes"),
+    pytest.param(lambda: ReactionSpec("exponential"),
+                 UnsupportedConfigurationError, "unknown reaction kind 'exponential'",
+                 id="reaction-kind"),
+    pytest.param(lambda: CouplingMatrix([[-1.0, 1.0]]),
+                 ValueError, "coupling matrix must be square", id="coupling-not-square"),
+    pytest.param(lambda: State(GRID, np.ones((2, 8)), gauge="log"),
+                 ValueError, "unknown gauge 'log'", id="state-gauge"),
+    pytest.param(lambda: eval_potential(ZERO, np.zeros((3, 3)),
+                                        Grid((0.0, 0.0), (1.0, 1.0), (4, 4))),
+                 ValueError, "2-D evaluation needs coordinates with last dimension 2",
+                 id="potential-2d-points"),
+    pytest.param(lambda: reaction_lipschitz(ReactionSpec("linear"), -1.0),
+                 OutOfDomainError, "s_max must be nonnegative", id="lipschitz-negative"),
+    pytest.param(lambda: run(replace(MOTOR, coupling=CouplingMatrix(-np.eye(3))), STEP),
+                 ConfigError, "H2: coupling matrix is 3x3, expected 2x2", id="coupling-size"),
+    pytest.param(lambda: run(replace(MOTOR, initial=MOTOR.initial[:1]), STEP),
+                 ConfigError, "H4: 1 initial profiles for 2 species", id="initial-count"),
+    pytest.param(lambda: Trajectory((initial_state(MOTOR),) * 2),
+                 ValueError, "snapshot times must be strictly increasing", id="trajectory-times"),
+    pytest.param(lambda: list(run_batch(MOTOR, STEP, (State(GRID, np.ones((1, 8))),))),
+                 ValueError, "initial state does not match the problem layout",
+                 id="batch-layout"),
+])
+def test_library_input_checks_raise(call, error, message):
+    """Input checks of the library that no config reaches raise their own
+    exception type and message."""
+    with pytest.raises(error) as exc_info:
+        call()
+    assert message in str(exc_info.value)
