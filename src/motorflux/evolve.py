@@ -77,18 +77,17 @@ two accept the same solves; error messages report the full bound.  A NaN in
 b reaches the residual, which then fails both.  The max|x| that the bound
 takes also checks finiteness: a NaN propagates through it and an inf shows,
 so a non-finite solution raises SolverError after the step's last solve,
-without a separate pass over the state.  A column that meets the lazy bound
-and the lazy guard (below) is checked and projected inline, in the loop of
-`_Factored.solve`; the full bound, the rescale and the guard's fallback
-are calls taken only on a miss, since a call costs about as much as a
-small column's arithmetic.
+without a separate pass over the state.  Every solved column is checked and
+projected in one loop, that of `_Factored.solve`; only the rescale below
+and the guard past its lazy limit are calls, since a call costs about as
+much as a small column's arithmetic.
 
 Near underflow the bound falls below the spacing of subnormal numbers, and
 b/s of the symmetrized solve can underflow.  So a column that misses the
-bound with max|b_j| < 1/2 is solved once more for the exact multiple b_j*2^k,
-max|b_j|*2^k in [1/2, 1) and k <= 1023 (2^k finite), checked against the same
-bound, projected in that scale and divided by 2^k; a column that meets the
-bound is solved once.
+full bound with max|b_j| < 1/2 goes through the same loop once more for the
+exact multiple b_j*2^k, max|b_j|*2^k in [1/2, 1), and its result is divided
+by 2^k; a second miss, where k = 0, raises.  A column that meets the bound is
+solved once.
 
 Conservative projection.  Rounding in K (its weighted column sums miss 1 by
 up to 2.6e-9 relative at 65,536 cells) and inside the solve each drift the
@@ -110,7 +109,7 @@ rounding defect of K's weighted column sums, taken once per factorization.
 A defect as large as w itself means that the identity of K is lost in
 rounding beside dt*M; such a K raises ScalingError when it is formed.
 The guard, too, tries ||w||_1 times the lazy bound first and takes the full
-bound and the defect term before it raises.
+bound and the defect term only when the gap exceeds that.
 A column beyond that, or one whose factor is not positive and finite (w.x = 0
 while w.b != 0), raises SolverError.  Columns with w.b = w.x, such as
 all-zero blocks, are left as they are.
@@ -453,8 +452,9 @@ class _Factored:
         last block, so a later block's residual failure still takes precedence.
         Without ``project`` each checked x_j is written as it is: a right-hand
         side without weighted mass, such as a Newton increment, has no mass
-        to scale onto.  A column that misses its bound may be solved once
-        more for b_j*2^k (module docstring).
+        to scale onto.  Every column is checked in this loop; only the rescale
+        of a column that misses its full bound and the guard past its lazy
+        limit are calls (module docstring).
         """
         # b.T is a Fortran-ordered view: one RHS column per trajectory, no copy
         x = self._solver.solve(b.T).T
@@ -462,122 +462,76 @@ class _Factored:
         w_norm, segments = self._w_norm, self._segments
         finite = True
         for b_j, x_j, out_j in zip(b, x, out):
-            # `_checked` and `_project` inline, as long as their lazy bounds hold
+            # each column keeps its own bound: a max over the batch would let
+            # one trajectory's scale hide another's miss.  Normwise backward
+            # error, since a plain ||r||/||b|| reads 2.6e-9 from round-off
+            # alone at 65,536 cells.  max|a| is max(a.max(), -a.min()): no abs
+            # temporaries, and a NaN still propagates
             r = k @ x_j
             r -= b_j
             residual = max(float(r.max()), -float(r.min()))
             x_max = max(float(x_j.max()), -float(x_j.min()))
+            # the lazy bound first: max|b_j| is a pass over b_j, taken only on a miss
             bound = tol * (k_norm * x_max)
             if not residual <= bound:
-                finite = self._missed(b_j, x_j, out_j, residual, x_max, project) and finite
-            elif not math.isfinite(x_max):  # an inf entry can make both inf, which passes
+                bound = self._full_bound(x_max, b_j)
+                if not residual <= bound:
+                    finite = self._rescaled(b_j, out_j, residual, bound, project) and finite
+                    continue
+            if not math.isfinite(x_max):  # an inf entry can make both inf, which passes
                 finite = False
-            elif not project:
+                continue
+            if not project:
                 out_j[...] = x_j
-            else:
-                wb = wx = 0.0
-                for part, weight in segments:
-                    wb += weight * float(b_j[part].sum())
-                    wx += weight * float(x_j[part].sum())
-                if wb == wx:  # nothing to correct; all-zero blocks would give 0/0
-                    out_j[...] = x_j
-                elif wx != 0.0 and abs(wb - wx) <= w_norm * bound and 0.0 < wb / wx < math.inf:
-                    np.multiply(x_j, wb / wx, out=out_j)
-                else:
-                    self._project(b_j, x_j, bound, out_j, x_max)
+                continue
+            wb = wx = 0.0
+            for part, weight in segments:
+                wb += weight * float(b_j[part].sum())
+                wx += weight * float(x_j[part].sum())
+            if wb == wx:  # nothing to correct; all-zero blocks would give 0/0
+                out_j[...] = x_j
+                continue
+            if not abs(wb - wx) <= w_norm * bound:
+                self._guard(b_j, x_j, x_max, abs(wb - wx))
+            if not (wx != 0.0 and 0.0 < wb / wx < math.inf):
+                raise SolverError(
+                    f"conservative projection: cannot scale weighted mass {wx!r} to {wb!r}")
+            np.multiply(x_j, wb / wx, out=out_j)
         return finite
-
-    def _missed(self, b_j: np.ndarray, x_j: np.ndarray, out_j: np.ndarray, residual: float,
-                x_max: float, project: bool) -> bool:
-        """The column of `solve` whose residual missed the lazy bound: the full
-        bound, the rescale, then the checks.  Returns whether x_j is finite."""
-        bound = self._full_bound(x_max, b_j)
-        # on a miss, k lifts max|b_j|*2^k into [1/2, 1) and keeps 2^k finite
-        shift = 0 if residual <= bound else min(-math.frexp(np.abs(b_j).max())[1], 1023)
-        if shift > 0:
-            b_j = np.ldexp(b_j, shift)
-            x_j = self._solver.solve(b_j[:, None])[:, 0]
-            residual, bound, x_max = self._checked(b_j, x_j)
-        if not residual <= bound:
-            raise SolverError(
-                f"linear solve missed LIN_TOL={self._tol:g}: "
-                f"residual {residual:.3e} > bound {bound:.3e}",
-                residual=residual,
-            )
-        if not math.isfinite(x_max):
-            return False
-        if project:
-            self._project(b_j, x_j, bound, out_j, x_max)
-        else:
-            out_j[...] = x_j
-        if shift > 0:
-            np.ldexp(out_j, -shift, out=out_j)
-        return True
-
-    def _checked(self, b_j: np.ndarray, x_j: np.ndarray) -> tuple[float, float, float]:
-        """(max|b_j - K x_j|, the lazy bound or, above it, the full bound, max|x_j|)."""
-        # each column keeps its own bound: a max over the batch would let
-        # one trajectory's scale hide another's miss.  Normwise backward
-        # error, since a plain ||r||/||b|| reads 2.6e-9 from round-off
-        # alone at 65,536 cells.  max|a| is max(a.max(), -a.min()): no abs
-        # temporaries, and a NaN still propagates
-        r = self._k @ x_j
-        r -= b_j
-        residual = max(float(r.max()), -float(r.min()))
-        x_max = max(float(x_j.max()), -float(x_j.min()))
-        # the lazy bound: max|b_j| is a pass over b_j, taken only when needed
-        bound = self._tol * (self._k_norm * x_max)
-        if not residual <= bound:
-            bound = self._full_bound(x_max, b_j)
-        return residual, bound, x_max
 
     def _full_bound(self, x_max: float, b_j: np.ndarray) -> float:
         """LIN_TOL * (||K||_inf * max|x_j| + max|b_j|), the column's backward-error bound."""
         return self._tol * (self._k_norm * x_max + max(float(b_j.max()), -float(b_j.min())))
 
-    def _weighted_sum(self, v: np.ndarray) -> float:
-        """w.v as weighted segment sums of v.
-
-        numpy's pairwise sums use no BLAS, whose ddot wakes its threads at this
-        size, and give each column the same result in a batch as alone.
-        """
-        total = 0.0
-        for part, weight in self._segments:
-            total += weight * float(v[part].sum())
-        return total
-
-    def _project(self, b_j: np.ndarray, x_j: np.ndarray, bound: float,
-                 out_j: np.ndarray, x_max: float) -> None:
-        """Write x_j * (w.b_j)/(w.x_j) to out_j, after the guard of the module docstring.
-
-        ``bound`` is the column's lazy or full backward-error bound and
-        ``x_max`` = max|x_j|; the guard takes the full bound before it raises.
-        """
-        wb = self._weighted_sum(b_j)
-        wx = self._weighted_sum(x_j)
-        if wb == wx:  # nothing to correct; all-zero blocks would give 0/0
-            out_j[...] = x_j
-            return
-        gap = abs(wb - wx)
-        limit = self._w_norm * bound
-        # the full bound and the defect term each cost a pass, so they are
-        # taken only when needed
-        if not gap <= limit:
-            limit = (self._w_norm * self._full_bound(x_max, b_j)
-                     + float(np.dot(self._defect, np.abs(x_j))))
-            if not gap <= limit:
-                raise SolverError(
-                    f"conservative projection: weighted mass of the solve is off "
-                    f"by {gap:.3e} > bound {limit:.3e}",
-                    residual=gap,
-                )
-        factor = wb / wx if wx != 0.0 else math.inf
-        if not 0.0 < factor < math.inf:
+    def _rescaled(self, b_j: np.ndarray, out_j: np.ndarray, residual: float, bound: float,
+                  project: bool) -> bool:
+        """The column whose residual missed its full bound, solved by `solve`
+        once more for b_j*2^k and scaled back into out_j; returns whether it is
+        finite.  k lifts max|b_j|*2^k into [1/2, 1), so a second miss has k = 0
+        and raises with the residual and bound of that scale."""
+        shift = -math.frexp(np.abs(b_j).max())[1]
+        if not shift > 0:
             raise SolverError(
-                f"conservative projection: cannot scale weighted mass {wx!r} "
-                f"to {wb!r}"
+                f"linear solve missed LIN_TOL={self._tol:g}: "
+                f"residual {residual:.3e} > bound {bound:.3e}",
+                residual=residual,
             )
-        np.multiply(x_j, factor, out=out_j)
+        finite = self.solve(np.ldexp(b_j, shift)[None], out_j[None], project)
+        np.ldexp(out_j, -shift, out=out_j)
+        return finite
+
+    def _guard(self, b_j: np.ndarray, x_j: np.ndarray, x_max: float, gap: float) -> None:
+        """Raise SolverError unless the weighted-mass change ``gap`` of the
+        solve is within ||w||_1 times the full bound plus the defect term
+        |w^T K - w^T| . |x_j| (module docstring)."""
+        limit = (self._w_norm * self._full_bound(x_max, b_j)
+                 + float(np.dot(self._defect, np.abs(x_j))))
+        if not gap <= limit:
+            raise SolverError(
+                f"conservative projection: weighted mass of the solve is off "
+                f"by {gap:.3e} > bound {limit:.3e}",
+                residual=gap,
+            )
 
 
 class _Stepper:

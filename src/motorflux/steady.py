@@ -34,10 +34,12 @@ stays positive.
 Stationary states of one weighted mass are unique, as L1 contraction implies.
 Pre-checks keep their exits: a coupling graph that is not strongly connected
 raises IrreducibilityError, a transport weight or rate lost in rounding
-beside the other ScalingError.  `solve_null_vector` normalizes the null
-vector of a linear block operator; `solve_stationary` gives the state with
-the initial data's weighted mass, the long-time limit of the evolution, for
-linear and nonlinear reactions alike.
+beside the other ScalingError, as does a transport so weak (a largest
+diagonal below about 5.6e-297) that tau = _CONDITION_CAP/||J||_inf would
+overflow.  `solve_null_vector` normalizes the null vector of a linear block
+operator; `solve_stationary` gives the state with the initial data's
+weighted mass, the long-time limit of the evolution, for linear and
+nonlinear reactions alike.
 """
 
 from __future__ import annotations
@@ -112,8 +114,9 @@ def _gated(residual: float, bound: float) -> float:
 
 def _require_solvable(spec: ProblemSpec, transports) -> None:
     """The pre-checks: a strongly connected coupling graph; no transport weight
-    sigma/h^2 lost in rounding beside the largest rate alpha_i*|lam_ii|, and no
-    rate beside its species' transport diagonal (named in that order)."""
+    sigma/h^2 lost in rounding beside the largest rate alpha_i*|lam_ii|, no
+    rate beside its species' transport diagonal, and a largest transport
+    diagonal that the step cap can divide (named in that order)."""
     if not _strongly_connected(spec.coupling.lam):
         raise IrreducibilityError(
             "coupling graph is not strongly connected; the configuration is not "
@@ -125,11 +128,14 @@ def _require_solvable(spec: ProblemSpec, transports) -> None:
     lost = [f"the smallest transport weight sigma/h^2 = {weight:.3e} is lost in rounding "
             f"beside the largest coupling rate alpha_i*|lam_ii| = {rates.max():.3e}"
             ] if weight <= eps * rates.max() else []
+    diagonals = [float(np.abs(t.matrix.diagonal()).max()) for t in transports]
     lost += [f"the coupling rate alpha_{i}*|lam_{i}{i}| = {r:.3e} of species {i} is lost "
              f"in rounding beside its transport diagonal {d:.3e}"
-             for i, (r, d) in enumerate(zip(rates, (float(np.abs(t.matrix.diagonal()).max())
-                                                   for t in transports)), start=1)
-             if 0 < r <= eps * d]
+             for i, (r, d) in enumerate(zip(rates, diagonals), start=1) if 0 < r <= eps * d]
+    # ||J||_inf is at least the largest diagonal, so then tau = _CONDITION_CAP/||J||_inf is finite
+    if not max(diagonals) * float(np.finfo(float).max) > _CONDITION_CAP:
+        lost.append(f"the largest transport diagonal {max(diagonals):.3e} is too small for a "
+                    f"step of tau*||J||_inf = {_CONDITION_CAP:g}")
     if lost:
         raise ScalingError("the stationary state is not resolved in double precision "
                            f"although the coupling graph is strongly connected: {lost[0]}")

@@ -1618,6 +1618,34 @@ class TestEdgeCases:
         assert "solver failure" in err and "LIN_TOL" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "steady"])
+    def test_subnormal_domain_width_exits_2(self, tmp_path, capsys, command):
+        # a width of 1e-318 is subnormal: 7 cell volumes round away from it, and
+        # the last face 7*h overshoots hi by more than 1e-12 times the width,
+        # which rounds to 0, so the potential is sampled outside the domain
+        text = MINIMAL_CONFIG.replace("hi = 1.0", "hi = 1e-318").replace("cells = 16", "cells = 7")
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "grid: cell volumes do not sum to the domain volume" in err, err
+        assert "H3: species 1 potential not evaluable on the domain closure" in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["steady", "verify-convergence"])
+    def test_subnormal_sigma_exits_2(self, tmp_path, capsys, command):
+        # drawn by test_fuzz_exit_codes: with ||J||_inf near 1e-317 the step
+        # tau = 1e12/||J||_inf overflowed, and K = I - tau*J held NaN (exit 4
+        # after a RuntimeWarning)
+        text = MINIMAL_CONFIG.replace("sigma = 1.0", "sigma = 1e-320")
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert ("config error: the stationary state is not resolved in double precision although "
+                "the coupling graph is strongly connected: the largest transport diagonal "
+                "5.120e-318 is too small for a step of tau*||J||_inf = 1e+12") in err, err
+
     def test_pair_step_size_error_from_second_datum_exits_2(self, tmp_path, capsys):
         # only the second datum (max 2) breaks dt <= 1/(p*max^(p-1)) = 0.25 at dt = 0.3
         text = REVERSIBLE_CONFIG.replace("dt = 0.05", "dt = 0.3").replace(

@@ -83,6 +83,18 @@ def _factor(matrix, w, dt, cells=None, tol=LIN_TOL):
         return _Factored(_implicit_matrix(matrix, dt), w, dt, cells)
 
 
+def _identity(tol, x=None):
+    """K = I on 4 cells (||K|| = 1, no rounding defect, w = 1/4) at ``tol``, whose
+    solve returns the (1, 4) ``x`` if one is given."""
+    factored = _factor(sparse.csr_array((4, 4)), np.full(4, 0.25), 0.1, tol=tol)
+    if x is not None:
+        class Fixed:
+            def solve(self, b):
+                return x.T
+        factored._solver = Fixed()
+    return factored
+
+
 class TestStepConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
@@ -607,13 +619,14 @@ class TestConservativeProjection:
         # K = I has no rounding defect, so the guard allows ||w||_1 = 1 times
         # the full bound tol * (max|x| + max|b|); the mass is off by 1e-3
         n = 4
-        b, x, out = np.ones(n), np.full(n, 1.0 + 1e-3), np.empty(n)
-        factored = _factor(sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, tol=1e-3)
-        factored._project(b, x, 1e-3 * (1.0 + 1e-3), out, 1.0 + 1e-3)
-        assert np.dot(np.full(n, 0.25), out) == pytest.approx(1.0, rel=1e-15)
-        factored = _factor(sparse.csr_array((n, n)), np.full(n, 0.25), 0.1, tol=4e-4)
+        b, x = np.ones((1, n)), np.full((1, n), 1.0 + 1e-3)
+        out = np.empty_like(b)
+        assert _identity(1e-3, x).solve(b, out)
+        assert np.dot(np.full(n, 0.25), out[0]) == pytest.approx(1.0, rel=1e-15)
+        # the residual 1e-3 misses this tolerance, so the solve never reaches the guard
+        gap = abs(1.0 - float(np.dot(np.full(n, 0.25), x[0])))
         with pytest.raises(SolverError, match="projection"):  # full bound 8.0e-4
-            factored._project(b, x, 4e-4 * (1.0 + 1e-3), out, 1.0 + 1e-3)
+            _identity(4e-4)._guard(b[0], x[0], 1.0 + 1e-3, gap)
 
     def test_k_matches_csr_difference(self, rng):
         # K = I - dt*M on the DIA data rounds like the CSR eye - dt*M of the
@@ -648,14 +661,7 @@ class TestLazyBound:
     TOL = 0.5
 
     def identity(self, x=None):
-        """K = I on 4 cells (||K|| = 1, no rounding defect), whose solve returns ``x``."""
-        factored = _factor(sparse.csr_array((4, 4)), np.full(4, 0.25), 0.1, tol=self.TOL)
-        if x is not None:
-            class Fixed:
-                def solve(self, b):
-                    return x.T
-            factored._solver = Fixed()
-        return factored
+        return _identity(self.TOL, x)
 
     def full_bound(self, x, b):
         return self.TOL * (1.0 * np.abs(x).max() + np.abs(b).max())
@@ -693,30 +699,30 @@ class TestLazyBound:
                 factored.solve(b, np.empty_like(b))
 
     def test_projection_guard_falls_back_to_the_full_bound(self):
-        factored = self.identity()
-        b, out = np.ones(4), np.empty(4)
-        x = np.full(4, 1.0 + 1.5)  # weighted mass off by 1.5: lazy 1.25, full 1.75
-        x_max = float(x.max())
-        lazy = self.TOL * (1.0 * x_max)
-        factored._project(b, x, lazy, out, x_max)
-        assert np.dot(np.full(4, 0.25), out) == pytest.approx(1.0, rel=1e-15)
+        b = np.ones((1, 4))
+        x = np.full((1, 4), 1.0 + 1.5)  # weighted mass off by 1.5: lazy 1.25, full 1.75
+        out = np.empty_like(b)
+        # the residual 1.5 meets the full bound too, so the solve reaches the guard
+        assert self.identity(x).solve(b, out)
+        assert np.dot(np.full(4, 0.25), out[0]) == pytest.approx(1.0, rel=1e-15)
 
-        x = np.full(4, 1.0 + 2.5)  # beyond the full bound 2.25
-        x_max = float(x.max())
+        x = np.full(4, 1.0 + 2.5)  # beyond the full bound 2.25, as the residual 2.5 is
         with pytest.raises(SolverError, match="projection") as exc_info:
-            factored._project(b, x, self.TOL * (1.0 * x_max), out, x_max)
+            self.identity()._guard(b[0], x, float(x.max()), 2.5)
         assert f"bound {self.full_bound(x, b):.3e}" in str(exc_info.value)
 
     def test_projection_guard_accepts_what_the_full_bound_accepts(self):
-        factored = self.identity()
-        b, out = np.ones(4), np.empty(4)
+        b = np.ones((1, 4))
         for e in np.linspace(0.0, 3.0, 301):
-            x = np.full(4, 1.0 + e)
-            x_max = float(x.max())
-            gap = abs(factored._weighted_sum(b) - factored._weighted_sum(x))
-            accepted = gap <= factored._w_norm * self.full_bound(x, b)
+            x = np.full((1, 4), 1.0 + e)
+            gap = abs(0.25 * float(b.sum()) - 0.25 * float(x.sum()))
+            accepted = gap <= 1.0 * self.full_bound(x, b)  # ||w||_1 = 1
             try:
-                factored._project(b, x, self.TOL * (1.0 * x_max), out, x_max)
+                # where the residual check passes, the solve reaches the guard
+                if float(np.abs(x - b).max()) <= self.full_bound(x, b):
+                    self.identity(x).solve(b, np.empty_like(b))
+                else:
+                    self.identity()._guard(b[0], x[0], float(x.max()), gap)
             except SolverError:
                 assert not accepted, e
             else:
@@ -811,6 +817,21 @@ class TestUnderflowRescale:
         tiny = run(spec, self.CFG, u0.with_fields(np.ldexp(u0.fields, -930))).final.fields
         assert len(solves) > 5 * 2 and len(checks) > 5 * 2
         assert np.array_equal(tiny, scaled)
+
+    @pytest.mark.parametrize("spec", [sawtooth_motor(16), reversible_problem(cells=16)],
+                             ids=["band", "pttrs"])
+    def test_a_retried_column_leaves_the_rest_of_its_batch_alone(self, monkeypatch, spec):
+        # the band's solutions are valid only until its next solve, and the
+        # retry of the tiny column is one; the normal column is checked after it
+        u0 = initial_state(spec)
+        tiny = u0.with_fields(np.ldexp(u0.fields, -1040))
+        alone = [run(spec, self.CFG, u).final.fields for u in (u0, tiny)]
+        solves, checks = _count_solves_and_checks(monkeypatch)
+        *_, batch = run_batch(spec, self.CFG, (tiny, u0))
+        blocks = 1 if spec.is_linear else spec.n_species
+        assert len(solves) > 5 * blocks and len(checks) > 2 * 5 * blocks  # the retry ran
+        assert batch[0].fields.tobytes() == alone[1].tobytes()
+        assert batch[1].fields.tobytes() == alone[0].tobytes()
 
     @pytest.mark.parametrize("spec", _tiny_problems(), ids=["band", "pttrs", "superlu"])
     def test_normal_data_check_each_column_once(self, monkeypatch, spec):

@@ -28,7 +28,13 @@ from motorflux import (
     weighted_mass,
 )
 import motorflux.steady
-from motorflux.errors import DegenerateDataError, IrreducibilityError, NonConvergenceError
+from motorflux.errors import (
+    DegenerateDataError,
+    IrreducibilityError,
+    NonConvergenceError,
+    SolverError,
+)
+from motorflux.evolve import _Factored
 
 from conftest import (
     imex3_problem,
@@ -43,6 +49,18 @@ from reversible_oracle import reversible_pair
 #: frozen root of a/2 + a^3 = 1 (50-digit bisection-independent root find)
 A_CUBIC = 0.8351223484813665
 B_CUBIC = 0.5824388257593167
+
+
+def _tamper_factored_solves(monkeypatch, tamper):
+    """Pass the output of every `_Factored.solve` through ``tamper``, which
+    returns the flag that the solve returns: whether every column is finite."""
+    solve = _Factored.solve
+
+    def tampered(self, b, out, project=True):
+        solve(self, b, out, project)
+        return tamper(out)
+
+    monkeypatch.setattr(_Factored, "solve", tampered)
 
 
 def wl1(spec, fields_a, fields_b):
@@ -183,6 +201,45 @@ class TestNullVector:
         broken = replace(A, matrix=sparse.csr_array(m))
         with pytest.raises(IrreducibilityError):
             solve_null_vector(broken)
+
+
+    def test_zero_entry_raises(self, monkeypatch):
+        """The continuation halves an entry that a step would make non-positive,
+        so a solve can zero an entry only through the weighted-mass rescale:
+        with the rest of each solve scaled to 2^1023, the rescale by about
+        2^-1024 takes the halved cell 0 below the smallest subnormal.  The
+        residual gate still holds, since the well at cell 0 makes the exact
+        null vector about 1e-24 of its maximum there."""
+        spec = ProblemSpec(
+            grid=Grid.interval(0.0, 1.0, 16),
+            species=(SpeciesSpec(1.0, 1.0, PotentialSpec("tabulated", table_x=(0.0, 0.1, 1.0),
+                                                         table_v=(80.0, 0.0, 0.0))),),
+            coupling=CouplingMatrix([[0.0]]),
+            initial=(PotentialSpec("linear", offset=1.0),))
+        assert solve_null_vector(assemble_system(spec)).state.fields.min() > 0.0
+
+        def zero_cell_0(out):
+            out *= 2.0 ** 1023 / out.max()
+            out[:, 0] = 0.0
+            return True
+
+        _tamper_factored_solves(monkeypatch, zero_cell_0)
+        with pytest.raises(IrreducibilityError,
+                           match="computed null vector is not strictly positive"):
+            solve_null_vector(assemble_system(spec))
+
+
+def test_non_finite_solve_raises(monkeypatch):
+    # a linear problem solves for the state, a nonlinear one for the increment
+    def one_infinite_entry(out):
+        out[:, 0] = np.inf
+        return False
+
+    _tamper_factored_solves(monkeypatch, one_infinite_entry)
+    for solve in (lambda: solve_null_vector(assemble_system(sawtooth_motor(16))),
+                  lambda: solve_stationary(imex3_problem(16), initial_state(imex3_problem(16)))):
+        with pytest.raises(SolverError, match="stationary iteration produced non-finite values"):
+            solve()
 
 
 def relative_distance(spec, a: State, b: State) -> float:
