@@ -79,8 +79,7 @@ class NonConvergenceError(SolverError):
 
 class IrreducibilityError(MotorfluxError):
     """Stationary problem is not irreducible: coupling graph not strongly
-    connected, an operator that breaks mass conservation, or a null vector
-    not strictly positive."""
+    connected, or an operator that breaks mass conservation."""
 
     exit_code = 4
     label = "solver failure"

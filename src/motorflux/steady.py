@@ -20,26 +20,26 @@ state as right-hand side, tau*(F - J u) carries rounding that the slow modes
 amplify, and the iterates wander by 1e-6 at 4,096 cells.  tau*||J||_inf
 starts at _FIRST_STEP and stays below _CONDITION_CAP, where K keeps its
 identity in rounding; a linear problem takes the cap at once, which lets
-inverse iteration pass deep potential wells.  The iteration stops
-once the residual is near its floor and the update reaches round-off,
-4 eps max(u), or stops shrinking; after _MAX_STEPS steps NonConvergenceError
-names the residual.  A linear iteration runs on the exact power-of-two image
-of its start with max in [1/2, 1), and the state and ||F||_inf are scaled
-back: otherwise the stop test of data near 1e-314 compares subnormal numbers
-and never holds.  The gate of `solve_stationary` reads ||F||_inf and
-||J||_inf off the last step.  The M-matrix solve adds terms of one sign, so a
-species fed only through a rate far below the others (1e-17 beside O(1))
-stays positive.
+inverse iteration pass deep potential wells.  The iteration stops once the
+residual is near its floor and the update reaches round-off, 4 eps max(u),
+or stops shrinking; after _MAX_STEPS steps NonConvergenceError names the
+residual.  The M-matrix solve adds terms of one sign, so a species fed only
+through a rate far below the others (1e-17 beside O(1)) stays positive.
 
-Stationary states of one weighted mass are unique, as L1 contraction implies.
-Pre-checks keep their exits: a coupling graph that is not strongly connected
-raises IrreducibilityError, a transport weight or rate lost in rounding
-beside the other ScalingError, as does a transport so weak (a largest
-diagonal below about 5.6e-297) that tau = _CONDITION_CAP/||J||_inf would
-overflow.  `solve_null_vector` normalizes the null vector of a linear block
-operator; `solve_stationary` gives the state with the initial data's
-weighted mass, the long-time limit of the evolution, for linear and
-nonlinear reactions alike.
+Linear states are one null vector times their mass: a linear continuation
+starts at the constant state, and `solve_stationary` multiplies the vector it
+reaches by the data's weighted mass, so data times 2^k give exactly 2^k
+times the state.  A nonlinear one starts at the data; its state of their
+weighted mass is unique, as L1 contraction implies.  One acceptance rule
+holds for every state: each entry finite and at least the smallest normal
+double, as the exact state is, or ScalingError names the species and the
+cell; and ||F(u)||_inf <= STATIONARY_TOL * ||J(u)||_inf * max(u), a backward
+error free of u's scale, or NonConvergenceError.  It does not bound the
+entrywise error where a deep well makes the state tiny.  Pre-checks keep
+their exits: a coupling graph that is not strongly connected raises
+IrreducibilityError, a transport weight or rate lost in rounding beside the
+other ScalingError, as does a transport so weak (a largest diagonal below
+about 5.6e-297) that tau = _CONDITION_CAP/||J||_inf would overflow.
 """
 
 from __future__ import annotations
@@ -71,8 +71,7 @@ __all__ = [
     "STATIONARY_TOL",
 ]
 
-#: residual bound of a stationary state, relative to the operator's inf-norm
-#: (and to max u for `solve_stationary`)
+#: residual bound of a stationary state, relative to ||J(u)||_inf * max(u)
 STATIONARY_TOL = 1e-13
 
 #: most continuation steps (solves of a linear problem) before NonConvergenceError
@@ -105,7 +104,20 @@ def _left_null_vector(A: SystemOperator) -> np.ndarray:
     return w
 
 
-def _gated(residual: float, bound: float) -> float:
+def _accepted(spec: ProblemSpec, u: np.ndarray, residual: float, norm: float) -> float:
+    """``residual`` = ||F(u)||_inf of the flat state u if u passes the one
+    acceptance rule of the module docstring; ``norm`` is ||J(u)||_inf."""
+    k = int(np.argmin(u))
+    if u[k] >= np.finfo(float).tiny:  # then no entry is NaN
+        k = int(np.argmax(u))
+    if not np.finfo(float).tiny <= u[k] <= np.finfo(float).max:
+        (i, c), over = divmod(k, spec.grid.size), bool(u[k] > 1.0)
+        raise ScalingError(
+            "the stationary state is not resolved in double precision although the coupling "
+            f"graph is strongly connected: species {i + 1} {'over' if over else 'under'}flows "
+            f"to {float(u[k])!r} at cell {c}, where the exact state is "
+            f"{'finite' if over else 'positive'}")
+    bound = STATIONARY_TOL * norm * float(u[k])
     if not residual <= bound:  # a NaN bound fails too
         raise NonConvergenceError(
             f"stationary residual {residual:.3e} exceeds its bound {bound:.3e}", residual=residual)
@@ -145,11 +157,10 @@ def solve_null_vector(A: SystemOperator) -> StationaryState:
     """Positive null vector of the linear block operator A, of total integral
     sum_i integral(v_i) = 1.
 
-    The continuation runs in the physical gauge from a constant start, for a
-    Neumann-gauge A too; the result is in A's gauge.  It must satisfy
-    ||A v||_inf <= STATIONARY_TOL * ||A||_inf, or NonConvergenceError is
-    raised; one that is not strictly positive raises IrreducibilityError, and
-    the pre-checks raise as well.
+    The continuation runs in the physical gauge from the constant state, for
+    a Neumann-gauge A too; v is in A's gauge and passes the acceptance rule
+    there, with ||A v||_inf <= STATIONARY_TOL * ||A||_inf * max(v).  An A
+    whose I - tau*A cannot be factored raises IrreducibilityError.
     """
     spec = A.spec
     _require_solvable(spec, A.transports)
@@ -167,12 +178,7 @@ def solve_null_vector(A: SystemOperator) -> StationaryState:
     if A.gauge == "neumann":
         x *= d
     v = x / float(spec.grid.cell_volume * x.sum())
-    if not v.min() > 0.0:
-        raise IrreducibilityError(
-            "computed null vector is not strictly positive; the configuration "
-            "is not irreducible"
-        )
-    residual = _gated(float(np.abs(A.matrix @ v).max()), STATIONARY_TOL * _inf_norm(A.matrix))
+    residual = _accepted(spec, v, float(np.abs(A.matrix @ v).max()), _inf_norm(A.matrix))
     state = State(spec.grid, v.reshape(spec.n_species, -1), t=0.0, gauge=A.gauge)
     return StationaryState(state=state, residual=residual,
                            normalization="total", constraint_value=1.0)
@@ -182,32 +188,36 @@ def solve_stationary(spec: ProblemSpec, u0: State) -> StationaryState:
     """The stationary state with u0's weighted mass, for any admissible problem:
     the long-time limit of the trajectory started at u0.
 
-    The continuation starts at u0, or halfway between u0 and the constant
-    state of its mass where u0 is not positive.  The result must satisfy
-    ||F(u)||_inf <= STATIONARY_TOL * ||J(u)||_inf * max(u), or
-    NonConvergenceError is raised; data without weighted mass raise
-    DegenerateDataError.  The exact state is strictly positive, so an entry
-    that underflows to zero or below the smallest normal double (a power of
-    data near 1e-300, say, whose image the gate cannot see beside max(u))
-    raises ScalingError.
+    A linear state is the null vector times the data's weighted mass w . u0;
+    a nonlinear continuation starts at u0, or halfway between u0 and the
+    constant state of its mass where u0 is not positive.  The state passes
+    the acceptance rule; data without mass raise DegenerateDataError.
     """
-    mass = weighted_mass(u0, spec)
+    if u0.gauge != "physical":
+        raise ValueError("solve_stationary expects a physical-gauge state")
+    w = _block_weights(spec, 1)[0]
+    u = u0.fields.ravel()
+    top = float(u.max())
+    # a linear mass is w . u0 with u0's scale factored out: data near 1e-314 lose no
+    # digits to subnormal products, data near 1e307 overflow no sum as `weighted_mass`'s
+    # do; a nonlinear one is `steady`'s constraint value, exact for exact data
+    mass = top * float(w @ (u / top)) if spec.is_linear and top > 0.0 else weighted_mass(u0, spec)
     if not mass > 0.0:
         raise DegenerateDataError("initial data has no mass to match")
     transports = tuple(_transports(spec))
     _require_solvable(spec, transports)
-    matrix = _block_matrix(spec, transports) if spec.is_linear else None
-    u = u0.fields.ravel().copy()
-    if not u.min() > 0.0:
-        u = 0.5 * (u + mass / _block_weights(spec, 1)[0].sum())
-    u, norm_f, norm_j = _continuation(spec, transports, u, matrix)
-    if not u.min() >= np.finfo(float).tiny:
-        i, c = divmod(int(np.argmin(u)), spec.grid.size)
-        raise ScalingError(
-            "the stationary state is not resolved in double precision although the coupling "
-            f"graph is strongly connected: species {i + 1} underflows to {float(u.min())!r} at "
-            f"cell {c}, where the exact state is positive")
-    residual = _gated(norm_f, STATIONARY_TOL * norm_j * float(u.max()))
+    if spec.is_linear:
+        x, norm_f, norm_j = _continuation(spec, transports, np.ones(u.size),
+                                          _block_matrix(spec, transports))
+        ratio = mass / float(w @ x)
+        with np.errstate(over="ignore"):  # an infinite entry fails the acceptance rule
+            u = x * ratio
+        norm_f *= ratio
+    else:
+        if not u.min() > 0.0:
+            u = 0.5 * (u + mass / w.sum())
+        u, norm_f, norm_j = _continuation(spec, transports, u)
+    residual = _accepted(spec, u, norm_f, norm_j)
     state = State(spec.grid, u.reshape(spec.n_species, -1), t=0.0, gauge="physical")
     return StationaryState(state=state, residual=residual,
                            normalization="mass_matched", constraint_value=mass)
@@ -237,10 +247,6 @@ def _continuation(spec: ProblemSpec, transports, u: np.ndarray,
     nonlinear one; the steps are those of the module docstring.
     """
     eps = np.finfo(float).eps
-    # a linear iteration runs on the exact image u*2^k with max in [1/2, 1), so
-    # that its stop test never compares subnormal numbers
-    shift = 0 if matrix is None else -math.frexp(float(u.max()))[1]
-    u = np.ldexp(u, shift)
     w = _block_weights(spec, 1)[0]
     mass = float(w @ u)
     cells = _cells_1d(spec)
@@ -278,9 +284,8 @@ def _continuation(spec: ProblemSpec, transports, u: np.ndarray,
         norm_f, norm_was = float(np.abs(residual).max()), norm_f
         top = float(u.max())
         if norm_f <= _STALL * norm_j * top and (update <= 4.0 * eps * top or update >= previous):
-            return np.ldexp(u, -shift), math.ldexp(norm_f, -shift), norm_j
+            return u, norm_f, norm_j
         tau *= 0.5 if clipped else (norm_was / norm_f if norm_f > 0.0 else math.inf)
-    norm_f, update = math.ldexp(norm_f, -shift), math.ldexp(update, -shift)
     raise NonConvergenceError(
         f"stationary iteration did not converge in {_MAX_STEPS} steps: residual "
         f"||F(u)||_inf = {norm_f:.3e}, last update {update:.3e}", residual=norm_f)

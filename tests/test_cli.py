@@ -1107,6 +1107,25 @@ class TestStationaryProperty:
         residual, scale = _stationary_gate(cfg.problem, table[:, 1:].T)
         assert residual <= 1e-13 * scale
 
+    def test_short_domain_meets_the_scale_free_gate(self, tmp_path, capsys):
+        """On [0, 1e-3] the null vector of total integral 1 peaks at 2,743 with
+        a backward error ||A v||/(||A|| max v) of 2e-16.  A gate of
+        1e-13*||A||_inf without max v rejected it (exit 4)."""
+        text = ("[domain]\nlo = 0.0\nhi = 1e-3\ncells = 256\n"
+                "[species.1]\nsigma = 1.0\nalpha = 1.0\npotential.kind = cosine\n"
+                "potential.params = amplitude=3.0, period=1e-3\n"
+                "initial.kind = linear\ninitial.params = offset=1.0\n"
+                "[species.2]\nsigma = 0.5\nalpha = 2.0\n"
+                "initial.kind = linear\ninitial.params = offset=1.0\n"
+                "[coupling]\nrow.1 = -1.0, 2.0\nrow.2 = 1.0, -2.0\n"
+                "[time]\ndt = 0.1\nt_end = 1.0\n")
+        path = write_config(tmp_path, text)
+        code = main(["steady", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 0, capsys.readouterr().err
+        table = np.loadtxt(tmp_path / "o" / "stationary.csv", delimiter=",", skiprows=1)
+        residual, scale = _stationary_gate(parse_config(path).problem, table[:, 1:].T)
+        assert residual <= 1e-13 * scale
+
     @pytest.mark.parametrize("command", ["steady", "verify-convergence"])
     @pytest.mark.parametrize("text", [UNDERFLOW_1D_CONFIG, UNDERFLOW_2D_CONFIG,
                                       UNDERFLOW_SUBNORMAL_CONFIG],

@@ -9,13 +9,17 @@ and 2, with the configs that ``perfbench/workloads.py`` generates, and all
 six commands on each extra CONFIG file.  Every run is a fresh interpreter
 with the tree on PYTHONPATH.  It prints each difference in exit code, stdout
 or stderr (with the output directory masked) or the bytes of an output file,
-and exits 1 if there is any, 0 if there is none.  It reads
+and exits 1 if there is any, 0 if there is none.  For an output file that
+differs only in its numbers (both hold the same count of them) it prints the
+largest absolute and relative change of a number.  It reads
 ``perfbench/workloads.py`` and writes nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -60,11 +64,30 @@ def run(src: Path, argv: list[str], out: Path) -> dict:
             "files": files}
 
 
+def largest_change(a: bytes, b: bytes) -> str:
+    """The largest absolute and relative change between the numbers of two
+    texts, or "" if either is not ASCII or their counts of numbers differ."""
+    # a decimal number that is not part of a name such as ``species_1``
+    number = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?(?![\w.])"
+                        r"|(?:inf(?:inity)?|nan)\b)", re.I)
+    try:
+        x, y = ([float(t) for t in number.findall(text.decode("ascii"))] for text in (a, b))
+    except UnicodeDecodeError:
+        return ""
+    pairs = [(p, q) for p, q in zip(x, y) if p != q and not (math.isnan(p) and math.isnan(q))]
+    if len(x) != len(y) or not pairs:
+        return ""
+    absolute = max(abs(p - q) for p, q in pairs)
+    relative = max(abs(p - q) / max(abs(p), abs(q)) for p, q in pairs)
+    return f", largest change {absolute:.3e} absolute, {relative:.3e} relative"
+
+
 def differences(a: dict, b: dict) -> list[str]:
     found = [f"{key} differs" for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
     for name in sorted(a["files"].keys() | b["files"].keys()):
         if a["files"].get(name) != b["files"].get(name):
-            found.append(f"file {name} differs" if name in a["files"] and name in b["files"]
+            found.append(f"file {name} differs{largest_change(a['files'][name], b['files'][name])}"
+                         if name in a["files"] and name in b["files"]
                          else f"file {name} only in one tree")
     return found
 
