@@ -442,14 +442,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 "index": k,
                 "time": state.t,
                 "mass": masses[-1],
-                "l1": (state.grid.cell_volume * np.abs(state.fields).sum(axis=1)).tolist(),
+                "l1": verify._weighted_sum(np.abs(state.fields), state.grid.cell_volume).tolist(),
                 "min": state.fields.min(axis=1).tolist(),
             }))
             fh.flush()
     scale = max(abs(masses[0]), 1e-300)
     drifts = [abs(m - masses[0]) / scale for m in masses]
-    worst = max(range(len(drifts)), key=drifts.__getitem__)
-    if drifts[worst] > MASS_DRIFT_TOL:
+    worst = int(np.argmax(drifts))  # the first NaN, if any: it fails the gate too
+    if not drifts[worst] <= MASS_DRIFT_TOL:
         print(f"mass drift {drifts[worst]:.3e} exceeds {MASS_DRIFT_TOL:g} at snapshot "
               f"{worst} (t={times[worst]!r})", file=sys.stderr)
         return EXIT_INVARIANT

@@ -83,11 +83,14 @@ and the guard past its lazy limit are calls, since a call costs about as
 much as a small column's arithmetic.
 
 Near underflow the bound falls below the spacing of subnormal numbers, and
-b/s of the symmetrized solve can underflow.  So a column that misses the
-full bound with max|b_j| < 1/2 goes through the same loop once more for the
+b/s of the symmetrized solve can underflow; near overflow ||K||_inf*max|x|
+is inf.  So a column that misses the full bound with max|b_j| < 1/2, or with
+a bound that is not finite, goes through the same loop once more for the
 exact multiple b_j*2^k, max|b_j|*2^k in [1/2, 1), and its result is divided
-by 2^k; a second miss, where k = 0, raises.  A column that meets the bound is
-solved once.
+by 2^k; a second miss, where k = 0, raises.  A column with max|b_j| >= 1
+whose sums could reach 2^1020 (n*||K||_inf*max|x_j| above it, for n
+unknowns) is projected at that scale too.  Any other column that meets the
+bound is solved once and pays one comparison for this.
 
 Conservative projection.  Rounding in K (its weighted column sums miss 1 by
 up to 2.6e-9 relative at 65,536 cells) and inside the solve each drift the
@@ -416,6 +419,9 @@ class _Factored:
         self._w_norm = float(np.abs(w).sum())
         self._segments = _segments(w)
         self._defect, self._k_norm = _column_defect_and_norm(k, w)
+        # no sum of b_j or x_j reaches 2^1020 while max|x_j| <= this: max|b_j| is at most
+        # ||K||_inf max|x_j| up to the bound
+        self._sum_cap = 2.0 ** 1020 / (self._k_norm * len(w))
         try:
             self._solver = (_SymmetrizedTridiagonal.factor(k)
                             or (_CellMajorBand.factor(k, w, cells) if cells
@@ -459,7 +465,7 @@ class _Factored:
         # b.T is a Fortran-ordered view: one RHS column per trajectory, no copy
         x = self._solver.solve(b.T).T
         k, tol, k_norm = self._k, self._tol, self._k_norm
-        w_norm, segments = self._w_norm, self._segments
+        w_norm, segments, sum_cap = self._w_norm, self._segments, self._sum_cap
         finite = True
         for b_j, x_j, out_j in zip(b, x, out):
             # each column keeps its own bound: a max over the batch would let
@@ -484,6 +490,10 @@ class _Factored:
             if not project:
                 out_j[...] = x_j
                 continue
+            if x_max > sum_cap and max(float(b_j.max()), -float(b_j.min())) >= 1.0:
+                # its sums could overflow: the column is projected at its exact scale
+                finite = self._rescaled(b_j, out_j, residual, math.inf, project) and finite
+                continue
             wb = wx = 0.0
             for part, weight in segments:
                 wb += weight * float(b_j[part].sum())
@@ -505,20 +515,23 @@ class _Factored:
 
     def _rescaled(self, b_j: np.ndarray, out_j: np.ndarray, residual: float, bound: float,
                   project: bool) -> bool:
-        """The column whose residual missed its full bound, solved by `solve`
-        once more for b_j*2^k and scaled back into out_j; returns whether it is
-        finite.  k lifts max|b_j|*2^k into [1/2, 1), so a second miss has k = 0
-        and raises with the residual and bound of that scale."""
+        """The column solved by `solve` once more for b_j*2^k and scaled back
+        into out_j; returns whether it is finite.  k brings max|b_j|*2^k into
+        [1/2, 1).  A column that missed its full bound takes this path with
+        k > 0, or with k < 0 if that bound is not finite, as a column whose
+        projection sums could overflow does with ``bound`` inf; a second miss
+        has k = 0 and raises with the residual and bound of that scale."""
         shift = -math.frexp(np.abs(b_j).max())[1]
-        if not shift > 0:
+        if not (shift > 0 or (shift < 0 and not bound < math.inf)):
             raise SolverError(
                 f"linear solve missed LIN_TOL={self._tol:g}: "
                 f"residual {residual:.3e} > bound {bound:.3e}",
                 residual=residual,
             )
         finite = self.solve(np.ldexp(b_j, shift)[None], out_j[None], project)
-        np.ldexp(out_j, -shift, out=out_j)
-        return finite
+        with np.errstate(over="ignore"):
+            np.ldexp(out_j, -shift, out=out_j)
+        return finite and (shift > 0 or max(float(out_j.max()), -float(out_j.min())) < math.inf)
 
     def _guard(self, b_j: np.ndarray, x_j: np.ndarray, x_max: float, gap: float) -> None:
         """Raise SolverError unless the weighted-mass change ``gap`` of the

@@ -578,6 +578,12 @@ def _check(spec: ProblemSpec) -> ValidationReport:
                 violations.append(
                     f"H4: species {i} initial data negative (min {float(vals.min())!r})"
                 )
+    if not violations:
+        from .verify import weighted_mass  # verify imports this module
+
+        if not weighted_mass(initial_state(spec), spec) < np.inf:
+            violations.append("H4: the initial weighted mass sum_i integral(u_i)/alpha_i "
+                              "exceeds the largest double")
 
     return ValidationReport(tuple(violations), tuple(warnings))
 

@@ -135,7 +135,8 @@ def _require_solvable(spec: ProblemSpec, transports) -> None:
             "irreducible and its weighted mass does not fix its stationary state"
         )
     eps = np.finfo(float).eps
-    weight = min(sp.sigma for sp in spec.species) / max(spec.grid.h) ** 2
+    h = max(spec.grid.h)
+    weight = min(sp.sigma for sp in spec.species) / (h * h)  # h**2 would raise beyond 1.3e154
     rates = spec.alphas * np.abs(np.diag(spec.coupling.lam))
     lost = [f"the smallest transport weight sigma/h^2 = {weight:.3e} is lost in rounding "
             f"beside the largest coupling rate alpha_i*|lam_ii| = {rates.max():.3e}"
@@ -193,15 +194,9 @@ def solve_stationary(spec: ProblemSpec, u0: State) -> StationaryState:
     constant state of its mass where u0 is not positive.  The state passes
     the acceptance rule; data without mass raise DegenerateDataError.
     """
-    if u0.gauge != "physical":
-        raise ValueError("solve_stationary expects a physical-gauge state")
+    mass = weighted_mass(u0, spec)  # which rejects a state in another gauge
     w = _block_weights(spec, 1)[0]
     u = u0.fields.ravel()
-    top = float(u.max())
-    # a linear mass is w . u0 with u0's scale factored out: data near 1e-314 lose no
-    # digits to subnormal products, data near 1e307 overflow no sum as `weighted_mass`'s
-    # do; a nonlinear one is `steady`'s constraint value, exact for exact data
-    mass = top * float(w @ (u / top)) if spec.is_linear and top > 0.0 else weighted_mass(u0, spec)
     if not mass > 0.0:
         raise DegenerateDataError("initial data has no mass to match")
     transports = tuple(_transports(spec))

@@ -84,35 +84,44 @@ class CheckReport:
     notes: str = ""
 
 
+def _weighted_sum(rows: np.ndarray, vol: float, alphas=None):
+    """vol * sum_c rows[i, c] for each species i, or with ``alphas`` sum_i of those / alphas[i],
+    taken at the 2^k that brings max|rows| into [1/2, 1): exact times 2^j, inf past 1.8e308."""
+    k = np.frexp(max(float(rows.max()), -float(rows.min())))[1]  # 0 for 0, inf and NaN
+    with np.errstate(over="ignore"):
+        terms = vol * np.ldexp(rows, -k).sum(axis=1)
+        return np.ldexp(terms if alphas is None else np.sum(terms / alphas), k)
+
+
 def weighted_mass(state: State, spec: ProblemSpec) -> float:
     """sum_i (1/alpha_i) * cell_volume * sum_cells u_i, in the physical gauge."""
     if state.gauge != "physical":
-        raise ValueError("weighted_mass is defined on physical-gauge states")
-    vol = state.grid.cell_volume
-    return float(np.sum(vol * state.fields.sum(axis=1) / spec.alphas))
+        raise ValueError("weighted_mass expects a physical-gauge state")
+    return float(_weighted_sum(state.fields, state.grid.cell_volume, spec.alphas))
 
 
 def weighted_l1_norm(state: State, spec: ProblemSpec) -> float:
-    vol = state.grid.cell_volume
-    return float(np.sum(vol * np.abs(state.fields).sum(axis=1) / spec.alphas))
+    return float(_weighted_sum(np.abs(state.fields), state.grid.cell_volume, spec.alphas))
 
 
 def weighted_l1_distance(a: State, b: State, spec: ProblemSpec) -> float:
     """Weighted L1 distance between two states on the same grid."""
     if a.fields.shape != b.fields.shape or a.grid != b.grid:
         raise ValueError("states live on different grids or species counts")
-    vol = a.grid.cell_volume
-    diff = np.abs(a.fields - b.fields).sum(axis=1)
-    return float(np.sum(vol * diff / spec.alphas))
+    return float(_weighted_sum(np.abs(a.fields - b.fields), a.grid.cell_volume, spec.alphas))
 
 
 def _largest_increase(times, values) -> tuple[float, float]:
     """The largest rise of ``values`` from one snapshot to the next, and the
-    time at which it ends: (0.0, times[0]) when the series never rises."""
+    time at which it ends: (0.0, times[0]) when the series never rises.  The
+    first NaN rise, such as inf - inf, is the worst: it fails every gate."""
     worst, argmax = 0.0, times[0]
     for t, before, after in zip(times[1:], values, values[1:]):
-        if after - before > worst:
-            worst, argmax = after - before, t
+        rise = after - before
+        if not rise <= worst:
+            worst, argmax = rise, t
+            if rise != rise:
+                break
     return worst, argmax
 
 

@@ -1844,6 +1844,125 @@ class TestEdgeCases:
             assert (a + b).mean() == pytest.approx(2.0, rel=1e-12)
 
 
+#: two species near the largest double: per-cell values near 1e307, sums past it
+NEAR_OVERFLOW_CONFIG = """\
+[domain]
+lo = 0.0
+hi = 1.0
+cells = 256
+
+[species.1]
+sigma = 1.0
+alpha = 1.0
+potential.kind = cosine
+potential.params = amplitude=2.0
+initial.kind = cosine
+initial.params = amplitude=0.5e307, offset=1e307
+
+[species.2]
+sigma = 1.0
+alpha = 1.0
+potential.kind = cosine
+potential.params = amplitude=2.0
+initial.kind = cosine
+initial.params = amplitude=0.3e307, offset=1e307, phase=0.2
+
+[coupling]
+row.1 = -1.0, 2.0
+row.2 = 1.0, -2.0
+
+[time]
+dt = 0.1
+t_end = 1.0
+stride = 5
+"""
+
+#: 65,536 cells of data near 1e304: every projection sum of a solve passes 1.8e308
+LARGE_COLUMNS_CONFIG = (NEAR_OVERFLOW_CONFIG.replace("cells = 256", "cells = 65536")
+                        .replace("e307", "e304").replace("dt = 0.1", "dt = 1e-8")
+                        .replace("t_end = 1.0", "t_end = 2e-8").replace("stride = 5", "stride = 1"))
+
+#: a domain of length 1e300 with cosine data of offset 1e10: a weighted mass near 1e310
+HUGE_DOMAIN_CONFIG = """\
+[domain]
+lo = 0.0
+hi = 1e300
+cells = 4
+
+[species.1]
+sigma = 1.0
+alpha = 1.0
+initial.kind = cosine
+initial.params = amplitude=0.5e10, offset=1e10, period=1e300
+
+[species.2]
+sigma = 1.0
+alpha = 1.0
+initial.kind = cosine
+initial.params = amplitude=0.3e10, offset=1e10, period=1e300
+
+[coupling]
+row.1 = -1.0, 2.0
+row.2 = 1.0, -2.0
+
+[time]
+dt = 0.1
+t_end = 0.2
+"""
+
+
+class TestLargeData:
+    """Weighted sums are taken at an exact power of two, and so are solves
+    whose bound or projection sums would overflow: data near the largest
+    double run, or exit 2, and never write inf or a warning."""
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-contraction", "verify-comparison",
+                                         "oracle-compare"])
+    def test_near_overflow_runs(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        code = main([command, "--config", write_config(tmp_path, NEAR_OVERFLOW_CONFIG),
+                     "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        if command == "simulate":
+            masses = [json.loads(line)["mass"]
+                      for line in (out / "manifest.ndjson").read_text().splitlines()]
+            assert masses[0] == pytest.approx(2e307, rel=1e-15)
+            assert max(abs(m - masses[0]) for m in masses) <= 1e-15 * masses[0]
+
+    def test_large_columns_are_projected_at_their_scale(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", write_config(tmp_path, LARGE_COLUMNS_CONFIG),
+                     "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        for line in (out / "manifest.ndjson").read_text().splitlines():
+            rec = json.loads(line)
+            assert math.isfinite(rec["mass"]) and all(map(math.isfinite, rec["l1"])), rec
+            assert rec["mass"] == pytest.approx(2e304, rel=1e-15)
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_unrepresentable_initial_mass_exits_2(self, tmp_path, capsys, command):
+        code = main([command, "--config", write_config(tmp_path, HUGE_DOMAIN_CONFIG),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "H4: the initial weighted mass" in err and "exceeds the largest double" in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("command", ["steady", "verify-convergence"])
+    def test_long_domain_loses_the_transport_weight(self, tmp_path, capsys, command):
+        # data of order 1e-10 keep the weighted mass finite, near 2e290, while
+        # sigma/h^2 underflows; h^2 itself would raise as a Python float power
+        text = HUGE_DOMAIN_CONFIG.replace("e10", "e-10")
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "the smallest transport weight sigma/h^2 = 0.000e+00 is lost in rounding" in err
+        assert "Traceback" not in err
+
+
 IMEX3_CONFIG = """\
 [domain]
 lo = 0.0

@@ -25,6 +25,7 @@ from motorflux import (
     solve_null_vector,
     solve_stationary,
     weighted_l1_distance,
+    weighted_l1_norm,
     weighted_mass,
 )
 from motorflux.errors import OracleScopeError
@@ -88,6 +89,25 @@ class TestNorms:
             dbc = weighted_l1_distance(b, c, spec)
             dac = weighted_l1_distance(a, c, spec)
             assert dac <= dab + dbc + 1e-15
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=3),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_sums_scale_exactly_by_powers_of_two(self, n, seed):
+        """Data in [1/2, 1) times 2^j give exactly 2^j times each sum for every j
+        in [-1020, 1020]: none overflows or loses digits to subnormal terms."""
+        rng = np.random.default_rng(seed)
+        spec = random_problem(rng, n=n, cells=1000)
+        a, b = (0.5 + 0.5 * rng.random((n, 1000)) for _ in range(2))
+
+        def sums(j):
+            sa, sb = (State(spec.grid, np.ldexp(v, j)) for v in (a, b))
+            return (weighted_mass(sa, spec), weighted_l1_norm(sa, spec),
+                    weighted_l1_distance(sa, sb, spec))
+
+        ref = sums(0)
+        for j in range(-1020, 1021):
+            assert sums(j) == tuple(np.ldexp(ref, j)), j
 
     @settings(max_examples=50, deadline=None)
     @given(shift=st.floats(min_value=0.0, max_value=2.0))
@@ -192,6 +212,21 @@ class TestProductFormContraction:
         exact = _product_form_distances([1.0, 2.0, 3.0], [3.0, 1.0, 2.0])
         assert all(after < before for before, after in zip(exact, exact[1:]))
         assert exact[-1] < 0.5 * exact[0]
+
+
+class TestNaNRise:
+    def test_a_nan_rise_is_the_worst(self):
+        worst, at = motorflux.verify._largest_increase((0.0, 0.1, 0.2, 0.3),
+                                                        (1.0, np.inf, np.inf, 2.0))
+        assert np.isnan(worst) and at == 0.2
+
+    def test_an_infinite_distance_series_fails_the_contraction_gate(self, monkeypatch):
+        # inf - inf is NaN: a series of inf distances may not pass as constant
+        spec = symmetric_motor(8)
+        u0 = initial_state(spec)
+        monkeypatch.setattr(motorflux.verify, "weighted_l1_distance", lambda a, b, s: np.inf)
+        report = check_contraction(spec, u0, u0, StepConfig(dt=0.1, t_end=0.2))
+        assert not report.passed and np.isnan(report.worst)
 
 
 class TestGatesAreConstants:

@@ -8,10 +8,13 @@ benchmark workloads ``snap1d``, ``imex1d`` and ``stationary1d`` at seeds 1
 and 2, with the configs that ``perfbench/workloads.py`` generates, and all
 six commands on each extra CONFIG file.  Every run is a fresh interpreter
 with the tree on PYTHONPATH.  It prints each difference in exit code, stdout
-or stderr (with the output directory masked) or the bytes of an output file,
-and exits 1 if there is any, 0 if there is none.  For an output file that
-differs only in its numbers (both hold the same count of them) it prints the
-largest absolute and relative change of a number.  It reads
+or stderr (with the output directory masked) or the bytes of an output file.
+It also prints each ``.ndjson`` output of either tree that holds a
+non-finite JSON number (``Infinity``, ``-Infinity`` or ``NaN``), even where
+both trees agree, since a gate that reads such a number can pass vacuously.
+It exits 1 if there is any such line, 0 if there is none.  For an output file
+that differs only in its numbers (both hold the same count of them) it prints
+the largest absolute and relative change of a number.  It reads
 ``perfbench/workloads.py`` and writes nothing under ``perfbench/``.
 """
 
@@ -82,6 +85,17 @@ def largest_change(a: bytes, b: bytes) -> str:
     return f", largest change {absolute:.3e} absolute, {relative:.3e} relative"
 
 
+#: a non-finite number as Python's json writes it, outside any string
+NON_FINITE = re.compile(rb"(?<=[\[:,\s])-?(?:Infinity|NaN)(?=[\],}\s])")
+
+
+def non_finite(tree: str, result: dict) -> list[str]:
+    """A line for each .ndjson output of one tree that holds a non-finite number."""
+    return [f"file {name} of the {tree} tree holds {match.group().decode()}"
+            for name, data in result["files"].items()
+            if name.endswith(".ndjson") and (match := NON_FINITE.search(data))]
+
+
 def differences(a: dict, b: dict) -> list[str]:
     found = [f"{key} differs" for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
     for name in sorted(a["files"].keys() | b["files"].keys()):
@@ -98,7 +112,7 @@ def main(argv=None) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     parent, change, configs = Path(args[0]), Path(args[1]), args[2:]
-    count = failed = 0
+    count = failed = flagged = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         work = Path(tmp)
         for label, cmd in runs(work, configs):
@@ -106,11 +120,13 @@ def main(argv=None) -> int:
             a = run(parent, cmd, work / f"parent-{count}")
             b = run(change, cmd, work / f"change-{count}")
             found = differences(a, b)
+            bad = non_finite("parent", a) + non_finite("change", b)
             failed += bool(found)
+            flagged += bool(bad)
             print(f"{'DIFF' if found else 'same'}  exit {a['exit code']}/{b['exit code']}  "
-                  f"{label}" + "".join(f"\n      {text}" for text in found), flush=True)
-    print(f"{count} commands, {failed} with differences")
-    return 1 if failed else 0
+                  f"{label}" + "".join(f"\n      {text}" for text in found + bad), flush=True)
+    print(f"{count} commands, {failed} with differences, {flagged} with non-finite JSON")
+    return 1 if failed or flagged else 0
 
 
 if __name__ == "__main__":
