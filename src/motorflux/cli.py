@@ -483,17 +483,14 @@ def _second_state(cfg: RunConfig, mode: str) -> State:
     so the pair is ordered by construction.
     """
     spec = cfg.problem
-    base = initial_state(spec)
     if cfg.initial2 is not None:
         probe = ProblemSpec(grid=spec.grid, species=spec.species,
                             coupling=spec.coupling, initial=cfg.initial2)
         rep = validate(probe)
         if not rep.ok:
             raise ConfigError("invalid initial2 data: " + "; ".join(rep.violations))
-        second = initial_state(probe)
-        if mode == "comparison":
-            _require_ordered(base, second)
-        return second
+        return initial_state(probe)
+    base = initial_state(spec)
     rng = np.random.default_rng(cfg.seed)
     pts = spec.grid.centers()
     coord = pts if spec.grid.dim == 1 else pts[:, 0]
@@ -510,20 +507,6 @@ def _second_state(cfg: RunConfig, mode: str) -> State:
         else:
             rows.append(base.fields[i] * np.exp(0.4 * bump / 3.0))
     return State(spec.grid, np.stack(rows), t=0.0, gauge="physical")
-
-
-def _require_ordered(low: State, high: State) -> None:
-    """The comparison check starts from an ordered pair; name the first
-    species and cell where ``initial`` exceeds ``initial2``."""
-    above = low.fields > high.fields
-    if above.any():
-        i, c = np.unravel_index(np.argmax(above), above.shape)
-        centre = low.grid.centers().reshape(low.grid.size, low.grid.dim)[c].tolist()
-        raise ConfigError(
-            f"verify-comparison needs initial2 >= initial in every cell; species {i + 1} "
-            f"breaks the order at cell {c} (centre {', '.join(map(repr, centre))}): "
-            f"initial {low.fields[i, c].item()!r} > initial2 {high.fields[i, c].item()!r}"
-        )
 
 
 def cmd_verify(cfg: RunConfig, check: str) -> int:

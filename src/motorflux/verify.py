@@ -6,9 +6,9 @@ Monitored quantities:
   * weighted L1 distance  sum_i (1/alpha_i) ||u_i - w_i||_L1  - the metric in
     which the flow is a contraction.
 
-Each check steps its trajectories with `run_batch`, reduces every snapshot
-to scalars, and returns one `CheckReport`.  The gates are module constants,
-read when a check is called; no check takes a tolerance.
+Every stepped check reduces each snapshot to a scalar through `_series`, the
+one loop over `run_batch`, and returns one `CheckReport`.  Its gates are
+module constants, read when it is called; no check takes a tolerance.
 
   * `check_contraction` gates that the distance between two runs never
     increases from one snapshot to the next by more than
@@ -16,16 +16,15 @@ read when a check is called; no check takes a tolerance.
     difference and strict decrease for a sign-changing one are properties of
     the flow that its ``series["distance"]`` shows, not gates.
   * `check_comparison` gates that two ordered runs stay ordered cell by cell
-    and nonnegative, within COMPARISON_TOL.
+    and nonnegative, within the absolute COMPARISON_TOL.
   * `check_convergence` gates that the distance to a stationary target, a
     Lyapunov function of the flow, never increases (MONOTONE_SLACK, as
-    above) and ends at most CONVERGENCE_THRESHOLD.
+    above) and ends at most the absolute CONVERGENCE_THRESHOLD.
   * `oracle_compare` gates that the implicit stepper's error against the
     dense matrix exponential `oracle_expm` at t = ORACLE_T, over the step
-    sizes ORACLE_DTS, fits an order of at least 0.9.
-
-Slacks are absolute, scaled by initial magnitudes, so that round-off can
-never fail a true statement.
+    sizes ORACLE_DTS, fits an order of at least 0.9; errors all at most
+    1e-13 * max(ref_norm, 1), ref_norm the reference's weighted L1 norm, pass
+    unfitted, as zero or stationary data have no order.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .discretize import SystemOperator, assemble_system
-from .errors import OracleScopeError
+from .errors import ConfigError, OracleScopeError
 # `run` here is the stepping generator, the name that perfbench/spans.py
 # traces; `motorflux.run` is the library call that collects it into a Trajectory
 from .evolve import StepConfig, run_batch as run
@@ -125,14 +124,21 @@ def _largest_increase(times, values) -> tuple[float, float]:
     return worst, argmax
 
 
+def _series(spec: ProblemSpec, cfg: StepConfig, initials, reduce) -> tuple[list, list]:
+    """Step ``initials`` together and reduce each yielded tuple of states, keeping
+    no snapshot: the snapshot times and ``reduce(*states)`` at each, in order."""
+    times, values = [], []
+    for states in run(spec, cfg, initials):
+        times.append(states[0].t)
+        values.append(reduce(*states))
+    return times, values
+
+
 def check_contraction(spec: ProblemSpec, u0_a: State, u0_b: State,
                       cfg: StepConfig) -> CheckReport:
     """Assert the weighted L1 distance of two runs never increases."""
-    times, norms = [], []
-    for a, b in run(spec, cfg, (u0_a, u0_b)):
-        times.append(a.t)
-        norms.append(weighted_l1_distance(a, b, spec))
-
+    times, norms = _series(spec, cfg, (u0_a, u0_b),
+                           lambda a, b: weighted_l1_distance(a, b, spec))
     slack = MONOTONE_SLACK * (1.0 + norms[0])
     worst, argmax = _largest_increase(times, norms)
     return CheckReport(
@@ -150,27 +156,29 @@ def check_comparison(spec: ProblemSpec, u0_low: State, u0_high: State,
     """Assert cellwise ordering of two ordered runs, plus nonnegativity of both,
     within COMPARISON_TOL.
 
-    A pair that is not ordered at t=0 is rejected outright; that is invalid
-    input, not a failed check.
+    A pair that is not ordered at t=0 is invalid input, not a failed check:
+    a `ConfigError` names the first species and cell where ``u0_low``, the
+    config's ``initial``, exceeds ``u0_high``, its ``initial2``.
     """
-    if np.any(u0_low.fields > u0_high.fields):
-        raise ValueError("u0_low must be cellwise <= u0_high")
-    times = []
-    worst = 0.0
-    argmax = u0_low.t
-    for lo, hi in run(spec, cfg, (u0_low, u0_high)):
-        times.append(lo.t)
-        order_gap = float((lo.fields - hi.fields).max())
-        neg = -min(float(lo.fields.min()), float(hi.fields.min()))
-        bad = max(order_gap, neg, 0.0)
-        if bad > worst:
-            worst = bad
-            argmax = lo.t
+    above = u0_low.fields > u0_high.fields
+    if above.any():
+        i, c = np.unravel_index(np.argmax(above), above.shape)
+        centre = u0_low.grid.centers().reshape(u0_low.grid.size, u0_low.grid.dim)[c].tolist()
+        raise ConfigError(
+            f"verify-comparison needs initial2 >= initial in every cell; species {i + 1} "
+            f"breaks the order at cell {c} (centre {', '.join(map(repr, centre))}): "
+            f"initial {u0_low.fields[i, c].item()!r} > initial2 {u0_high.fields[i, c].item()!r}"
+        )
+    # a snapshot's gap: how far lo rises above hi in some cell or either run falls below 0
+    times, gaps = _series(spec, cfg, (u0_low, u0_high), lambda lo, hi: max(
+        float((lo.fields - hi.fields).max()),
+        -min(float(lo.fields.min()), float(hi.fields.min())), 0.0))
+    worst = max([0.0, *gaps])  # the first largest gap; a NaN gap is never the worst
     return CheckReport(
         name="comparison",
         passed=worst <= COMPARISON_TOL,
         worst=worst,
-        argmax_time=argmax,
+        argmax_time=times[gaps.index(worst)] if worst > 0.0 else times[0],
         tolerance=COMPARISON_TOL,
         series={"times": tuple(times)},
     )
@@ -183,11 +191,8 @@ def check_convergence(spec: ProblemSpec, u0: State, cfg: StepConfig, target) -> 
     fixed point, so its distance to the trajectory is a Lyapunov function.
     ``target`` is a `StationaryState`; its ``state`` field is used.
     """
-    times, dists = [], []
-    for (state,) in run(spec, cfg, (u0,)):
-        times.append(state.t)
-        dists.append(weighted_l1_distance(state, target.state, spec))
-
+    times, dists = _series(spec, cfg, (u0,),
+                           lambda state: weighted_l1_distance(state, target.state, spec))
     slack = MONOTONE_SLACK * (1.0 + dists[0])
     worst_inc, argmax = _largest_increase(times, dists)
     final, threshold = dists[-1], CONVERGENCE_THRESHOLD
@@ -239,26 +244,17 @@ def oracle_compare(spec: ProblemSpec) -> CheckReport:
     ref = oracle_expm(A, t, u0)
     ref_norm = weighted_l1_norm(ref, spec)
 
-    errors = []
-    for dt in ORACLE_DTS:
-        # stride = the step count: only the final state is yielded after u0
-        for (final,) in run(spec, StepConfig(dt=dt, t_end=t, stride=round(t / dt)), (u0,)):
-            pass
-        errors.append(weighted_l1_distance(final, ref, spec))
-
+    # stride = the step count: only the final state is yielded after u0
+    errors = [_series(spec, StepConfig(dt=dt, t_end=t, stride=round(t / dt)), (u0,),
+                      lambda state: weighted_l1_distance(state, ref, spec))[1][-1]
+              for dt in ORACLE_DTS]
     if max(errors) <= 1e-13 * max(ref_norm, 1.0):
-        # degenerate fixtures (zero or stationary data): nothing to fit
-        return CheckReport(
-            name="oracle",
-            passed=True,
-            worst=0.0,
-            argmax_time=t,
-            tolerance=0.9,
-            series={"dt": ORACLE_DTS, "error": tuple(errors)},
-            notes="errors at round-off; order not identifiable",
-        )
-    order = float(np.polyfit(np.log(ORACLE_DTS), np.log(errors), 1)[0])
-    rel = errors[-1] / ref_norm if ref_norm > 0.0 else errors[-1]
+        # zero or stationary data: nothing to fit; the gate's order passes with worst 0.0
+        order, notes = 0.9, "errors at round-off; order not identifiable"
+    else:
+        order = float(np.polyfit(np.log(ORACLE_DTS), np.log(errors), 1)[0])
+        rel = errors[-1] / ref_norm if ref_norm > 0.0 else errors[-1]
+        notes = f"fitted order {order!r}; relative error at dt={ORACLE_DTS[-1]} is {rel!r}"
     return CheckReport(
         name="oracle",
         passed=order >= 0.9,
@@ -266,7 +262,7 @@ def oracle_compare(spec: ProblemSpec) -> CheckReport:
         argmax_time=t,
         tolerance=0.9,
         series={"dt": ORACLE_DTS, "error": tuple(errors)},
-        notes=f"fitted order {order!r}; relative error at dt={ORACLE_DTS[-1]} is {rel!r}",
+        notes=notes,
     )
 
 

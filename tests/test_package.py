@@ -64,6 +64,23 @@ def test_readme_constants_match_the_modules():
             (module, name, value)
 
 
+def test_readme_cli_synopsis_matches_the_parser():
+    # one synopsis line per command, in the parser's order, each naming every
+    # flag of the one parser, in brackets exactly when the flag is optional
+    from motorflux.cli import _build_parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n")[1].split("```sh\n")[1].split("```")[0]
+    parser = _build_parser()
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    flags = [(a.option_strings[-1], a.required) for a in parser._actions
+             if a.option_strings and a.dest != "help"]
+    lines = [line.split(maxsplit=2) for line in block.splitlines()]
+    assert [words[:2] for words in lines] == [["motorflux", name] for name in commands]
+    for _, name, usage in lines:
+        named = re.findall(r"(\[?)(--[\w-]+)", usage)
+        assert [(flag, not bracket) for bracket, flag in named] == flags, name
+
+
 GRID = Grid.interval(0.0, 1.0, 8)
 ZERO = PotentialSpec("zero")
 #: two zero-potential species with unit exchange on GRID

@@ -28,7 +28,7 @@ from motorflux import (
     weighted_l1_norm,
     weighted_mass,
 )
-from motorflux.errors import OracleScopeError
+from motorflux.errors import ConfigError, OracleScopeError
 from motorflux.verify import report_to_json, write_reports_ndjson
 
 from conftest import (
@@ -272,11 +272,17 @@ class TestComparison:
         assert report.passed
 
     def test_unordered_pair_rejected(self):
+        # the first species and cell where the pair breaks its order, located
         spec = symmetric_motor(16)
         u0 = initial_state(spec)
-        with pytest.raises(ValueError):
-            check_comparison(spec, u0.with_fields(u0.fields + 1.0), u0,
-                             StepConfig(dt=0.1, t_end=0.2))
+        low = u0.fields.copy()
+        low[1, 5] += 1.0
+        with pytest.raises(ConfigError) as exc_info:
+            check_comparison(spec, u0.with_fields(low), u0, StepConfig(dt=0.1, t_end=0.2))
+        assert str(exc_info.value) == (
+            "verify-comparison needs initial2 >= initial in every cell; species 2 breaks "
+            f"the order at cell 5 (centre {spec.grid.centers()[5].item()!r}): "
+            f"initial {low[1, 5].item()!r} > initial2 {u0.fields[1, 5].item()!r}")
 
     def test_nonlinear_ordered_pair(self, rng):
         spec = reversible_problem(cells=32, p=2.0)
@@ -304,6 +310,27 @@ class TestComparison:
         assert report.worst == float(crossed[1, 2] - high.fields[1, 2])
         assert report.argmax_time == 0.1
         assert report.series["times"] == (0.0, 0.1, 0.2)
+
+    @pytest.mark.parametrize("gaps, worst, argmax_time", [
+        ((0.0, 0.25, 0.25, 0.0), 0.25, 0.6),  # a tie: the first snapshot of the worst gap
+        ((0.0, 0.0, 0.0, 0.0), 0.0, 0.5),     # no positive gap: the first snapshot
+    ])
+    def test_worst_gap_is_found_at_its_first_snapshot(self, monkeypatch, gaps, worst,
+                                                      argmax_time):
+        spec = symmetric_motor(4)
+        low = State(spec.grid, np.ones((2, 4)), t=0.5)
+        high = low.with_fields(low.fields + 1.0)
+
+        def pairs(spec, cfg, states):
+            for k, gap in enumerate(gaps):
+                t = 0.5 + 0.1 * k
+                yield low.with_fields(low.fields + gap, t=t), low.with_fields(low.fields, t=t)
+
+        monkeypatch.setattr(motorflux.verify, "run", pairs)
+        report = check_comparison(spec, low, high, StepConfig(dt=0.1, t_end=0.3))
+        assert report.worst == worst
+        assert report.argmax_time == argmax_time
+        assert report.series["times"] == tuple(0.5 + 0.1 * k for k in range(len(gaps)))
 
 
 class TestConvergence:
@@ -386,6 +413,18 @@ class TestOracle:
         report = oracle_compare(spec)
         assert report.passed
         assert max(report.series["error"]) == 0.0
+
+    @pytest.mark.parametrize("start", ["zero", "null vector"])
+    def test_errors_at_round_off_pass_unfitted(self, monkeypatch, start):
+        spec = sawtooth_motor(8)
+        base = solve_null_vector(assemble_system(spec)).state
+        fields = np.zeros_like(base.fields) if start == "zero" else base.fields
+        monkeypatch.setattr(motorflux.verify, "initial_state",
+                            lambda spec: base.with_fields(fields))
+        report = oracle_compare(spec)
+        assert report.passed
+        assert report.worst == 0.0
+        assert report.notes == "errors at round-off; order not identifiable"
 
 
 class TestReportSerialization:

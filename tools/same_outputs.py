@@ -14,8 +14,9 @@ non-finite JSON number (``Infinity``, ``-Infinity`` or ``NaN``), even where
 both trees agree, since a gate that reads such a number can pass vacuously.
 It exits 1 if there is any such line, 0 if there is none.  For an output file
 that differs only in its numbers (both hold the same count of them) it prints
-the largest absolute and relative change of a number.  It reads
-``perfbench/workloads.py`` and writes nothing under ``perfbench/``.
+the largest absolute and relative change of a number.  It ends with the
+line count of ``motorflux/*.py`` in each tree, which sets no exit status.
+It reads ``perfbench/workloads.py`` and writes nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ def differences(a: dict, b: dict) -> list[str]:
     return found
 
 
+def line_count(src: Path) -> int:
+    """Lines of the ``motorflux`` package's modules in one tree, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "motorflux").glob("*.py"))
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) < 2:
@@ -126,6 +132,8 @@ def main(argv=None) -> int:
             print(f"{'DIFF' if found else 'same'}  exit {a['exit code']}/{b['exit code']}  "
                   f"{label}" + "".join(f"\n      {text}" for text in found + bad), flush=True)
     print(f"{count} commands, {failed} with differences, {flagged} with non-finite JSON")
+    print(f"motorflux/*.py: {line_count(parent)} lines in the parent tree, "
+          f"{line_count(change)} in the change tree")
     return 1 if failed or flagged else 0
 
 
