@@ -64,6 +64,10 @@ does a row swap once the identity of K is found lost in rounding (below);
 any other row swap raises SolverError.  2-D blocks go to sparse LU
 (SuperLU).
 
+The three kinds share one contract, ``solve(b, out)``: each row of the
+C-ordered batch b, one per trajectory, is solved straight into that row of
+the step's output, where `_Factored.solve` checks and projects it in place.
+
 An exact solve inherits the M-matrix guarantees up to round-off; the fixed
 gate LIN_TOL = 1e-12 bounds the normwise backward error of each solve,
 
@@ -119,15 +123,15 @@ all-zero blocks, are left as they are.
 
 `run_batch` is the one stepping loop.  It advances any number of
 trajectories of one (problem, dt) in lockstep: every factorization solves all
-of them in one multi-RHS call, one column per trajectory, and each column is
-checked against its own bound.  It is a generator that yields each snapshot
-as it is reached, one State per trajectory, so a caller reduces it and drops
-it, and no command holds a whole trajectory: `simulate` writes each snapshot
-at once, the checks in `verify` keep scalar series.  The trajectories
-start at the common time t0 of their initial states, and step k ends at
-t0 + k*dt.  A failure in any trajectory raises at the first failing step,
-with ``.time`` set to that step.  `run` collects the snapshots of one
-trajectory into a `Trajectory`.
+of them in one multi-RHS call, one row of the batch per trajectory, and each
+solution is checked against its own bound.  It is a generator that yields
+each snapshot as it is reached, one State per trajectory, so a caller
+reduces it and drops it, and no command holds a whole trajectory: `simulate`
+writes each snapshot at once, the checks in `verify` keep scalar series.
+The trajectories start at the common time t0 of their initial states, and
+step k ends at t0 + k*dt.  A failure in any trajectory raises at the first
+failing step, with ``.time`` set to that step.  `run` collects the
+snapshots of one trajectory into a `Trajectory`.
 """
 
 from __future__ import annotations
@@ -236,7 +240,7 @@ _LOG_SCALE_CAP = 256 * math.log(2.0)
 
 
 class _SymmetrizedTridiagonal:
-    """LAPACK pttrf factors of S^-1 K S for a tridiagonal K, solved like SuperLU.
+    """LAPACK pttrf factors of S^-1 K S for a tridiagonal K.
 
     When K[i+1,i]*K[i,i+1] > 0 for every i, the diagonal scale with
     s_{i+1}/s_i = sqrt(K[i+1,i]/K[i,i+1]) makes S^-1 K S symmetric: its
@@ -270,13 +274,11 @@ class _SymmetrizedTridiagonal:
             return None
         return cls(d, e, np.exp(log_scale))
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x = s * pttrs(b/s) for each column of the Fortran-ordered (n, k) ``b``."""
-        # scaling the C-ordered rows keeps y Fortran-ordered, so pttrs solves in place
-        y = (b.T * self._inverse_scale).T
-        y, _ = dpttrs(self._d, self._e, y, overwrite_b=1)
-        y *= self._scale[:, None]
-        return y
+    def solve(self, b: np.ndarray, out: np.ndarray) -> None:
+        """x = s * pttrs(b/s) for each row of the C-ordered ``b`` into that row of ``out``."""
+        # the transpose of the C-ordered rows b/s is Fortran-ordered: pttrs solves it in place
+        y, _ = dpttrs(self._d, self._e, (b * self._inverse_scale).T, overwrite_b=1)
+        np.multiply(y.T, self._scale, out=out)
 
 
 class _CellMajorBand:
@@ -288,19 +290,19 @@ class _CellMajorBand:
     row swap.  The unit-lower L and U = diag(u) U1, U1 unit upper, are kept
     as compact Fortran copies of S + 1 rows each: a unit sweep is about twice
     as fast as one that divides by the diagonal, and views into gbtrf's array
-    would make every sweep stride 3S + 1 rows per column.  A solve is the two
-    tbsv sweeps and a product by 1/u between strided per-species copies.
+    would make every sweep stride 3S + 1 rows per column.  A solve interleaves
+    a row into one cell-major column z, sweeps z with tbsv twice around a
+    product by 1/u, and deinterleaves z into the output row.
     """
 
     def __init__(self, lower: np.ndarray, upper: np.ndarray, inverse_pivots: np.ndarray,
                  ratio: np.ndarray):
         self._lower, self._upper = lower, upper
         self._inverse_pivots = inverse_pivots
-        self._ratio = ratio
+        self._ratio = ratio[:, None]
         self._z = np.empty(lower.shape[1])  # the interleaved column
-        self._x = None  # the solutions, reused while the batch size is unchanged
-        # made with _x: (b slice, z view, ratio) per species, x views per column
-        self._pieces = self._x_parts = None
+        # z as a (species, cells) view: entry (s, c) is z[c*S + s]
+        self._z_species = self._z.reshape(-1, len(ratio)).T
 
     @classmethod
     def factor(cls, k: sparse.dia_array, w: np.ndarray, cells: int) -> _CellMajorBand:
@@ -333,28 +335,29 @@ class _CellMajorBand:
             upper[species - m, m:] /= pivots[:-m]
         return cls(np.asfortranarray(lu[2 * species:]), upper, 1.0 / pivots, ratio)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x for each column of the Fortran-ordered (n, m) ``b``, valid until the next solve."""
-        if self._x is None or self._x.shape[0] != b.shape[1]:
-            # per-species strided views, built once per batch width: a transposed
-            # view would loop over S inside
-            self._x = np.empty(b.shape[::-1])
-            species = len(self._ratio)
-            cells = b.shape[0] // species
-            parts = [slice(s * cells, (s + 1) * cells) for s in range(species)]
-            self._pieces = [(part, self._z[s::species], r)
-                            for s, (part, r) in enumerate(zip(parts, self._ratio.tolist()))]
-            self._x_parts = [[x_j[part] for part in parts] for x_j in self._x]
-        pieces, z, species = self._pieces, self._z, len(self._pieces)
-        for b_j, x_js in zip(b.T, self._x_parts):
-            for part, z_s, r in pieces:
-                np.multiply(b_j[part], r, out=z_s)
+    def solve(self, b: np.ndarray, out: np.ndarray) -> None:
+        """x for each row of the C-ordered ``b`` into that row of the C-ordered ``out``."""
+        z, z_species, ratio = self._z, self._z_species, self._ratio
+        species = len(ratio)
+        for b_j, x_j in zip(b, out):
+            np.multiply(b_j.reshape(species, -1), ratio, out=z_species)
             dtbsv(species, self._lower, z, lower=1, diag=1, overwrite_x=1)
             z *= self._inverse_pivots
             dtbsv(species, self._upper, z, diag=1, overwrite_x=1)
-            for (_part, z_s, r), x_s in zip(pieces, x_js):
-                np.divide(z_s, r, out=x_s)
-        return self._x.T
+            np.divide(z_species, ratio, out=x_j.reshape(species, -1))
+
+
+class _SparseLU:
+    """SuperLU factors of K, for a 2-D block: minimum-degree ordering on
+    K^T+K and no supernodes keep them near band size."""
+
+    def __init__(self, k: sparse.dia_array):
+        self._lu = splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
+
+    def solve(self, b: np.ndarray, out: np.ndarray) -> None:
+        """x for each row of the C-ordered ``b`` into that row of ``out``."""
+        # b.T is a Fortran-ordered view: one right-hand side per row, no copy
+        out[...] = self._lu.solve(b.T).T
 
 
 def _segments(w: np.ndarray) -> tuple[tuple[slice, float], ...]:
@@ -424,11 +427,7 @@ class _Factored:
         self._sum_cap = 2.0 ** 1020 / (self._k_norm * len(w))
         try:
             self._solver = (_SymmetrizedTridiagonal.factor(k)
-                            or (_CellMajorBand.factor(k, w, cells) if cells
-                                # minimum-degree ordering on K^T+K and no supernodes
-                                # keep SuperLU's factors near band size
-                                else splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                          panel_size=1, relax=1)))
+                            or (_CellMajorBand.factor(k, w, cells) if cells else _SparseLU(k)))
         except RuntimeError as err:  # a nonsingular M-matrix in exact arithmetic
             raise ScalingError(f"K = I - dt*M is singular in double precision ({err}): the "
                                f"identity is lost in rounding at ||K||_inf = {self._k_norm:.3e}"
@@ -456,18 +455,17 @@ class _Factored:
 
         Returns whether every solution is finite; the caller raises after the
         last block, so a later block's residual failure still takes precedence.
-        Without ``project`` each checked x_j is written as it is: a right-hand
+        Without ``project`` each checked x_j is left as it is: a right-hand
         side without weighted mass, such as a Newton increment, has no mass
         to scale onto.  Every column is checked in this loop; only the rescale
         of a column that misses its full bound and the guard past its lazy
         limit are calls (module docstring).
         """
-        # b.T is a Fortran-ordered view: one RHS column per trajectory, no copy
-        x = self._solver.solve(b.T).T
+        self._solver.solve(b, out)
         k, tol, k_norm = self._k, self._tol, self._k_norm
         w_norm, segments, sum_cap = self._w_norm, self._segments, self._sum_cap
         finite = True
-        for b_j, x_j, out_j in zip(b, x, out):
+        for b_j, x_j in zip(b, out):
             # each column keeps its own bound: a max over the batch would let
             # one trajectory's scale hide another's miss.  Normwise backward
             # error, since a plain ||r||/||b|| reads 2.6e-9 from round-off
@@ -482,41 +480,39 @@ class _Factored:
             if not residual <= bound:
                 bound = self._full_bound(x_max, b_j)
                 if not residual <= bound:
-                    finite = self._rescaled(b_j, out_j, residual, bound, project) and finite
+                    finite = self._rescaled(b_j, x_j, residual, bound, project) and finite
                     continue
             if not math.isfinite(x_max):  # an inf entry can make both inf, which passes
                 finite = False
                 continue
             if not project:
-                out_j[...] = x_j
                 continue
             if x_max > sum_cap and max(float(b_j.max()), -float(b_j.min())) >= 1.0:
                 # its sums could overflow: the column is projected at its exact scale
-                finite = self._rescaled(b_j, out_j, residual, math.inf, project) and finite
+                finite = self._rescaled(b_j, x_j, residual, math.inf, project) and finite
                 continue
             wb = wx = 0.0
             for part, weight in segments:
                 wb += weight * float(b_j[part].sum())
                 wx += weight * float(x_j[part].sum())
             if wb == wx:  # nothing to correct; all-zero blocks would give 0/0
-                out_j[...] = x_j
                 continue
             if not abs(wb - wx) <= w_norm * bound:
                 self._guard(b_j, x_j, x_max, abs(wb - wx))
             if not (wx != 0.0 and 0.0 < wb / wx < math.inf):
                 raise SolverError(
                     f"conservative projection: cannot scale weighted mass {wx!r} to {wb!r}")
-            np.multiply(x_j, wb / wx, out=out_j)
+            x_j *= wb / wx
         return finite
 
     def _full_bound(self, x_max: float, b_j: np.ndarray) -> float:
         """LIN_TOL * (||K||_inf * max|x_j| + max|b_j|), the column's backward-error bound."""
         return self._tol * (self._k_norm * x_max + max(float(b_j.max()), -float(b_j.min())))
 
-    def _rescaled(self, b_j: np.ndarray, out_j: np.ndarray, residual: float, bound: float,
+    def _rescaled(self, b_j: np.ndarray, x_j: np.ndarray, residual: float, bound: float,
                   project: bool) -> bool:
         """The column solved by `solve` once more for b_j*2^k and scaled back
-        into out_j; returns whether it is finite.  k brings max|b_j|*2^k into
+        into x_j; returns whether it is finite.  k brings max|b_j|*2^k into
         [1/2, 1).  A column that missed its full bound takes this path with
         k > 0, or with k < 0 if that bound is not finite, as a column whose
         projection sums could overflow does with ``bound`` inf; a second miss
@@ -528,10 +524,10 @@ class _Factored:
                 f"residual {residual:.3e} > bound {bound:.3e}",
                 residual=residual,
             )
-        finite = self.solve(np.ldexp(b_j, shift)[None], out_j[None], project)
+        finite = self.solve(np.ldexp(b_j, shift)[None], x_j[None], project)
         with np.errstate(over="ignore"):
-            np.ldexp(out_j, -shift, out=out_j)
-        return finite and (shift > 0 or max(float(out_j.max()), -float(out_j.min())) < math.inf)
+            np.ldexp(x_j, -shift, out=x_j)
+        return finite and (shift > 0 or max(float(x_j.max()), -float(x_j.min())) < math.inf)
 
     def _guard(self, b_j: np.ndarray, x_j: np.ndarray, x_max: float, gap: float) -> None:
         """Raise SolverError unless the weighted-mass change ``gap`` of the

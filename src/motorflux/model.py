@@ -33,9 +33,9 @@ costs two transcendental calls instead of one per term.  Each product
 rounds once, so z**k is within a few k ulps of the exact power and term k,
 divided by k, within a few ulps of its value; the sum stays within
 1e-14 * terms * |amplitude| of the term-by-term sum of np.sin(k*arg) for
-|arg| up to about 40 (a property test covers 1 to 1024 terms).  For larger
-|arg| the term-by-term sum is the less accurate of the two, since it rounds
-k*arg before taking the sine.
+|arg| up to about 40 (a property test covers 1 to 1024 terms, the most a
+`PotentialSpec` takes).  For larger |arg| the term-by-term sum is the less
+accurate of the two, since it rounds k*arg before taking the sine.
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ __all__ = [
 
 POTENTIAL_KINDS = ("zero", "linear", "cosine", "sawtooth_smoothed", "tabulated")
 REACTION_KINDS = ("linear", "power")
+
+#: most sines of a smoothed sawtooth: its evaluation loops once per term over
+#: every sample, and the module docstring's accuracy bound is tested up to here
+_MAX_TERMS = 1024
 
 #: absolute tolerance on coupling-matrix column sums (H2)
 COLUMN_SUM_TOL = 1e-14
@@ -184,6 +188,9 @@ class PotentialSpec:
             raise UnsupportedConfigurationError(
                 f"unknown potential kind {self.kind!r}; expected one of {POTENTIAL_KINDS}"
             )
+        if self.kind == "sawtooth_smoothed" and not 1 <= self.terms <= _MAX_TERMS:
+            raise UnsupportedConfigurationError(
+                f"sawtooth_smoothed potential needs 1 <= terms <= {_MAX_TERMS}, got {self.terms}")
         if self.kind == "tabulated":
             if self.table_x is None or self.table_v is None:
                 raise UnsupportedConfigurationError("tabulated potential needs table_x and table_v")
@@ -191,14 +198,18 @@ class PotentialSpec:
                 raise UnsupportedConfigurationError("tabulated potential needs matching tables of length >= 2")
             object.__setattr__(self, "table_x", tuple(float(v) for v in self.table_x))
             object.__setattr__(self, "table_v", tuple(float(v) for v in self.table_v))
+            # np.interp does not check the order of its abscissae; a NaN fails this too
+            if not np.all(np.diff(self.table_x) > 0.0):
+                raise UnsupportedConfigurationError(
+                    f"tabulated potential needs strictly increasing xs, got {self.table_x}")
 
 
 @dataclass(frozen=True)
 class ReactionSpec:
     """Reaction rate r(s), nondecreasing on s >= 0 with r(0) = 0.
 
-    kind 'linear' is the identity; kind 'power' is s**exponent with
-    exponent >= 1 (the validator rejects smaller exponents).
+    kind 'linear' is the identity; kind 'power' is s**exponent with a finite
+    exponent >= 1 (the validator rejects any other exponent).
     """
 
     kind: str
@@ -535,10 +546,9 @@ def _check(spec: ProblemSpec) -> ValidationReport:
                 violations.append(f"H3: species {i} potential is not finite on the domain")
         except OutOfDomainError:
             violations.append(f"H3: species {i} potential not evaluable on the domain closure")
-        if sp.reaction.kind == "power" and sp.reaction.exponent < 1.0:
-            violations.append(
-                f"H3: species {i} reaction not admissible (p={sp.reaction.exponent} < 1)"
-            )
+        if sp.reaction.kind == "power" and not 1.0 <= sp.reaction.exponent < math.inf:
+            violations.append(f"H3: species {i} reaction not admissible "
+                              f"(p={sp.reaction.exponent}, must be finite and >= 1)")
 
     lam = spec.coupling.lam
     if lam.shape != (n, n):

@@ -471,9 +471,33 @@ class TestParseConfig:
         ([("initial.kind = cosine\ninitial.params = amplitude=0.4, offset=1.0, period=1.0",
            "initial.kind = linear\ninitial.params = slope=1e308, offset=1e308")],
          "invalid problem: H4: species 1 initial data not finite"),
+        # a NaN exponent ended in exit 4, an infinite one in a step-size error
+        ([("potential.kind = zero", "potential.kind = zero\nreaction.kind = power\n"
+                                    "reaction.params = exponent=nan")],
+         "invalid problem: H3: species 1 reaction not admissible (p=nan, must be finite and >= 1)"),
+        ([("potential.kind = zero", "potential.kind = zero\nreaction.kind = power\n"
+                                    "reaction.params = exponent=inf")],
+         "invalid problem: H3: species 1 reaction not admissible (p=inf, must be finite and >= 1)"),
+        # np.interp reads unsorted xs without a word: these ran to exit 0
+        ([("potential.kind = zero",
+           "potential.kind = tabulated\npotential.params = xs=0 1 0.5, values=0 1 5")],
+         "[species.1] potential: tabulated potential needs strictly increasing xs, "
+         "got (0.0, 1.0, 0.5)"),
+        ([("potential.kind = zero",
+           "potential.kind = tabulated\npotential.params = xs=1 0, values=0 1")],
+         "[species.1] potential: tabulated potential needs strictly increasing xs, got (1.0, 0.0)"),
+        ([("potential.kind = zero",
+           "potential.kind = tabulated\npotential.params = xs=0 nan 1, values=0 1 5")],
+         "[species.1] potential: tabulated potential needs strictly increasing xs, "
+         "got (0.0, nan, 1.0)"),
+        # 1025 terms evaluate at once where they are accepted
+        ([("potential.kind = zero",
+           "potential.kind = sawtooth_smoothed\npotential.params = terms=1025")],
+         "[species.1] potential: sawtooth_smoothed potential needs 1 <= terms <= 1024, got 1025"),
     ], ids=["number-list", "params-entry", "duplicate-param", "table-lengths",
             "no-species", "species-gap", "row-length", "negative-initial2",
-            "potential-kind", "non-finite-initial"])
+            "potential-kind", "non-finite-initial", "exponent-nan", "exponent-inf",
+            "xs-unsorted", "xs-decreasing", "xs-nan", "terms-cap"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, edits, message):
         text = MOTOR_CONFIG
         for old, new in edits:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import splu
 
 from motorflux import (
     Grid,
@@ -37,6 +37,7 @@ from motorflux.evolve import (
     _Factored,
     _implicit_matrix,
     _inf_norm,
+    _SparseLU,
     _Stepper,
     _SymmetrizedTridiagonal,
 )
@@ -89,10 +90,20 @@ def _identity(tol, x=None):
     factored = _factor(sparse.csr_array((4, 4)), np.full(4, 0.25), 0.1, tol=tol)
     if x is not None:
         class Fixed:
-            def solve(self, b):
-                return x.T
+            def solve(self, b, out):
+                out[...] = x
         factored._solver = Fixed()
     return factored
+
+
+def _solved_rows(solver, b):
+    """``solver.solve(b, out)`` into a NaN-filled ``out``, which it returns,
+    asserting that the solve leaves ``b`` unchanged and fills every row."""
+    before, out = b.copy(), np.full_like(b, np.nan)
+    solver.solve(b, out)
+    assert np.array_equal(b, before)
+    assert np.isfinite(out).all()
+    return out
 
 
 class TestStepConfig:
@@ -737,8 +748,8 @@ def test_a_column_that_meets_its_bound_is_still_guarded():
     factored = _factor(sparse.csr_array((4, 4)), np.full(4, 0.25), 0.1, tol=0.5)
 
     class OffByOnePercent:
-        def solve(self, b):
-            return 1.01 * b
+        def solve(self, b, out):
+            np.multiply(1.01, b, out=out)
 
     factored._solver = OffByOnePercent()
     factored._segments = ((slice(0, 4), 100.0),)
@@ -761,9 +772,9 @@ class _Counted:
     def __init__(self, inner, calls: list):
         self._inner, self._calls = inner, calls
 
-    def solve(self, b):
+    def solve(self, b, out):
         self._calls.append(None)
-        return self._inner.solve(b)
+        self._inner.solve(b, out)
 
     def __matmul__(self, x):
         self._calls.append(None)
@@ -821,8 +832,8 @@ class TestUnderflowRescale:
     @pytest.mark.parametrize("spec", [sawtooth_motor(16), reversible_problem(cells=16)],
                              ids=["band", "pttrs"])
     def test_a_retried_column_leaves_the_rest_of_its_batch_alone(self, monkeypatch, spec):
-        # the band's solutions are valid only until its next solve, and the
-        # retry of the tiny column is one; the normal column is checked after it
+        # the retry of the tiny column is a second solve into its own row of
+        # the output; the normal column is checked after it
         u0 = initial_state(spec)
         tiny = u0.with_fields(np.ldexp(u0.fields, -1040))
         alone = [run(spec, self.CFG, u).final.fields for u in (u0, tiny)]
@@ -880,7 +891,7 @@ class TestTridiagonalSolve:
 
             k = sparse.csc_array(sparse.eye_array(cells) - dt * matrix)
             b = rng.random((3, cells))
-            x = factored._solver.solve(b.T).T
+            x = _solved_rows(factored._solver, b)
             dense = k.toarray()
             k_norm = np.abs(dense).sum(axis=1).max()
             for x_j, b_j in zip(x, b):
@@ -894,7 +905,8 @@ class TestTridiagonalSolve:
     def test_other_blocks_keep_superlu(self, rng):
         spec_2d = random_problem(rng, n=1, cells=8, dim=2)
         factored = _factor(transports_for(spec_2d)[0].matrix, np.ones(64), 0.01)
-        assert isinstance(factored._solver, SuperLU)
+        assert isinstance(factored._solver, _SparseLU)
+        _solved_rows(factored._solver, rng.random((2, 64)))
         b = rng.random((1, 64))
         out = np.empty_like(b)
         assert factored.solve(b, out)  # still checked and finite
@@ -908,6 +920,7 @@ class TestTridiagonalSolve:
                                  (steep, np.ones(64), 64)]:
             factored = _factor(matrix, w, 0.01, cells)
             assert isinstance(factored._solver, _CellMajorBand)
+            _solved_rows(factored._solver, rng.random((2, len(w))))
             b = rng.random((1, len(w)))
             out = np.empty_like(b)
             assert factored.solve(b, out)  # still checked and finite
@@ -954,7 +967,7 @@ class TestTridiagonalSolve:
                                motorflux.evolve._cells_1d(spec), 0.1,
                                None if spec.is_linear else spec)
             kinds.append({type(f._solver) for f in stepper._factors})
-        assert kinds == [{_SymmetrizedTridiagonal}, {_CellMajorBand}, {SuperLU}]
+        assert kinds == [{_SymmetrizedTridiagonal}, {_CellMajorBand}, {_SparseLU}]
 
 
 def _random_linear_1d(rng) -> ProblemSpec:
@@ -1000,7 +1013,7 @@ class TestCellMajorBand:
             band = _CellMajorBand.factor(k, w, spec.grid.size)
             assert np.array_equal(pivots[-1], np.arange(k.shape[0]))
             b = rng.random((k.shape[0], 3)) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
-            x = band.solve(np.asfortranarray(b)).copy()
+            x = _solved_rows(band, np.ascontiguousarray(b.T)).T
             dense = k.toarray()
             k_norm = np.abs(dense).sum(axis=1).max()
             for x_j, b_j in zip(x.T, b.T):
@@ -1038,8 +1051,10 @@ def _tamper_solves(monkeypatch, tamper):
     """Pass every solve result of the stepper's factorizations through ``tamper``.
 
     That covers SuperLU's solves, the pttrs solves of tridiagonal blocks and
-    the band sweeps.  pttrs returns y of x = s * y; scaling a column, zeroing
-    it or setting an entry to inf acts on x as it does on y.
+    the band sweeps.  ``tamper`` gets an (unknowns, trajectories) array, one
+    column per trajectory; for the band that is the transposed output.  pttrs
+    returns y of x = s * y; scaling a column, zeroing it or setting an entry
+    to inf acts on x as it does on y.
     """
     factorize = motorflux.evolve.splu
     pttrs = motorflux.evolve.dpttrs
@@ -1059,10 +1074,9 @@ def _tamper_solves(monkeypatch, tamper):
         tamper(y)
         return y, info
 
-    def tampered_band_solve(self, b):
-        x = band_solve(self, b)
-        tamper(x)
-        return x
+    def tampered_band_solve(self, b, out):
+        band_solve(self, b, out)
+        tamper(out.T)
 
     monkeypatch.setattr(motorflux.evolve, "splu", Tampered)
     monkeypatch.setattr(motorflux.evolve, "dpttrs", tampered_pttrs)

@@ -129,6 +129,23 @@ class TestPotentials:
         with pytest.raises(UnsupportedConfigurationError):
             PotentialSpec("quadratic")
 
+    @pytest.mark.parametrize("xs", [(0.0, 1.0, 0.5), (1.0, 0.0), (0.0, 0.0, 1.0),
+                                    (0.0, math.nan, 1.0)])
+    def test_tabulated_xs_must_increase_strictly(self, xs):
+        # np.interp reads unsorted abscissae without a word: (0, 1, 0.5) with
+        # values (0, 1, 5) jumps to 5 over the right half, (1, 0) is constant
+        with pytest.raises(UnsupportedConfigurationError, match="strictly increasing xs"):
+            PotentialSpec("tabulated", table_x=xs, table_v=(0.0, 1.0, 5.0)[:len(xs)])
+
+    def test_sawtooth_terms_are_capped(self):
+        # only constructed, never evaluated: a billion terms would loop for about an
+        # hour, and no term at all made a constant profile without a word
+        assert PotentialSpec("sawtooth_smoothed", terms=1024).terms == 1024
+        for terms in (1025, 10 ** 9, 0):
+            with pytest.raises(UnsupportedConfigurationError,
+                               match=f"1 <= terms <= 1024, got {terms}"):
+                PotentialSpec("sawtooth_smoothed", terms=terms)
+
 
 class TestReactions:
     def test_linear_is_identity(self):
@@ -254,6 +271,16 @@ class TestValidate:
         report = validate(ProblemSpec(grid=spec.grid, species=species,
                                       coupling=spec.coupling, initial=spec.initial))
         assert any("H3" in v and "not admissible" in v for v in report.violations)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf])
+    def test_non_finite_power_violation(self, exponent):
+        spec = symmetric_motor(16)
+        species = (SpeciesSpec(1.0, 1.0, ZERO, ReactionSpec("power", exponent=exponent)),
+                   spec.species[1])
+        report = validate(ProblemSpec(grid=spec.grid, species=species,
+                                      coupling=spec.coupling, initial=spec.initial))
+        assert (f"H3: species 1 reaction not admissible (p={exponent}, must be finite and >= 1)"
+                in report.violations)
 
     def test_negative_sigma_and_alpha(self):
         spec = symmetric_motor(16)

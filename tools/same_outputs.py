@@ -6,9 +6,11 @@ PARENT_SRC and CHANGE_SRC are directories that hold the ``motorflux``
 package (a checkout's ``src/``).  The script runs every command of the
 benchmark workloads ``snap1d``, ``imex1d`` and ``stationary1d`` at seeds 1
 and 2, with the configs that ``perfbench/workloads.py`` generates, and all
-six commands on each extra CONFIG file.  Every run is a fresh interpreter
-with the tree on PYTHONPATH.  It prints each difference in exit code, stdout
-or stderr (with the output directory masked) or the bytes of an output file.
+six commands on two fixed 2-D configs, one linear and one IMEX, and on each
+extra CONFIG file.  The workloads are all 1-D, so the 2-D configs are what
+reach the SuperLU solves.  Every run is a fresh interpreter with the tree on
+PYTHONPATH.  It prints each difference in exit code, stdout or stderr (with
+the output directory masked) or the bytes of an output file.
 It also prints each ``.ndjson`` output of either tree that holds a
 non-finite JSON number (``Infinity``, ``-Infinity`` or ``NaN``), even where
 both trees agree, since a gate that reads such a number can pass vacuously.
@@ -34,6 +36,49 @@ COMMANDS = ("simulate", "steady", "verify-contraction", "verify-comparison",
             "verify-convergence", "oracle-compare")
 SEEDS = (1, 2)
 
+#: a 16 x 12 linear pair, small enough for the dense oracle; the second
+#: species follows axis 1, and both give initial2 above initial
+LINEAR_2D = """\
+[domain]
+lo = 0.0, 0.0
+hi = 1.0, 1.0
+cells = 16, 12
+
+[species.1]
+sigma = 1.0
+alpha = 1.0
+potential.kind = sawtooth_smoothed
+potential.params = amplitude=0.5, period=1.0
+initial.kind = cosine
+initial.params = amplitude=0.4, offset=1.0
+initial2.kind = cosine
+initial2.params = amplitude=0.4, offset=1.5
+
+[species.2]
+sigma = 0.8
+alpha = 2.0
+potential.kind = cosine
+potential.params = amplitude=0.3, period=0.5, axis=1
+initial.kind = cosine
+initial.params = amplitude=0.3, offset=0.8, period=0.5, axis=1
+initial2.kind = cosine
+initial2.params = amplitude=0.3, offset=1.2, period=0.5, axis=1
+
+[coupling]
+row.1 = -1.0, 1.0
+row.2 = 1.0, -1.0
+
+[time]
+dt = 0.05
+t_end = 6.0
+stride = 20
+"""
+
+#: the same pair stepped by IMEX: species 1 reacts at rate u**2
+IMEX_2D = LINEAR_2D.replace("potential.params = amplitude=0.5, period=1.0\n",
+                            "potential.params = amplitude=0.5, period=1.0\n"
+                            "reaction.kind = power\nreaction.params = exponent=2\n")
+
 sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
@@ -50,9 +95,15 @@ def runs(work: Path, configs: list[str]):
                 if cmd.seed is not None:
                     argv += ["--seed", str(cmd.seed)]
                 yield f"{name} seed {seed} #{i} {cmd.label}", argv
-    for config in configs:
+    files = []
+    for name, text in (("linear-2d", LINEAR_2D), ("imex-2d", IMEX_2D)):
+        path = work / f"{name}.ini"
+        path.write_text(text)
+        files.append((name, path))
+    files += [(config, Path(config).resolve()) for config in configs]
+    for label, path in files:
         for verb in COMMANDS:
-            yield f"{config} {verb}", [verb, "--config", str(Path(config).resolve())]
+            yield f"{label} {verb}", [verb, "--config", str(path)]
 
 
 def run(src: Path, argv: list[str], out: Path) -> dict:
