@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Each type carries the exit code and the stderr label that the command line
-reports it with: 2 for a config error, 3 for an invariant failure, 4 for a
-solver failure (and for any other motorflux error).
+The command line reports each error with the exit code and the stderr label
+of its base class: 2 for a `ConfigError`, 3 for an `InvariantViolationError`,
+4 for a `SolverError` (and for any other motorflux error).  Each code and
+label is declared once, on that base class.
 """
 
 
@@ -28,42 +29,39 @@ class ConfigError(MotorfluxError):
     label = "config error"
 
 
-class OutOfDomainError(MotorfluxError):
+class OutOfDomainError(ConfigError):
     """Evaluation requested outside the admissible domain of a function."""
 
-    exit_code = 2
-    label = "config error"
 
-
-class UnsupportedConfigurationError(MotorfluxError):
+class UnsupportedConfigurationError(ConfigError):
     """The requested operation does not apply to this problem configuration."""
 
-    exit_code = 2
-    label = "config error"
 
-
-class ScalingError(MotorfluxError):
+class ScalingError(ConfigError):
     """A gauge factor exp(psi/sigma) or a Scharfetter-Gummel weight would
     overflow double precision, or a matrix that is nonsingular in exact
     arithmetic rounds to a singular one because its scales lie too far apart."""
 
-    exit_code = 2
-    label = "config error"
 
-
-class StepSizeError(MotorfluxError):
+class StepSizeError(ConfigError):
     """Time step exceeds the positivity bound; carries the admissible dt_max."""
-
-    exit_code = 2
-    label = "config error"
 
     def __init__(self, message: str, dt_max: float):
         super().__init__(message)
         self.dt_max = dt_max
 
 
+class DegenerateDataError(ConfigError):
+    """Input data carries no information for the requested operation (e.g. zero mass)."""
+
+
+class OracleScopeError(ConfigError):
+    """Problem exceeds the size cap of the dense reference computation, or
+    its exp(t*A) u0 overflows double precision."""
+
+
 class SolverError(MotorfluxError):
-    """Linear solve failed to reach its tolerance; carries the last residual."""
+    """A solver could not deliver a checked result; carries the last residual."""
 
     exit_code = 4
     label = "solver failure"
@@ -77,27 +75,9 @@ class NonConvergenceError(SolverError):
     """A solver result missed its convergence criterion or residual bound."""
 
 
-class IrreducibilityError(MotorfluxError):
+class IrreducibilityError(SolverError):
     """Stationary problem is not irreducible: coupling graph not strongly
     connected, or an operator that breaks mass conservation."""
-
-    exit_code = 4
-    label = "solver failure"
-
-
-class DegenerateDataError(MotorfluxError):
-    """Input data carries no information for the requested operation (e.g. zero mass)."""
-
-    exit_code = 2
-    label = "config error"
-
-
-class OracleScopeError(MotorfluxError):
-    """Problem exceeds the size cap of the dense reference computation, or
-    its exp(t*A) u0 overflows double precision."""
-
-    exit_code = 2
-    label = "config error"
 
 
 class InvariantViolationError(MotorfluxError):

@@ -74,7 +74,8 @@ REACTION_KINDS = ("linear", "power")
 #: every sample, and the module docstring's accuracy bound is tested up to here
 _MAX_TERMS = 1024
 
-#: absolute tolerance on coupling-matrix column sums (H2)
+#: tolerance on a coupling-matrix column sum (H2), relative to the sum of the
+#: column's |entries|
 COLUMN_SUM_TOL = 1e-14
 
 #: most unknowns (species x cells) a problem may have, 16 times the largest
@@ -82,6 +83,12 @@ COLUMN_SUM_TOL = 1e-14
 #: before any array of its size is allocated.  A 1-D run takes about 230 bytes
 #: per unknown, so about 1 GB at the cap.
 MAX_UNKNOWNS = 2**22
+
+#: most species x unknowns (species^2 x cells, the entries of K's species-by-species
+#: cell blocks) of a 2-D problem.  SuperLU's factors grow with it: one step at
+#: this cap (1 species x 1024^2, 2 x 512^2, 4 x 256^2 or 8 x 128^2 cells)
+#: peaked at 1.1, 0.88, 0.72 and 0.50 GB; 2 x 1024^2 extrapolates to about 4 GB.
+MAX_2D_BLOCK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -188,6 +195,9 @@ class PotentialSpec:
             raise UnsupportedConfigurationError(
                 f"unknown potential kind {self.kind!r}; expected one of {POTENTIAL_KINDS}"
             )
+        if self.kind == "sawtooth_smoothed" and type(self.terms) is not int:  # nor a bool
+            raise UnsupportedConfigurationError(
+                f"sawtooth_smoothed potential needs an integer terms, got {self.terms!r}")
         if self.kind == "sawtooth_smoothed" and not 1 <= self.terms <= _MAX_TERMS:
             raise UnsupportedConfigurationError(
                 f"sawtooth_smoothed potential needs 1 <= terms <= {_MAX_TERMS}, got {self.terms}")
@@ -502,7 +512,8 @@ def _strongly_connected(lam: np.ndarray) -> bool:
 
 
 def validate(spec: ProblemSpec) -> ValidationReport:
-    """Check H1-H4, structural consistency and the MAX_UNKNOWNS cap; violations are data.
+    """Check H1-H4, structural consistency and the MAX_UNKNOWNS and MAX_2D_BLOCK_ENTRIES
+    caps; violations are data.
 
     Idempotent and side-effect free: validating twice yields the same report,
     so the frozen ``spec`` keeps the report of its first call (a replaced copy
@@ -526,6 +537,11 @@ def _check(spec: ProblemSpec) -> ValidationReport:
         return ValidationReport(violations=(
             f"grid: {n} species x {grid.size} cells = {unknowns} unknowns "
             f"exceed the cap of {MAX_UNKNOWNS}",
+        ))
+    if grid.dim == 2 and n * unknowns > MAX_2D_BLOCK_ENTRIES:  # factoring would outgrow memory
+        return ValidationReport(violations=(
+            f"grid: 2-D, {n} species x {grid.size} cells: species x unknowns = "
+            f"{n * unknowns} exceed the 2-D cap of {MAX_2D_BLOCK_ENTRIES}",
         ))
 
     if abs(grid.size * grid.cell_volume - grid.volume) > 1e-12 * grid.volume:
@@ -566,9 +582,10 @@ def _check(spec: ProblemSpec) -> ValidationReport:
                     violations.append(
                         f"H2: off-diagonal entry lam[{i + 1},{j + 1}]={lam[i, j]} < 0"
                     )
-        sums = spec.coupling.column_sums()
-        for j, s in enumerate(sums, start=1):
-            if abs(s) > COLUMN_SUM_TOL:
+        # each sum against its column's own scale: lam * 2^k gets one verdict for every k
+        bounds = COLUMN_SUM_TOL * np.abs(lam).sum(axis=0)
+        for j, (s, bound) in enumerate(zip(spec.coupling.column_sums(), bounds), start=1):
+            if abs(s) > bound:
                 violations.append(f"H2: column {j} sums to {float(s)!r} (must be 0)")
         if not _strongly_connected(lam):
             warnings.append(

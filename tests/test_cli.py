@@ -19,7 +19,7 @@ import motorflux.cli
 from motorflux.cli import _write_state_csv, format_effective_config, main, parse_config
 import motorflux.evolve
 from motorflux.evolve import run_batch
-from motorflux.model import MAX_UNKNOWNS
+from motorflux.model import MAX_2D_BLOCK_ENTRIES, MAX_UNKNOWNS
 import motorflux.errors
 from motorflux.errors import (
     ConfigError,
@@ -366,6 +366,10 @@ TINY_CUBIC_32_CONFIG = TINY_LINEAR_32_CONFIG.replace(
     "[species.2]\n", "[species.2]\nreaction.kind = power\nreaction.params = exponent=3.0\n")
 
 
+_COMMANDS = ("simulate", "steady", "verify-contraction", "verify-comparison",
+             "verify-convergence", "oracle-compare")
+
+
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -633,6 +637,20 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_2d_cap_exits_2_before_sampling(self, tmp_path, capsys, profile_calls, command):
+        # one species at 2048^2 is within MAX_UNKNOWNS, but SuperLU's factors would
+        # outgrow memory: validate stops it before any profile is sampled
+        text = (MINIMAL_CONFIG.replace("lo = 0.0", "lo = 0.0, 0.0")
+                .replace("hi = 1.0", "hi = 1.0, 1.0").replace("cells = 16", "cells = 2048, 2048"))
+        assert main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid problem: grid: 2-D, 1 species x 4194304 cells: species x "
+            f"unknowns = 4194304 exceed the 2-D cap of {MAX_2D_BLOCK_ENTRIES}\n")
+        assert not profile_calls
+        assert not (tmp_path / "o").exists()
+
     def test_mass_failure_names_snapshot(self, tmp_path, capsys, monkeypatch):
         def leaky_run(spec, cfg, initials):
             for k, (state,) in enumerate(run_batch(spec, cfg, initials)):
@@ -772,9 +790,6 @@ _KEY_COMMANDS = {
     "threshold": ("verify", "verify-convergence"),
     "oracle_t": ("verify", "oracle-compare"),
 }
-
-_COMMANDS = ("simulate", "steady", "verify-contraction", "verify-comparison",
-             "verify-convergence", "oracle-compare")
 
 _SMALL_VALUES = st.one_of(
     st.floats(min_value=-10.0, max_value=10.0),

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from motorflux import (
 from motorflux.errors import OutOfDomainError, UnsupportedConfigurationError
 import motorflux.evolve
 import motorflux.model
-from motorflux.model import MAX_UNKNOWNS, eval_power
+from motorflux.model import MAX_2D_BLOCK_ENTRIES, MAX_UNKNOWNS, eval_power
 
 from conftest import ZERO, symmetric_motor
 from reversible_oracle import reaction_inverse
@@ -145,6 +146,11 @@ class TestPotentials:
             with pytest.raises(UnsupportedConfigurationError,
                                match=f"1 <= terms <= 1024, got {terms}"):
                 PotentialSpec("sawtooth_smoothed", terms=terms)
+        # range() takes no float, and True is no count of terms
+        for terms in (2.5, 2.0, True, np.int64(2)):
+            with pytest.raises(UnsupportedConfigurationError,
+                               match=re.escape(f"needs an integer terms, got {terms!r}")):
+                PotentialSpec("sawtooth_smoothed", terms=terms)
 
 
 class TestReactions:
@@ -264,6 +270,21 @@ class TestValidate:
         # a plain float repr, not numpy 2's np.float64(...)
         assert "H2: column 2 sums to -1.0 (must be 0)" in report.violations
 
+    @pytest.mark.parametrize("k", [-900, -40, 0, 40, 900])
+    def test_column_sums_are_judged_at_their_own_scale(self, k):
+        # each column is (-3333.3, 1111.1, 2222.2) in some order: it sums to -4.5e-13
+        # in doubles, above 1e-14 but 7e-17 of the column's sum of |entries|; the
+        # coupling times 2^k gets the verdict of the coupling, and so does a bad one
+        spec = symmetric_motor(16)
+        rows = np.ldexp([[-3333.3, 2222.2, 1111.1],
+                         [1111.1, -3333.3, 2222.2],
+                         [2222.2, 1111.1, -3333.3]], k)
+        three = ProblemSpec(grid=spec.grid, species=spec.species[:1] * 3,
+                            coupling=CouplingMatrix(rows), initial=spec.initial[:1] * 3)
+        assert validate(three).ok
+        bad = replace(spec, coupling=CouplingMatrix(np.ldexp([[-1.0, 0.0], [1.0, -1.0]], k)))
+        assert validate(bad).violations == (f"H2: column 2 sums to {-2.0 ** k!r} (must be 0)",)
+
     def test_low_power_violation(self):
         spec = symmetric_motor(16)
         species = (SpeciesSpec(1.0, 1.0, ZERO, ReactionSpec("power", exponent=0.5)),
@@ -340,6 +361,27 @@ class TestValidate:
                 f"grid: 2 species x {math.prod(cells)} cells = {2 * math.prod(cells)} "
                 f"unknowns exceed the cap of {MAX_UNKNOWNS}",
             )
+
+    @pytest.mark.parametrize("n, cells, ok", [
+        (2, (128, 128), True),  # the largest 2-D problem of the other tests
+        (1, (1024, 1024), True), (2, (512, 512), True), (4, (256, 256), True),
+        (8, (128, 128), True),  # each at the cap
+        (1, (2048, 2048), False), (2, (1024, 512), False), (5, (256, 256), False),
+    ])
+    def test_2d_cap(self, profile_calls, n, cells, ok):
+        cycle = np.eye(n, k=-1) + np.eye(n, k=n - 1) - np.eye(n)  # [[0.0]] for one species
+        spec = ProblemSpec(grid=Grid((0.0, 0.0), (1.0, 1.0), cells),
+                           species=(SpeciesSpec(1.0, 1.0, ZERO),) * n,
+                           coupling=CouplingMatrix(cycle),
+                           initial=(PotentialSpec("cosine", amplitude=0.4, offset=1.0),) * n)
+        report = validate(spec)
+        assert report.ok == ok
+        if not ok:  # rejected before any profile is sampled on the grid
+            assert report.violations == (
+                f"grid: 2-D, {n} species x {math.prod(cells)} cells: species x unknowns = "
+                f"{n * n * math.prod(cells)} exceed the 2-D cap of {MAX_2D_BLOCK_ENTRIES}",
+            )
+            assert not profile_calls
 
     def test_disconnected_coupling_warns(self):
         spec = symmetric_motor(16)

@@ -29,7 +29,19 @@ from motorflux import (
     run,
     run_batch,
 )
-from motorflux.errors import ConfigError, OutOfDomainError, UnsupportedConfigurationError
+import motorflux.errors
+from motorflux.errors import (
+    ConfigError,
+    InvariantViolationError,
+    MotorfluxError,
+    OutOfDomainError,
+    SolverError,
+    UnsupportedConfigurationError,
+)
+
+#: every concrete error type of the package
+ERROR_TYPES = [c for c in vars(motorflux.errors).values()
+               if isinstance(c, type) and issubclass(c, MotorfluxError) and c is not MotorfluxError]
 
 
 @pytest.mark.parametrize("name", ["motorflux", "motorflux.discretize", "motorflux.evolve",
@@ -39,6 +51,16 @@ def test_every_exported_name_exists_once(name):
     exported = module.__all__
     assert sorted(n for n in set(exported) if exported.count(n) > 1) == []
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("cls", ERROR_TYPES, ids=lambda c: c.__name__)
+def test_each_exit_code_has_one_base_class(cls):
+    # a library caller's `except ConfigError` sees every error that the command
+    # line reports with exit 2, and `except SolverError` every one with exit 4
+    base = {2: ConfigError, 3: InvariantViolationError, 4: SolverError}[cls.exit_code]
+    assert issubclass(cls, base)
+    declared = "exit_code" in vars(cls) or "label" in vars(cls)
+    assert declared == (cls is base)
 
 
 def test_readme_library_example_runs():
