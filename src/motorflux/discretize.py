@@ -112,6 +112,13 @@ def _transports(spec: ProblemSpec):
             for i, (sp, psi) in enumerate(zip(spec.species, potentials)))
 
 
+def _diffusion_weight(sigma: float, h: float) -> float:
+    """sigma/h^2 as sigma/(h*h), and inf where h*h underflows to 0 (h**2 would
+    raise OverflowError beyond 1.3e154)."""
+    square = h * h
+    return sigma / square if square > 0.0 else math.inf
+
+
 def _transport(grid: Grid, sigma: float, psi_vals: np.ndarray,
                species: int) -> TransportOperator:
     """`assemble_transport` from the flat cell-centre samples ``psi_vals``."""
@@ -127,12 +134,16 @@ def _transport(grid: Grid, sigma: float, psi_vals: np.ndarray,
     colsum = rows[0]  # negated into the diagonal below
     # (offset, cells) in the order in which a non-finite weight is reported
     checked = []
+    weights = [_diffusion_weight(sigma, h) for h in grid.h]
+    if math.inf in weights:
+        raise ScalingError(
+            f"species {species + 1}: the diffusion weight sigma/h^2 overflows (sigma = "
+            f"{sigma!r}, h = {min(grid.h)!r}); the cells are too small for double precision"
+        )
     # a potential jump too steep for double precision gives an inf or nan
     # weight, which the check below reports instead of a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for ax, stride in enumerate(strides):
-            h = grid.h[ax]
-            w = sigma / (h * h)
+        for ax, (stride, w) in enumerate(zip(strides, weights)):
             lo = tuple(slice(None, -1) if a == ax else slice(None) for a in range(grid.dim))
             hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(grid.dim))
             s = (pot[hi] - pot[lo]) / sigma

@@ -64,7 +64,7 @@ __all__ = [
     "initial_state",
     "POTENTIAL_KINDS",
     "REACTION_KINDS",
-    "MAX_UNKNOWNS",
+    "MAX_RUN_BYTES",
 ]
 
 POTENTIAL_KINDS = ("zero", "linear", "cosine", "sawtooth_smoothed", "tabulated")
@@ -78,17 +78,9 @@ _MAX_TERMS = 1024
 #: column's |entries|
 COLUMN_SUM_TOL = 1e-14
 
-#: most unknowns (species x cells) a problem may have, 16 times the largest
-#: sweep point (4 species x 65,536 cells): `validate` rejects a larger problem
-#: before any array of its size is allocated.  A 1-D run takes about 230 bytes
-#: per unknown, so about 1 GB at the cap.
-MAX_UNKNOWNS = 2**22
-
-#: most species x unknowns (species^2 x cells, the entries of K's species-by-species
-#: cell blocks) of a 2-D problem.  SuperLU's factors grow with it: one step at
-#: this cap (1 species x 1024^2, 2 x 512^2, 4 x 256^2 or 8 x 128^2 cells)
-#: peaked at 1.1, 0.88, 0.72 and 0.50 GB; 2 x 1024^2 extrapolates to about 4 GB.
-MAX_2D_BLOCK_ENTRIES = 2**20
+#: most bytes that `_run_bytes` may estimate for a problem: `validate` rejects
+#: a larger one before any array of its size is allocated
+MAX_RUN_BYTES = 2**31
 
 
 @dataclass(frozen=True)
@@ -511,9 +503,28 @@ def _strongly_connected(lam: np.ndarray) -> bool:
     return bool(reachable(adj).all() and reachable(adj.T).all())
 
 
+def _run_bytes(n_species: int, grid: Grid) -> int:
+    """Estimated peak bytes of any command on ``n_species`` species S on ``grid``.
+
+    96 MiB for the interpreter (62 MiB measured), plus per cell 80*S*(S + 2):
+    the 1-D coupled factor, a gbtrf band of half-width S with compact L and U,
+    beside K and the Jacobian; and in 2-D also 3*S^2*ceil(log2(cells)^2),
+    SuperLU's fill.  A nonlinear `steady` peaks highest, as it factors the
+    coupled Jacobian, so the rule depends on the problem, not on the command.
+    The law bounds every peak RSS measured with one BLAS thread, 1 to 256
+    species and up to 1,968 MiB, which tests/test_model.py lists.  The arithmetic
+    is exact in integers, so any count of cells gets an estimate.
+    """
+    cells = grid.size
+    per_cell = 80 * n_species * (n_species + 2)
+    if grid.dim == 2:
+        per_cell += 3 * n_species**2 * math.ceil(math.log2(cells) ** 2)
+    return 96 * 2**20 + per_cell * cells
+
+
 def validate(spec: ProblemSpec) -> ValidationReport:
-    """Check H1-H4, structural consistency and the MAX_UNKNOWNS and MAX_2D_BLOCK_ENTRIES
-    caps; violations are data.
+    """Check the memory rule (`_run_bytes` at most MAX_RUN_BYTES), H1-H4 and
+    structural consistency; violations are data.
 
     Idempotent and side-effect free: validating twice yields the same report,
     so the frozen ``spec`` keeps the report of its first call (a replaced copy
@@ -532,16 +543,11 @@ def _check(spec: ProblemSpec) -> ValidationReport:
     grid = spec.grid
     n = spec.n_species
 
-    unknowns = n * grid.size
-    if unknowns > MAX_UNKNOWNS:  # the checks below would allocate per cell
+    estimate = _run_bytes(n, grid)
+    if estimate > MAX_RUN_BYTES:  # the checks below would allocate per cell
         return ValidationReport(violations=(
-            f"grid: {n} species x {grid.size} cells = {unknowns} unknowns "
-            f"exceed the cap of {MAX_UNKNOWNS}",
-        ))
-    if grid.dim == 2 and n * unknowns > MAX_2D_BLOCK_ENTRIES:  # factoring would outgrow memory
-        return ValidationReport(violations=(
-            f"grid: 2-D, {n} species x {grid.size} cells: species x unknowns = "
-            f"{n * unknowns} exceed the 2-D cap of {MAX_2D_BLOCK_ENTRIES}",
+            f"grid: {n} species x {grid.size} cells need an estimated {estimate} bytes, "
+            f"above the limit of {MAX_RUN_BYTES}",
         ))
 
     if abs(grid.size * grid.cell_volume - grid.volume) > 1e-12 * grid.volume:

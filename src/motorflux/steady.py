@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .discretize import SystemOperator, _block_matrix, _gauge_factors, _transports
+from .discretize import (SystemOperator, _block_matrix, _diffusion_weight, _gauge_factors,
+                         _transports)
 from .errors import (
     DegenerateDataError,
     IrreducibilityError,
@@ -136,7 +137,7 @@ def _require_solvable(spec: ProblemSpec, transports) -> None:
         )
     eps = np.finfo(float).eps
     h = max(spec.grid.h)
-    weight = min(sp.sigma for sp in spec.species) / (h * h)  # h**2 would raise beyond 1.3e154
+    weight = _diffusion_weight(min(sp.sigma for sp in spec.species), h)
     rates = spec.alphas * np.abs(np.diag(spec.coupling.lam))
     lost = [f"the smallest transport weight sigma/h^2 = {weight:.3e} is lost in rounding "
             f"beside the largest coupling rate alpha_i*|lam_ii| = {rates.max():.3e}"
@@ -254,6 +255,7 @@ def _continuation(spec: ProblemSpec, transports, u: np.ndarray,
     for _ in range(_MAX_STEPS):
         tau = min(tau, _CONDITION_CAP / norm_j)
         if factored is None or matrix is None:
+            factored = None  # so the old factors are freed before the new ones are built
             factored = _Factored(_implicit_matrix(jacobian, tau), w, tau, cells)
         if matrix is None:
             residual -= (w @ residual) / (w @ w) * w

@@ -1,6 +1,9 @@
 """Shared fixture builders for the test suite."""
 
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,3 +189,15 @@ def profile_calls(monkeypatch):
 
     monkeypatch.setattr(motorflux.model, "_profile", counted)
     return calls
+
+
+@pytest.fixture
+def perfbench_workloads(monkeypatch):
+    """The module ``perfbench/workloads.py``, read without writing bytecode under perfbench/."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    monkeypatch.setitem(sys.modules, module_spec.name, workloads)  # for its dataclasses
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    module_spec.loader.exec_module(workloads)
+    return workloads

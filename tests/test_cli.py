@@ -1,12 +1,10 @@
 import contextlib
 import dataclasses
 import gc
-import importlib.util
 import io
 import json
 import math
 import re
-import sys
 import tempfile
 from pathlib import Path
 
@@ -14,12 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from motorflux import Grid, State, weighted_mass
+from motorflux import Grid, State, validate, weighted_mass
 import motorflux.cli
 from motorflux.cli import _write_state_csv, format_effective_config, main, parse_config
 import motorflux.evolve
 from motorflux.evolve import run_batch
-from motorflux.model import MAX_2D_BLOCK_ENTRIES, MAX_UNKNOWNS
+from motorflux.model import MAX_RUN_BYTES, _run_bytes
 import motorflux.errors
 from motorflux.errors import (
     ConfigError,
@@ -370,6 +368,21 @@ _COMMANDS = ("simulate", "steady", "verify-contraction", "verify-comparison",
              "verify-convergence", "oracle-compare")
 
 
+def _species_config(n, cells):
+    """``n`` species on [0, 1] or [0, 1]^2 with ``cells`` (the INI value), zero
+    potentials and a cyclic coupling."""
+    dims = cells.count(",") + 1
+    sections = [f"[domain]\nlo = {', '.join(['0.0'] * dims)}\nhi = {', '.join(['1.0'] * dims)}\n"
+                f"cells = {cells}\n"]
+    sections += [f"[species.{i}]\nsigma = 1.0\nalpha = 1.0\npotential.kind = zero\n"
+                 "initial.kind = linear\ninitial.params = offset=1.0\n" for i in range(1, n + 1)]
+    cycle = np.eye(n, k=-1) + np.eye(n, k=n - 1) - np.eye(n)  # [[0.0]] for one species
+    sections.append("[coupling]\n" + "".join(
+        f"row.{i} = {', '.join(map(repr, row.tolist()))}\n" for i, row in enumerate(cycle, 1)))
+    sections.append("[time]\ndt = 0.1\nt_end = 1.0\n")
+    return "\n".join(sections)
+
+
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -625,29 +638,22 @@ class TestSimulate:
         assert key in err and "integer" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("cells", ["1e12", str(MAX_UNKNOWNS // 2 + 1)])
-    def test_too_many_unknowns_exit_2(self, tmp_path, capsys, cells):
-        # two species: half the cap plus one cell is one unknown too many
-        text = MOTOR_CONFIG.replace("cells = 64", f"cells = {cells}", 1)
-        code = main(["simulate", "--config", write_config(tmp_path, text),
-                     "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"exceed the cap of {MAX_UNKNOWNS}" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "o").exists()
-
+    @pytest.mark.parametrize("n, cells", [(32, "131072"), (1024, "4096"),
+                                          (1, "2048, 2048"), (2, "1e12"), (1, "1e155, 1e155")],
+                             ids=["32x131072", "1024x4096", "1x2048x2048", "2x1e12",
+                                  "1x1e155x1e155"])
     @pytest.mark.parametrize("command", _COMMANDS)
-    def test_2d_cap_exits_2_before_sampling(self, tmp_path, capsys, profile_calls, command):
-        # one species at 2048^2 is within MAX_UNKNOWNS, but SuperLU's factors would
-        # outgrow memory: validate stops it before any profile is sampled
-        text = (MINIMAL_CONFIG.replace("lo = 0.0", "lo = 0.0, 0.0")
-                .replace("hi = 1.0", "hi = 1.0, 1.0").replace("cells = 16", "cells = 2048, 2048"))
-        assert main([command, "--config", write_config(tmp_path, text),
+    def test_memory_rule_exits_2_before_sampling(self, tmp_path, capsys, profile_calls,
+                                                 command, n, cells):
+        # validate stops a problem whose estimated peak exceeds MAX_RUN_BYTES before
+        # any profile is sampled and before the output directory is made
+        assert main([command, "--config", write_config(tmp_path, _species_config(n, cells)),
                      "--out", str(tmp_path / "o")]) == 2
+        dims = tuple(int(float(c)) for c in cells.split(","))
+        grid = Grid((0.0,) * len(dims), (1.0,) * len(dims), dims)
         assert capsys.readouterr().err == (
-            "config error: invalid problem: grid: 2-D, 1 species x 4194304 cells: species x "
-            f"unknowns = 4194304 exceed the 2-D cap of {MAX_2D_BLOCK_ENTRIES}\n")
+            f"config error: invalid problem: grid: {n} species x {grid.size} cells need an "
+            f"estimated {_run_bytes(n, grid)} bytes, above the limit of {MAX_RUN_BYTES}\n")
         assert not profile_calls
         assert not (tmp_path / "o").exists()
 
@@ -799,7 +805,7 @@ _SMALL_VALUES = st.one_of(
 )
 #: wild draws per number (None: every other number).  Finite draws stay within
 #: 10, or dt at 0.01 and up, unless the number is an amplitude: cells, terms
-#: and t_end/dt have no cap below MAX_UNKNOWNS and MAX_STEPS, so a huge count
+#: and t_end/dt have no cap below MAX_RUN_BYTES and MAX_STEPS, so a huge count
 #: allocates or loops for as long as it asks
 _WILD_NUMBERS = {
     None: _SMALL_VALUES,
@@ -1243,13 +1249,9 @@ class TestConfigTable:
         assert format_effective_config(again) == echo
 
     @pytest.mark.parametrize("name", ["snap1d", "imex1d", "stationary1d"])
-    def test_benchmark_configs_parse_back(self, tmp_path, monkeypatch, name):
+    def test_benchmark_configs_parse_back(self, tmp_path, perfbench_workloads, name):
         """The configs that perfbench/workloads.py writes parse, and their echo parses back."""
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(module_spec)
-        monkeypatch.setitem(sys.modules, module_spec.name, workloads)  # for its dataclasses
-        module_spec.loader.exec_module(workloads)
+        workloads = perfbench_workloads
         configs = workloads.write_configs(workloads.build(name, seed=1, tiny=True), tmp_path)
         assert configs
         for config in configs.values():
@@ -1258,6 +1260,23 @@ class TestConfigTable:
             again = parse_config(write_config(tmp_path, echo, "echo.ini"))
             _assert_same_config(again, cfg)
             assert format_effective_config(again) == echo
+
+    def test_memory_rule_admits_the_workloads(self, tmp_path, perfbench_workloads):
+        """Every config of the benchmark workloads at seeds 1 and 2, and the sweep
+        corners 4 x 65,536 (1-D) and 4 x 128^2 (2-D), pass `validate`."""
+        workloads = perfbench_workloads
+        paths = [write_config(tmp_path, _species_config(4, cells), f"corner-{k}.ini")
+                 for k, cells in enumerate(["65536", "128, 128"])]
+        for name in workloads.NAMES:
+            for seed in (1, 2):
+                configs = workloads.write_configs(workloads.build(name, seed),
+                                                  tmp_path / f"{name}-{seed}")
+                paths += map(str, configs.values())
+        assert len(paths) == 2 + 2 * 5
+        for path in paths:
+            spec = parse_config(path).problem
+            assert validate(spec).ok, path
+            assert _run_bytes(spec.n_species, spec.grid) <= MAX_RUN_BYTES
 
 
 class TestUnusableArguments:
@@ -1689,6 +1708,19 @@ class TestEdgeCases:
         assert "grid: cell volumes do not sum to the domain volume" in err, err
         assert "H3: species 1 potential not evaluable on the domain closure" in err, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("width", ["1e-200", "1e-160"])
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_tiny_cells_exit_2(self, tmp_path, capsys, command, width):
+        # h*h underflows to 0 at width 1e-200 (it raised ZeroDivisionError), and
+        # sigma/(h*h) overflows at 1e-160 (blamed on the potential jump): both
+        # give an infinite diffusion weight, named as such
+        text = MOTOR_CONFIG.replace("hi = 1.0", f"hi = {width}").replace("cells = 64", "cells = 16")
+        assert main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: species 1: the diffusion weight sigma/h^2 overflows (sigma = 1.0, "
+            f"h = {float(width) / 16!r}); the cells are too small for double precision\n")
 
     @pytest.mark.parametrize("command", ["steady", "verify-convergence"])
     def test_subnormal_sigma_exits_2(self, tmp_path, capsys, command):

@@ -24,7 +24,7 @@ from motorflux import (
 from motorflux.errors import OutOfDomainError, UnsupportedConfigurationError
 import motorflux.evolve
 import motorflux.model
-from motorflux.model import MAX_2D_BLOCK_ENTRIES, MAX_UNKNOWNS, eval_power
+from motorflux.model import MAX_RUN_BYTES, _run_bytes, eval_power
 
 from conftest import ZERO, symmetric_motor
 from reversible_oracle import reaction_inverse
@@ -345,43 +345,66 @@ class TestValidate:
         assert validate(spec).ok
         assert len(checked) == 2
 
-    @pytest.mark.parametrize("cells,ok", [
-        ((MAX_UNKNOWNS // 2,), True),
-        ((MAX_UNKNOWNS // 2 + 1,), False),
-        ((10**6, 10**7), False),  # 1e13 cells: np.prod of the cells wraps in int64
-    ])
-    def test_unknowns_cap(self, cells, ok):
-        spec = symmetric_motor(16)  # two species
-        grid = Grid((0.0,) * len(cells), (1.0,) * len(cells), cells)
-        report = validate(ProblemSpec(grid=grid, species=spec.species,
-                                      coupling=spec.coupling, initial=spec.initial))
-        assert report.ok == ok
-        if not ok:
-            assert report.violations == (
-                f"grid: 2 species x {math.prod(cells)} cells = {2 * math.prod(cells)} "
-                f"unknowns exceed the cap of {MAX_UNKNOWNS}",
-            )
-
     @pytest.mark.parametrize("n, cells, ok", [
-        (2, (128, 128), True),  # the largest 2-D problem of the other tests
-        (1, (1024, 1024), True), (2, (512, 512), True), (4, (256, 256), True),
-        (8, (128, 128), True),  # each at the cap
-        (1, (2048, 2048), False), (2, (1024, 512), False), (5, (256, 256), False),
-    ])
-    def test_2d_cap(self, profile_calls, n, cells, ok):
+        (1, (2**22,), True), (2, (2**21,), True),  # one and two species at 4,194,304 unknowns
+        (4, (2**20,), True),  # a nonlinear steady peaked at 1,804 MiB
+        (2, (3198156,), True), (2, (3198157,), False),  # the limit for two species
+        (4, (65536,), True), (4, (128, 128), True),  # the largest sweep points
+        (1, (1024, 1024), True),  # a nonlinear steady peaked at 1,222 MiB
+        (2, (512, 512), True), (4, (256, 256), True), (8, (128, 128), True),
+        (5, (256, 256), True), (4, (360, 360), True), (4, (361, 361), False),
+        (32, (131072,), False),  # one step would take about 6 GB
+        (1024, (4096,), False),
+        (1, (2048, 2048), False),  # SuperLU's fill, about 5 GB
+        (2, (1024, 512), False),
+        (2, (10**12,), False),
+        (2, (10**6, 10**7), False),  # 1e13 cells: np.prod of the cells wraps in int64
+        (1, (10**155, 10**155), False),  # 1e310 cells: the count is not a double
+    ], ids=lambda v: "x".join(str(c) if c < 10**9 else f"{c:.0e}" for c in v)
+       if isinstance(v, tuple) else None)
+    def test_memory_rule(self, profile_calls, n, cells, ok):
         cycle = np.eye(n, k=-1) + np.eye(n, k=n - 1) - np.eye(n)  # [[0.0]] for one species
-        spec = ProblemSpec(grid=Grid((0.0, 0.0), (1.0, 1.0), cells),
-                           species=(SpeciesSpec(1.0, 1.0, ZERO),) * n,
+        grid = Grid((0.0,) * len(cells), (1.0,) * len(cells), cells)
+        spec = ProblemSpec(grid=grid, species=(SpeciesSpec(1.0, 1.0, ZERO),) * n,
                            coupling=CouplingMatrix(cycle),
-                           initial=(PotentialSpec("cosine", amplitude=0.4, offset=1.0),) * n)
+                           initial=(PotentialSpec("linear", offset=1.0),) * n)
         report = validate(spec)
-        assert report.ok == ok
+        estimate = _run_bytes(n, grid)
+        assert report.ok == ok == (estimate <= MAX_RUN_BYTES)
         if not ok:  # rejected before any profile is sampled on the grid
             assert report.violations == (
-                f"grid: 2-D, {n} species x {math.prod(cells)} cells: species x unknowns = "
-                f"{n * n * math.prod(cells)} exceed the 2-D cap of {MAX_2D_BLOCK_ENTRIES}",
+                f"grid: {n} species x {math.prod(cells)} cells need an estimated "
+                f"{estimate} bytes, above the limit of {MAX_RUN_BYTES}",
             )
             assert not profile_calls
+
+    #: (species, cells, MiB): the highest peak RSS of the commands measured on a
+    #: problem, a nonlinear `steady` or `verify-convergence` except where marked,
+    #: each in a child process with one BLAS thread.  Cosine potentials, every
+    #: species coupled to every other, and species 1 reacting at rate u^2 in the
+    #: nonlinear runs
+    MEASURED_PEAKS = [
+        (1, (1048576,), 304), (1, (4194304,), 996),
+        (2, (65536,), 107), (2, (524288,), 404), (2, (2097152,), 1292),
+        (4, (1048576,), 1804),
+        (8, (16384,), 160), (8, (65536,), 441), (8, (262144,), 1518),
+        (16, (8192,), 230), (16, (32768,), 722), (16, (65536,), 1342),
+        (32, (4096,), 374), (32, (16384,), 1282), (32, (32768,), 1968),  # simulate
+        (128, (256,), 359), (256, (64,), 361),
+        (1, (128, 128), 74), (3, (256, 256), 398),  # simulate
+        (1, (256, 256), 122), (1, (512, 512), 324), (1, (900, 900), 968),
+        (1, (1024, 1024), 1222),
+        (2, (128, 128), 102), (2, (256, 256), 251), (2, (512, 512), 943),
+        (4, (128, 128), 204), (4, (256, 256), 767), (8, (64, 64), 163),
+        (8, (128, 128), 579), (16, (64, 64), 461), (32, (32, 32), 383),
+        (64, (16, 16), 284), (128, (8, 8), 210), (256, (4, 4), 176),
+    ]
+
+    @pytest.mark.parametrize("n, cells, mib", MEASURED_PEAKS,
+                             ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_memory_rule_bounds_the_measured_peaks(self, n, cells, mib):
+        grid = Grid((0.0,) * len(cells), (1.0,) * len(cells), cells)
+        assert _run_bytes(n, grid) >= mib * 2**20
 
     def test_disconnected_coupling_warns(self):
         spec = symmetric_motor(16)

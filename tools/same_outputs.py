@@ -6,9 +6,11 @@ PARENT_SRC and CHANGE_SRC are directories that hold the ``motorflux``
 package (a checkout's ``src/``).  The script runs every command of the
 benchmark workloads ``snap1d``, ``imex1d`` and ``stationary1d`` at seeds 1
 and 2, with the configs that ``perfbench/workloads.py`` generates, and all
-six commands on two fixed 2-D configs, one linear and one IMEX, and on each
-extra CONFIG file.  The workloads are all 1-D, so the 2-D configs are what
-reach the SuperLU solves.  Every run is a fresh interpreter with the tree on
+six commands on two fixed 2-D configs, one linear and one IMEX, on one fixed
+1-D linear config of eight species, and on each extra CONFIG file.  The
+workloads are all 1-D with at most three species, so the 2-D configs are
+what reach the SuperLU solves, and the eight-species one the 1-D band at
+a half-width of 8.  Every run is a fresh interpreter with the tree on
 PYTHONPATH.  It prints each difference in exit code, stdout or stderr (with
 the output directory masked) or the bytes of an output file.
 It also prints each ``.ndjson`` output of either tree that holds a
@@ -79,6 +81,21 @@ IMEX_2D = LINEAR_2D.replace("potential.params = amplitude=0.5, period=1.0\n",
                             "potential.params = amplitude=0.5, period=1.0\n"
                             "reaction.kind = power\nreaction.params = exponent=2\n")
 
+#: eight linear species on 1,024 cells, each fed by the one before it in a
+#: cycle: the workloads stop at three species, and this reaches the 1-D band
+#: at a half-width of 8
+BAND_8 = "".join(
+    ["[domain]\nlo = 0.0\nhi = 1.0\ncells = 1024\n\n"]
+    + [f"[species.{i + 1}]\nsigma = {1.0 - 0.05 * i!r}\nalpha = 1.0\n"
+       f"potential.kind = cosine\npotential.params = amplitude=0.5, phase={i / 8!r}\n"
+       f"initial.kind = cosine\ninitial.params = amplitude=0.3, offset=1.0, phase={i / 8!r}\n"
+       f"initial2.kind = cosine\ninitial2.params = amplitude=0.3, offset=1.5, phase={i / 8!r}\n\n"
+       for i in range(8)]
+    + ["[coupling]\n"]
+    + [f"row.{i + 1} = " + ", ".join("-1.0" if j == i else "1.0" if j == (i - 1) % 8 else "0.0"
+                                     for j in range(8)) + "\n" for i in range(8)]
+    + ["\n[time]\ndt = 0.05\nt_end = 10.0\nstride = 20\n"])
+
 sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
@@ -96,7 +113,7 @@ def runs(work: Path, configs: list[str]):
                     argv += ["--seed", str(cmd.seed)]
                 yield f"{name} seed {seed} #{i} {cmd.label}", argv
     files = []
-    for name, text in (("linear-2d", LINEAR_2D), ("imex-2d", IMEX_2D)):
+    for name, text in (("linear-2d", LINEAR_2D), ("imex-2d", IMEX_2D), ("band-8", BAND_8)):
         path = work / f"{name}.ini"
         path.write_text(text)
         files.append((name, path))
